@@ -3,13 +3,9 @@
 from .dense import (
     EXPLICIT_THRESHOLD,
     LuFactors,
-    NormKind,
     QrFactors,
-    abs_matrix,
     lu_factor,
-    norm,
     qr_factor,
-    smallest_singular_value,
     spectral_norm,
     svd_spectral_norm,
     triangular_inverse,
@@ -59,7 +55,6 @@ from .qr_bounds import (
     r_factor_operator,
     r_quadratic_operator,
     scaling_d_e,
-    scaling_d_r,
     zeta,
 )
 from .structured import (
@@ -67,14 +62,12 @@ from .structured import (
     SelectionMatrix,
     StructuredOperator,
     abs_operator,
-    kronecker_apply,
     operator_materialize,
     operator_spectral_norm,
     selection_matrix,
     structured_extract,
     unvec,
     vec,
-    vec_permutation_apply,
 )
 from .verify import VerificationReport, delta_halving, verify_bounds
 

@@ -1,7 +1,8 @@
 """Command-line harness for bound reports, verification runs, and tables.
 
 Exit codes: 1 invalid configuration, 2 matrix parse failure, 3 factorization
-failure, 4 bound inapplicable in a mode that demands applicability.
+failure, 4 bound inapplicable in a mode that demands applicability, 5 norm
+estimation did not converge.
 
 Matrix files are plain CSV: one row per line, no header, decimal floats.
 Output is deterministic for a fixed (configuration, seed) pair except for the
@@ -21,26 +22,39 @@ import numpy as np
 
 from . import dense, lu_bounds, qr_bounds, tables
 from .errors import (
+    AbsOperatorTooLarge,
     BoundNotApplicable,
+    DimensionMismatch,
+    FperturbError,
+    NoConvergence,
     RankDeficient,
     SingularDiagonal,
     SingularLeadingMinor,
 )
 from .matgen import (
-    ComponentwiseLU,
     ComponentwiseQR,
-    Normwise,
     PerturbationSpec,
     graded_random,
     kahan,
     random_c_matrix,
 )
-from .verify import delta_halving, verify_bounds
+from .verify import EXPERIMENTS, delta_halving, verify_bounds
 
 EXIT_BAD_CONFIG = 1
 EXIT_BAD_MATRIX = 2
 EXIT_FACTORIZATION = 3
 EXIT_INAPPLICABLE = 4
+EXIT_NO_CONVERGENCE = 5
+
+#: exit code of each library error that the bound and verify commands report;
+#: a ValueError is a rejected argument, such as a negative or NaN size
+_ERROR_EXITS = (
+    (DimensionMismatch, EXIT_BAD_MATRIX),
+    ((SingularLeadingMinor, RankDeficient, SingularDiagonal), EXIT_FACTORIZATION),
+    (BoundNotApplicable, EXIT_INAPPLICABLE),
+    (NoConvergence, EXIT_NO_CONVERGENCE),
+    ((AbsOperatorTooLarge, ValueError), EXIT_BAD_CONFIG),
+)
 
 
 class CliError(Exception):
@@ -75,34 +89,43 @@ def _build_parser() -> _Parser:
                      description="perturbation bounds for LU and QR factorizations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def bound_command(name, help_text):
+    def bound_command(name, help_text, report=None):
+        # report(args, matrix) computes the bound report of the command
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(report=report)
         _add_matrix_source(p)
         p.add_argument("--seed", type=int, default=0)
         _add_output(p)
         return p
 
-    p = bound_command("lu-normwise", "normwise LU bound report")
+    p = bound_command("lu-normwise", "normwise LU bound report", lambda args, a:
+                      lu_bounds.lu_normwise_bounds(dense.lu_factor(a), args.delta))
     p.add_argument("--delta", type=float, required=True)
 
-    p = bound_command("lu-componentwise", "componentwise LU bound report")
+    p = bound_command("lu-componentwise", "componentwise LU bound report", lambda args, a:
+                      lu_bounds.lu_componentwise_bounds(
+                          dense.lu_factor(a), _resolve_epsilon(args.epsilon, len(a))))
     p.add_argument("--epsilon", required=True,
                    help="perturbation size, or 'ge' for the n*u/(1-n*u) preset")
 
-    p = bound_command("qr-normwise", "normwise QR bound report")
+    p = bound_command("qr-normwise", "normwise QR bound report", lambda args, a:
+                      qr_bounds.qr_normwise_bounds(
+                          dense.qr_factor(a),
+                          args.delta if args.delta1 is None else args.delta1, args.delta))
     p.add_argument("--delta", type=float, required=True, help="||dA||_F")
     p.add_argument("--delta1", type=float, default=None,
                    help="||Q^T dA||_F, defaults to --delta")
 
-    p = bound_command("qr-componentwise", "componentwise QR bound report")
+    p = bound_command("qr-componentwise", "componentwise QR bound report", lambda args, a:
+                      qr_bounds.qr_componentwise_bounds(
+                          dense.qr_factor(a), _resolve_c(args, len(a)),
+                          _resolve_epsilon(args.epsilon, len(a))))
     p.add_argument("--epsilon", required=True)
     p.add_argument("--c-matrix", default="random",
                    help="envelope matrix: CSV file or 'random' (uses --seed)")
 
     p = bound_command("verify", "Monte Carlo bound verification")
-    p.add_argument("--experiment", required=True,
-                   choices=("lu-normwise", "lu-componentwise",
-                            "qr-normwise", "qr-componentwise"))
+    p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", default=None)
     p.add_argument("--c-matrix", default="random")
@@ -142,7 +165,10 @@ def load_matrix_csv(path: str) -> np.ndarray:
         widths = {len(r) for r in rows}
         if len(widths) != 1:
             raise ValueError("rows have inconsistent lengths")
-        return np.asarray(rows, dtype=float)
+        m = np.asarray(rows, dtype=float)
+        if not np.isfinite(m).all():
+            raise ValueError("non-finite entry")
+        return m
     except OSError as exc:
         raise CliError(EXIT_BAD_MATRIX, f"cannot read matrix file: {exc}") from exc
     except ValueError as exc:
@@ -176,8 +202,8 @@ def _resolve_epsilon(text: str, n: int) -> float:
         value = float(text)
     except ValueError as exc:
         raise CliError(EXIT_BAD_CONFIG, f"cannot parse --epsilon: {exc}") from exc
-    if value < 0.0:
-        raise CliError(EXIT_BAD_CONFIG, "--epsilon must be nonnegative")
+    if not (math.isfinite(value) and value >= 0.0):
+        raise CliError(EXIT_BAD_CONFIG, "--epsilon must be finite and nonnegative")
     return value
 
 
@@ -203,98 +229,78 @@ def _report_rows(report, no_timings: bool) -> list[dict]:
     return [row]
 
 
-_FACTORIZATION_ERRORS = (SingularLeadingMinor, RankDeficient, SingularDiagonal)
-
-
 def _run_command(args) -> tuple[list[dict], dict, int | None]:
     """Return (rows, timings, violations) for the parsed command."""
     t0 = time.perf_counter()
-    cmd = args.command
+    if args.command in tables.TABLES:
+        rows = _table_rows(args)
+        return rows, {"total_s": time.perf_counter() - t0}, None
+    try:
+        if args.command == "verify":
+            rows, timings, violations = _verify_rows(args)
+        else:
+            report = args.report(args, _resolve_matrix(args))
+            rows, timings, violations = _report_rows(report, args.no_timings), {}, None
+    except (FperturbError, ValueError) as exc:
+        for errors, code in _ERROR_EXITS:
+            if isinstance(exc, errors):
+                raise CliError(code, str(exc)) from exc
+        raise
+    timings["total_s"] = round(time.perf_counter() - t0, 3)
+    return rows, timings, violations
 
-    if cmd in ("lu-normwise", "lu-componentwise", "qr-normwise", "qr-componentwise"):
-        a = _resolve_matrix(args)
-        try:
-            if cmd == "lu-normwise":
-                report = lu_bounds.lu_normwise_bounds(dense.lu_factor(a), args.delta)
-            elif cmd == "lu-componentwise":
-                eps = _resolve_epsilon(args.epsilon, a.shape[0])
-                report = lu_bounds.lu_componentwise_bounds(dense.lu_factor(a), eps)
-            elif cmd == "qr-normwise":
-                d1 = args.delta if args.delta1 is None else args.delta1
-                report = qr_bounds.qr_normwise_bounds(dense.qr_factor(a), d1, args.delta)
-            else:
-                eps = _resolve_epsilon(args.epsilon, a.shape[0])
-                c = _resolve_c(args, a.shape[0])
-                report = qr_bounds.qr_componentwise_bounds(dense.qr_factor(a), c, eps)
-        except _FACTORIZATION_ERRORS as exc:
-            raise CliError(EXIT_FACTORIZATION, str(exc)) from exc
-        rows = _report_rows(report, args.no_timings)
-        return rows, {"total_s": round(time.perf_counter() - t0, 3)}, None
 
-    if cmd == "verify":
-        a = _resolve_matrix(args)
-        spec = _verify_spec(args, a)
-        try:
-            if args.delta_halving > 0:
-                reports = delta_halving(a, spec, args.trials, args.delta_halving,
-                                        experiment=args.experiment)
-            else:
-                reports = [verify_bounds(a, spec, args.trials,
-                                         experiment=args.experiment)]
-        except _FACTORIZATION_ERRORS as exc:
-            raise CliError(EXIT_FACTORIZATION, str(exc)) from exc
-        except BoundNotApplicable as exc:
-            raise CliError(EXIT_INAPPLICABLE, str(exc)) from exc
-        rows = []
-        for level, rep in enumerate(reports):
-            size = _spec_size(spec) * 0.5 ** level
-            rows.append({
-                "level": level,
-                "size": size,
-                "trials": rep.trials,
-                "violations": rep.violations,
-                "skipped": len(rep.skipped),
-                "max_ratio_rigorous": rep.max_ratio_rigorous,
-                "max_ratio_first_order": rep.max_ratio_first_order,
-            })
-        violations = sum(r.violations for r in reports)
-        timings = {k: round(v, 3) for k, v in reports[-1].timings.items()}
-        timings["total_s"] = round(time.perf_counter() - t0, 3)
-        return rows, timings, violations
+def _verify_rows(args) -> tuple[list[dict], dict, int]:
+    a = _resolve_matrix(args)
+    spec = _verify_spec(args, a)
+    if args.delta_halving > 0:
+        reports = delta_halving(a, spec, args.trials, args.delta_halving,
+                                experiment=args.experiment)
+    else:
+        reports = [verify_bounds(a, spec, args.trials, experiment=args.experiment)]
+    size = getattr(spec.model, EXPERIMENTS[args.experiment].size)
+    rows = [{
+        "level": level,
+        "size": size * 0.5 ** level,
+        "trials": rep.trials,
+        "violations": rep.violations,
+        "skipped": len(rep.skipped),
+        "max_ratio_rigorous": rep.max_ratio_rigorous,
+        "max_ratio_first_order": rep.max_ratio_first_order,
+    } for level, rep in enumerate(reports)]
+    # every level is a full run, so the timings add up over the levels
+    timings = {key: round(sum(rep.timings[key] for rep in reports), 3)
+               for key in reports[0].timings}
+    return rows, timings, sum(rep.violations for rep in reports)
 
-    # table commands
+
+def _table_rows(args) -> list[dict]:
+    if args.seed_sweep < 1:
+        raise CliError(EXIT_BAD_CONFIG, "--seed-sweep must be at least 1")
     kwargs = {}
-    if cmd == "table1" and args.epsilon is not None:
+    if args.command == "table1" and args.epsilon is not None:
         kwargs["epsilon"] = _resolve_epsilon(args.epsilon, 10)
     if args.seed_sweep > 1:
-        result = tables.seed_sweep(cmd, args.seed, args.seed_sweep, **kwargs)
+        result = tables.seed_sweep(args.command, args.seed, args.seed_sweep, **kwargs)
     else:
-        result = tables.TABLES[cmd](args.seed, **kwargs)
+        result = tables.TABLES[args.command](args.seed, **kwargs)
     columns = [c for c in result.columns
                if not (args.no_timings and c in tables.TIMING_COLUMNS)]
-    rows = [{c: (round(row[c], 3) if c in tables.TIMING_COLUMNS else row[c])
+    return [{c: (round(row[c], 3) if c in tables.TIMING_COLUMNS else row[c])
              for c in columns} for row in result.rows]
-    return rows, {"total_s": time.perf_counter() - t0}, None
 
 
 def _verify_spec(args, a: np.ndarray) -> PerturbationSpec:
-    exp = args.experiment
-    if exp in ("lu-normwise", "qr-normwise"):
-        if args.delta is None:
-            raise CliError(EXIT_BAD_CONFIG, f"{exp} needs --delta")
-        return PerturbationSpec(model=Normwise(delta=args.delta), seed=args.seed)
-    if args.epsilon is None:
-        raise CliError(EXIT_BAD_CONFIG, f"{exp} needs --epsilon")
-    eps = _resolve_epsilon(args.epsilon, a.shape[0])
-    if exp == "lu-componentwise":
-        return PerturbationSpec(model=ComponentwiseLU(epsilon=eps), seed=args.seed)
-    c = _resolve_c(args, a.shape[0])
-    return PerturbationSpec(model=ComponentwiseQR(epsilon=eps, c=c), seed=args.seed)
-
-
-def _spec_size(spec: PerturbationSpec) -> float:
-    model = spec.model
-    return model.delta if isinstance(model, Normwise) else model.epsilon
+    exp = EXPERIMENTS[args.experiment]
+    size = getattr(args, exp.size)
+    if size is None:
+        raise CliError(EXIT_BAD_CONFIG, f"{args.experiment} needs --{exp.size}")
+    n = a.shape[0]
+    # --delta is parsed as a float; --epsilon may also be the preset "ge"
+    fields = {exp.size: size if exp.size == "delta" else _resolve_epsilon(size, n)}
+    if exp.model is ComponentwiseQR:
+        fields["c"] = _resolve_c(args, n)
+    return PerturbationSpec(model=exp.model(**fields), seed=args.seed)
 
 
 def _fmt(value, precise: bool) -> str:
@@ -349,7 +355,7 @@ def main(argv=None) -> int:
     if args.no_timings:
         timings = {}
     config = {k: v for k, v in vars(args).items()
-              if k not in ("out", "output") and v is not None}
+              if k not in ("out", "output", "report") and v is not None}
     if args.output == "json":
         text = render_json(rows, config, violations, timings)
     elif args.output == "markdown":

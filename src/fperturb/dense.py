@@ -1,8 +1,9 @@
 """Dense matrix kernels: factorizations, norms, and triangular inverses.
 
-Matrices are plain 2-D float64 ``numpy.ndarray`` values. Vectorized forms
-elsewhere in the package stack columns (Fortran order), so a matrix and its
-``vec`` agree on column-major semantics.
+Matrices are plain 2-D float64 ``numpy.ndarray`` values; only the LU
+factorization also runs in longdouble, for extended-precision measurements.
+Vectorized forms elsewhere in the package stack columns (Fortran order), so a
+matrix and its ``vec`` agree on column-major semantics.
 
 The LU factorization here is deliberately pivot-free: the perturbation theory
 bounds the factors of ``A`` itself, and row exchanges would change the object
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -35,13 +35,6 @@ POWER_MAX_ITER = 10_000
 EXPLICIT_THRESHOLD = 4096  # largest vec-dimension that may be materialized
 
 
-class NormKind(Enum):
-    SPECTRAL = "spectral"
-    FROBENIUS = "frobenius"
-    MAX_ENTRY = "max_entry"
-    SUM_ENTRY = "sum_entry"
-
-
 @dataclass(frozen=True)
 class LuFactors:
     """Pivot-free LU factors: ``l`` unit lower triangular, ``u`` upper triangular."""
@@ -58,8 +51,8 @@ class QrFactors:
     r: np.ndarray
 
 
-def _as_matrix(a, name: str = "matrix") -> np.ndarray:
-    a = np.asarray(a, dtype=float)
+def _as_matrix(a, name: str = "matrix", dtype=float) -> np.ndarray:
+    a = np.asarray(a, dtype=dtype)
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
     if not np.isfinite(a).all():
@@ -67,29 +60,32 @@ def _as_matrix(a, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def _as_square(a, name: str = "matrix") -> np.ndarray:
-    a = _as_matrix(a, name)
+def _as_square(a, name: str = "matrix", dtype=float) -> np.ndarray:
+    a = _as_matrix(a, name, dtype)
     if a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"{name} must be square, got shape {a.shape}")
     return a
 
 
-def lu_factor(a, pivot_tol: float = PIVOT_TOL) -> LuFactors:
+def lu_factor(a) -> LuFactors:
     """Pivot-free Doolittle LU factorization of a square matrix.
 
+    A longdouble input is factorized in longdouble, which is how trials are
+    measured in extended precision; any other input is cast to float64.
     Raises :class:`SingularLeadingMinor` with the 1-based pivot index when a
-    pivot used as a divisor falls below ``pivot_tol * ||a||_F``. The trailing
+    pivot used as a divisor falls below ``PIVOT_TOL * ||a||_F``. The trailing
     diagonal entry of ``u`` is never used as a divisor and is not gated; a
     singular last pivot surfaces later, when ``u`` has to be inverted.
     """
-    a = _as_square(a)
+    a = np.asarray(a)
+    a = _as_square(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
     n = a.shape[0]
     scale = np.linalg.norm(a)
     u = a.copy()
-    l = np.eye(n)
+    l = np.eye(n, dtype=a.dtype)
     for k in range(n - 1):
         piv = u[k, k]
-        if abs(piv) <= pivot_tol * scale:
+        if abs(piv) <= PIVOT_TOL * scale:
             raise SingularLeadingMinor(k + 1)
         mults = u[k + 1 :, k] / piv
         l[k + 1 :, k] = mults
@@ -98,7 +94,7 @@ def lu_factor(a, pivot_tol: float = PIVOT_TOL) -> LuFactors:
     return LuFactors(l=l, u=np.triu(u))
 
 
-def qr_factor(a, rank_tol: float = RANK_TOL) -> QrFactors:
+def qr_factor(a) -> QrFactors:
     """QR factorization with positive diagonal of the triangular factor.
 
     Householder QR followed by a column-wise sign fix so that diag(r) > 0,
@@ -114,16 +110,11 @@ def qr_factor(a, rank_tol: float = RANK_TOL) -> QrFactors:
     if m == n and not np.tril(a, -1).any() and np.all(np.diag(a) > 0.0):
         return QrFactors(q=np.eye(n), r=a.copy())
     s = np.linalg.svd(a, compute_uv=False)
-    if s[-1] <= rank_tol * s[0]:
+    if s[-1] <= RANK_TOL * s[0]:
         raise RankDeficient(f"smallest singular value {s[-1]:.3e} below rank tolerance")
     q, r = np.linalg.qr(a, mode="reduced")
     signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
     return QrFactors(q=q * signs[None, :], r=r * signs[:, None])
-
-
-def abs_matrix(a) -> np.ndarray:
-    """Entrywise absolute value."""
-    return np.abs(_as_matrix(a))
 
 
 def triangular_inverse(t, shape: str) -> np.ndarray:
@@ -205,32 +196,6 @@ def svd_spectral_norm(a) -> float:
     if a.size == 0:
         return 0.0
     return float(np.linalg.svd(a, compute_uv=False)[0])
-
-
-def smallest_singular_value(a) -> float:
-    """Smallest singular value; for full-column-rank ``a``, ``1/sigma_min = ||a^+||_2``."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[-1])
-
-
-def norm(a, kind: NormKind) -> float:
-    """Matrix norm of the requested kind.
-
-    Spectral uses power iteration (see :func:`spectral_norm`); the max-entry
-    and sum-entry norms are the entrywise max and sum of absolute values.
-    """
-    a = _as_matrix(a)
-    if kind is NormKind.FROBENIUS:
-        return float(np.linalg.norm(a))
-    if kind is NormKind.MAX_ENTRY:
-        return float(np.max(np.abs(a))) if a.size else 0.0
-    if kind is NormKind.SUM_ENTRY:
-        return float(np.sum(np.abs(a)))
-    if kind is NormKind.SPECTRAL:
-        return spectral_norm(a)
-    raise ValueError(f"unknown norm kind {kind!r}")
 
 
 def kappa2_triangular(t, shape: str) -> float:

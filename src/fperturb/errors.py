@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of perturbation sizes."""
+
+import math
+
+
+def check_size(value: float, name: str) -> float:
+    """Return ``value`` if it is a finite, nonnegative perturbation size."""
+    if not (math.isfinite(value) and value >= 0.0):
+        raise ValueError(f"{name} must be finite and nonnegative, got {value!r}")
+    return value
 
 
 class FperturbError(Exception):

@@ -13,9 +13,9 @@ A fixed-point argument turns the operator norms into rigorous bounds valid
 whenever the product of the two norms times delta stays below 1/4, and the
 same structure handles componentwise perturbations bounded by the
 backward-error envelope eps * |L~| |U~| of Gaussian elimination. Comparison
-bounds in the style of Chang and Stehle, evaluated at caller-supplied scaling
-matrices, are provided so the tightness of the operator-norm bounds can be
-measured.
+bounds in the style of Chang and Stehle, which the reports evaluate at the
+column-norm scaling of L and the row-norm scaling of U, are provided so the
+tightness of the operator-norm bounds can be measured.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 
 from . import dense
 from .dense import LuFactors
-from .errors import AbsOperatorTooLarge, ZeroVector
+from .errors import AbsOperatorTooLarge, ZeroVector, check_size
 from .structured import (
     KroneckerStage,
     SelectionKind,
@@ -170,12 +170,13 @@ def _leading_inverse(u: np.ndarray) -> np.ndarray:
     return dense.triangular_inverse(u[: n - 1, : n - 1], "upper")
 
 
-def lu_normwise_bounds(factors: LuFactors, delta: float,
-                       d_l: ScalingMatrix | None = None,
-                       d_u: ScalingMatrix | None = None) -> LuNormwiseReport:
-    """Evaluate the normwise LU bounds for a perturbation of Frobenius size delta."""
-    if delta < 0.0:
-        raise ValueError("delta must be nonnegative")
+def lu_normwise_bounds(factors: LuFactors, delta: float) -> LuNormwiseReport:
+    """Evaluate the normwise LU bounds for a perturbation of Frobenius size delta.
+
+    The comparison bounds use the column-norm scaling of L and the row-norm
+    scaling of U.
+    """
+    check_size(delta, "delta")
     l, u = factors.l, factors.u
     nl = operator_spectral_norm(lower_factor_operator(l, u))
     nu = operator_spectral_norm(upper_factor_operator(l, u))
@@ -197,12 +198,8 @@ def lu_normwise_bounds(factors: LuFactors, delta: float,
     first_order_dl = nl * delta if fo_applicable else None
     first_order_du = nu * delta if fo_applicable else None
 
-    if d_l is None:
-        d_l = heuristic_scaling(l, "columns")
-    if d_u is None:
-        d_u = heuristic_scaling(u, "rows")
     comparison_dl, comparison_du, comparison_applicable = chang_stehle_lu(
-        factors, delta, d_l, d_u)
+        factors, delta, heuristic_scaling(l, "columns"), heuristic_scaling(u, "rows"))
 
     return LuNormwiseReport(
         delta=delta,
@@ -265,27 +262,23 @@ class LuComponentwiseReport:
     t_gamma_d: float                # seconds spent on the scaled comparison quantities
 
 
-def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float,
-                            d_l: ScalingMatrix | None = None,
-                            d_u: ScalingMatrix | None = None,
-                            threshold: int = dense.EXPLICIT_THRESHOLD,
-                            ) -> LuComponentwiseReport:
+def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuComponentwiseReport:
     """Evaluate the componentwise LU bounds at the computed factors.
 
     ``tilde_factors`` are the factors of the perturbed matrix (for rounding
     analysis: the computed factors), and the perturbation model is
     |dA| <= epsilon * |L~| |U~|. Needs the absolute value of the two factor
-    maps, hence dense materialization; raises AbsOperatorTooLarge above the
-    threshold.
+    maps, hence dense materialization; raises AbsOperatorTooLarge above
+    ``EXPLICIT_THRESHOLD``. The comparison quantities use the column-norm
+    scaling of L~ and the row-norm scaling of U~.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    check_size(epsilon, "epsilon")
     lt, ut = tilde_factors.l, tilde_factors.u
     n = lt.shape[0]
 
     t0 = time.perf_counter()
-    abs_lower = abs_operator(lower_factor_operator(lt, ut), threshold)
-    abs_upper = abs_operator(upper_factor_operator(lt, ut), threshold)
+    abs_lower = abs_operator(lower_factor_operator(lt, ut))
+    abs_upper = abs_operator(upper_factor_operator(lt, ut))
     envelope = np.abs(lt) @ np.abs(ut)
     venv = vec(envelope)
     lower_image = abs_lower.apply(venv)
@@ -318,10 +311,8 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float,
     t_gamma = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    if d_l is None:
-        d_l = heuristic_scaling(lt, "columns")
-    if d_u is None:
-        d_u = heuristic_scaling(ut, "rows")
+    d_l = heuristic_scaling(lt, "columns")
+    d_u = heuristic_scaling(ut, "rows")
     lt_inv = dense.triangular_inverse(lt, "lower")
     ut_inv = dense.triangular_inverse(ut, "upper")
     abs_linv_l = np.abs(lt_inv) @ np.abs(lt)
@@ -384,17 +375,14 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float,
 
 
 def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,
-                                   target: str,
-                                   threshold: int = dense.EXPLICIT_THRESHOLD,
-                                   ) -> np.ndarray:
+                                   target: str) -> np.ndarray:
     """Perturbation attaining the first-order max-entry bound for one factor.
 
     The extremal dA has vec(dA) = eps * sign(row_k) * vec(|L~||U~|) entrywise,
     where row_k is the row of the factor map whose absolute image of the
     envelope is largest. ``target`` is ``"L"`` or ``"U"``.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    check_size(epsilon, "epsilon")
     lt, ut = tilde_factors.l, tilde_factors.u
     n = lt.shape[0]
     if target == "L":
@@ -403,10 +391,10 @@ def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,
         op = upper_factor_operator(lt, ut)
     else:
         raise ValueError(f"target must be 'L' or 'U', got {target!r}")
-    if op.in_dim > threshold:
+    if op.in_dim > dense.EXPLICIT_THRESHOLD:
         raise AbsOperatorTooLarge(
-            f"input dimension {op.in_dim} exceeds threshold {threshold}")
-    rows = operator_materialize(op, threshold)
+            f"input dimension {op.in_dim} exceeds threshold {dense.EXPLICIT_THRESHOLD}")
+    rows = operator_materialize(op)
     venv = vec(np.abs(lt) @ np.abs(ut))
     image = np.abs(rows) @ venv
     if rows.shape[0] == 0:

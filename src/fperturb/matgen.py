@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dense import LuFactors
+from .errors import check_size
 
 
 def rng_stream(seed: int, trial_index: int | None = None) -> np.random.Generator:
@@ -31,8 +32,7 @@ class Normwise:
     delta: float
 
     def __post_init__(self):
-        if self.delta < 0.0:
-            raise ValueError("delta must be nonnegative")
+        check_size(self.delta, "delta")
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,7 @@ class ComponentwiseLU:
     epsilon: float
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        check_size(self.epsilon, "epsilon")
 
 
 @dataclass(frozen=True)
@@ -54,8 +53,7 @@ class ComponentwiseQR:
     c: np.ndarray
 
     def __post_init__(self):
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        check_size(self.epsilon, "epsilon")
         c = np.asarray(self.c, dtype=float)
         if np.any(c < 0.0) or np.any(c > 1.0):
             raise ValueError("envelope entries must lie in [0, 1]")

@@ -14,9 +14,9 @@ itself uses d1 = ||Q^T dA||_F <= d2.
 Componentwise perturbations |dA| <= eps C |A| route through the entrywise
 absolute values of the two maps weighted by Kronecker factors of |R|; those
 need dense materialization. The scaled comparison bounds of Chang and Stehle
-and the two scaling recipes used in the experiments (row norms, and the
-recursive equilibration built from row 1-norms) are included for tightness
-measurements.
+are included for tightness measurements, at the two scalings used in the
+experiments: row 2-norms (``heuristic_scaling(r, "rows")``) and the recursive
+equilibration built from row 1-norms.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ import numpy as np
 
 from . import dense
 from .dense import QrFactors
-from .errors import AbsOperatorTooLarge, SingularDiagonal
-from .lu_bounds import ScalingMatrix
+from .errors import AbsOperatorTooLarge, check_size
+from .lu_bounds import ScalingMatrix, heuristic_scaling
 from .structured import (
     KroneckerStage,
     SelectionKind,
@@ -44,6 +44,8 @@ from .structured import (
 )
 
 SQRT6_PLUS_SQRT3 = math.sqrt(6.0) + math.sqrt(3.0)
+#: applicability gate of the comparison bounds
+COMPARISON_GATE = math.sqrt(1.5) - 1.0
 
 
 def r_factor_operator(r) -> StructuredOperator:
@@ -87,15 +89,6 @@ def zeta(d: ScalingMatrix) -> float:
     return float(np.max(diag[1:] / running_min))
 
 
-def scaling_d_r(r) -> ScalingMatrix:
-    """Row 2-norm scaling of an upper triangular matrix."""
-    r = np.asarray(r, dtype=float)
-    norms = np.linalg.norm(r, axis=1)
-    if np.any(norms == 0.0):
-        raise SingularDiagonal(int(np.flatnonzero(norms == 0.0)[0]) + 1)
-    return ScalingMatrix(diagonal=norms)
-
-
 def scaling_d_e(r) -> ScalingMatrix:
     """Recursive equilibration scaling built from row 1-norms.
 
@@ -131,11 +124,10 @@ def chang_stehle_qr(r, delta_or_eps: float, model: str, d: ScalingMatrix,
     rinv = dense.triangular_inverse(r, "upper")
     z = zeta(d)
     factor = SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
-    gate = math.sqrt(1.5) - 1.0
     if model == "normwise":
         kappa = dense.kappa2_triangular(r / d.diagonal[:, None], "upper")
         bound = factor * kappa * delta_or_eps
-        applicable = dense.spectral_norm(rinv) * delta_or_eps < gate
+        applicable = dense.spectral_norm(rinv) * delta_or_eps < COMPARISON_GATE
         return bound, applicable
     if model == "componentwise":
         if c is None or q is None:
@@ -148,7 +140,7 @@ def chang_stehle_qr(r, delta_or_eps: float, model: str, d: ScalingMatrix,
                  * dense.spectral_norm(np.abs(r) @ np.abs(rinv) * d.diagonal[None, :])
                  * c_env_norm * delta_or_eps)
         applicable = (dense.spectral_norm(np.abs(r) @ np.abs(rinv))
-                      * c_env_norm * delta_or_eps < gate)
+                      * c_env_norm * delta_or_eps < COMPARISON_GATE)
         return bound, applicable
     raise ValueError(f"model must be 'normwise' or 'componentwise', got {model!r}")
 
@@ -173,15 +165,15 @@ class QrNormwiseReport:
     zeta_d: float
 
 
-def qr_normwise_bounds(factors: QrFactors, delta1: float, delta2: float,
-                       d: ScalingMatrix | None = None) -> QrNormwiseReport:
+def qr_normwise_bounds(factors: QrFactors, delta1: float, delta2: float) -> QrNormwiseReport:
     """Evaluate the normwise bounds for the triangular factor.
 
     ``delta1`` may exceed ``delta2`` only by rounding noise; it is clamped,
     since ||Q^T dA||_F <= ||dA||_F holds exactly for orthonormal columns.
+    The comparison bound uses the row-norm scaling of R.
     """
-    if delta1 < 0.0 or delta2 < 0.0:
-        raise ValueError("deltas must be nonnegative")
+    check_size(delta1, "delta1")
+    check_size(delta2, "delta2")
     if delta1 > delta2 * (1.0 + 1e-12):
         raise ValueError("delta1 cannot exceed delta2")
     delta1 = min(delta1, delta2)
@@ -199,8 +191,7 @@ def qr_normwise_bounds(factors: QrFactors, delta1: float, delta2: float,
         relaxed = 2.0 * core
         simple = (1.0 + 2.0 * lin) * delta2
 
-    if d is None:
-        d = scaling_d_r(r)
+    d = heuristic_scaling(r, "rows")
     comparison, comp_ok = chang_stehle_qr(r, delta2, "normwise", d)
 
     return QrNormwiseReport(
@@ -249,22 +240,23 @@ class QrComponentwiseReport:
     t_gamma_de: float
 
 
-def componentwise_operator_norms(r, threshold: int = dense.EXPLICIT_THRESHOLD):
+def componentwise_operator_norms(r):
     """Weighted absolute-operator norms entering the componentwise bounds.
 
     Returns ``(abs_lin_weighted, abs_quad_weighted, abs_quad)``:
     || |lin| (|R^T| kron I) ||_2, || |quad| (|R^T| kron |R^T|) ||_2 and
     || |quad| ||_2. Dense materialization is required; raises
-    AbsOperatorTooLarge above the threshold.
+    AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``.
     """
     r = np.asarray(r, dtype=float)
     n = r.shape[0]
-    if n * n > threshold:
-        raise AbsOperatorTooLarge(f"input dimension {n * n} exceeds threshold {threshold}")
+    if n * n > dense.EXPLICIT_THRESHOLD:
+        raise AbsOperatorTooLarge(
+            f"input dimension {n * n} exceeds threshold {dense.EXPLICIT_THRESHOLD}")
     absr = np.abs(r)
     eye = np.eye(n)
-    gmat = np.abs(operator_materialize(r_factor_operator(r), threshold))
-    hmat = np.abs(operator_materialize(r_quadratic_operator(r), threshold))
+    gmat = np.abs(operator_materialize(r_factor_operator(r)))
+    hmat = np.abs(operator_materialize(r_quadratic_operator(r)))
     # |M| (|R^T| kron B) computed as (kron(|R|, B^T) |M|^T)^T without the big kron
     g_weighted = KroneckerStage(absr, eye).apply2(gmat.T).T
     h_weighted = KroneckerStage(absr, absr).apply2(hmat.T).T
@@ -273,17 +265,14 @@ def componentwise_operator_norms(r, threshold: int = dense.EXPLICIT_THRESHOLD):
             dense.spectral_norm(hmat))
 
 
-def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float,
-                            scalings: tuple[ScalingMatrix, ScalingMatrix] | None = None,
-                            threshold: int = dense.EXPLICIT_THRESHOLD,
-                            ) -> QrComponentwiseReport:
+def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float) -> QrComponentwiseReport:
     """Evaluate the componentwise bounds for |dA| <= epsilon * C * |A|.
 
-    ``c`` is the nonnegative envelope matrix with entries in [0, 1]. The two
-    scalings default to the row-norm and equilibration recipes.
+    ``c`` is the nonnegative envelope matrix with entries in [0, 1]. The
+    comparison bounds are evaluated at the row-norm and the equilibration
+    scalings of R.
     """
-    if epsilon < 0.0:
-        raise ValueError("epsilon must be nonnegative")
+    check_size(epsilon, "epsilon")
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0) or np.any(c > 1.0):
         raise ValueError("envelope entries must lie in [0, 1]")
@@ -296,7 +285,7 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float,
     c_env_norm = float(np.linalg.norm(c @ absq))          # ||C|Q|||_F
     qcq_norm = float(np.linalg.norm(absq.T @ c @ absq))   # || |Q^T| C |Q| ||_F
     qccq_norm = float(np.linalg.norm(absq.T @ (c.T @ c) @ absq))
-    lin_w, quad_w, quad_abs = componentwise_operator_norms(r, threshold)
+    lin_w, quad_w, quad_abs = componentwise_operator_norms(r)
     a_t = lin_w * qcq_norm
     b_t = quad_w * qccq_norm
     c_t = quad_abs
@@ -317,17 +306,14 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float,
     t_gamma = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    d_row = scalings[0] if scalings is not None else scaling_d_r(r)
-    comp_row, comp_ok = chang_stehle_qr(r, epsilon, "componentwise", d_row, c=c, q=q)
-    gamma_r_dr = _comparison_gamma(r, c_env_norm, d_row, r_norm)
-    eta_dr = abs_scaling_ratio(r, d_row)
+    abs_r_rinv = np.abs(r) @ np.abs(dense.triangular_inverse(r, "upper"))
+    comp_ok = dense.spectral_norm(abs_r_rinv) * c_env_norm * epsilon < COMPARISON_GATE
+    prod_row, eta_dr = _comparison_product(r, abs_r_rinv, heuristic_scaling(r, "rows"),
+                                           c_env_norm)
     t_gamma_dr = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    d_eq = scalings[1] if scalings is not None else scaling_d_e(r)
-    comp_eq, _ = chang_stehle_qr(r, epsilon, "componentwise", d_eq, c=c, q=q)
-    gamma_r_de = _comparison_gamma(r, c_env_norm, d_eq, r_norm)
-    eta_de = abs_scaling_ratio(r, d_eq)
+    prod_eq, eta_de = _comparison_product(r, abs_r_rinv, scaling_d_e(r), c_env_norm)
     t_gamma_de = time.perf_counter() - t2
 
     return QrComponentwiseReport(
@@ -339,13 +325,13 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float,
         relaxed_dr=relaxed,
         simple_dr=simple,
         first_order_dr=a_t * epsilon,
-        comparison_dr_row=comp_row,
-        comparison_dr_eq=comp_eq,
+        comparison_dr_row=prod_row * epsilon,
+        comparison_dr_eq=prod_eq * epsilon,
         comparison_applicable=comp_ok,
         q_ratio=q_ratio,
         gamma_r=gamma_r,
-        gamma_r_dr=gamma_r_dr,
-        gamma_r_de=gamma_r_de,
+        gamma_r_dr=prod_row / r_norm,
+        gamma_r_de=prod_eq / r_norm,
         eta_dr=eta_dr,
         eta_de=eta_de,
         t_gamma=t_gamma,
@@ -354,17 +340,20 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float,
     )
 
 
-def _comparison_gamma(r, c_env_norm: float, d: ScalingMatrix, r_norm: float) -> float:
+def _comparison_product(r, abs_r_rinv, d: ScalingMatrix, c_env_norm: float):
+    """Componentwise comparison bound per unit epsilon at scaling ``d``, and eta.
+
+    The product is (sqrt6 + sqrt3) sqrt(1 + zeta^2) ||D^-1 R||_2
+    || |R||R^-1| D ||_2 ||C|Q|||_F, the componentwise bound of
+    :func:`chang_stehle_qr` without its epsilon; eta is
+    ||D^-1 |R|||_2 / ||D^-1 R||_2, at least 1 for any positive diagonal D.
+    Each spectral norm is computed once.
+    """
     z = zeta(d)
-    return (SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
-            * dense.spectral_norm(r / d.diagonal[:, None])
-            * dense.spectral_norm(np.abs(r) @ np.abs(dense.triangular_inverse(r, "upper"))
-                                  * d.diagonal[None, :])
-            * c_env_norm / r_norm)
-
-
-def abs_scaling_ratio(r, d: ScalingMatrix) -> float:
-    """||D^-1 |R|||_2 / ||D^-1 R||_2, at least 1 for any positive diagonal D."""
-    r = np.asarray(r, dtype=float)
-    scaled = r / d.diagonal[:, None]
-    return dense.spectral_norm(np.abs(r) / d.diagonal[:, None]) / dense.spectral_norm(scaled)
+    scaled_norm = dense.spectral_norm(r / d.diagonal[:, None])
+    product = (SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
+               * scaled_norm
+               * dense.spectral_norm(abs_r_rinv * d.diagonal[None, :])
+               * c_env_norm)
+    eta = dense.spectral_norm(np.abs(r) / d.diagonal[:, None]) / scaled_norm
+    return product, eta

@@ -165,31 +165,6 @@ def _vec_perm_indices(m: int, n: int) -> np.ndarray:
     return np.arange(m * n).reshape((m, n), order="F").T.reshape(-1, order="F")
 
 
-def vec_permutation_apply(m: int, n: int, x) -> np.ndarray:
-    """Apply the vec-permutation: maps vec of an m-by-n matrix to vec of its transpose."""
-    x = np.asarray(x, dtype=float)
-    if x.size != m * n:
-        raise DimensionMismatch(f"expected length {m * n}, got {x.size}")
-    return x[_vec_perm_indices(m, n)]
-
-
-def kronecker_apply(a, b, x) -> np.ndarray:
-    """Apply the Kronecker product (a kron b) to a vector without forming it.
-
-    For a of shape (p, m) and b of shape (q, n), the input has length m*n and
-    reshapes to an n-by-m matrix X with (a kron b) vec(X) = vec(b @ X @ a.T).
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    p, m = a.shape
-    q, n = b.shape
-    x = np.asarray(x, dtype=float)
-    if x.size != m * n:
-        raise DimensionMismatch(f"kronecker_apply expected length {m * n}, got {x.size}")
-    xm = unvec(x, n, m)
-    return vec(b @ xm @ a.T)
-
-
 @dataclass(frozen=True)
 class KroneckerStage:
     """Stage representing (a kron b) applied in matrix-free form."""
@@ -361,30 +336,24 @@ class StructuredOperator:
         return self.applyt2(y)
 
 
-def identity_operator(dim: int) -> StructuredOperator:
-    return StructuredOperator(stages=(DenseStage(np.eye(dim)),))
-
-
-def operator_materialize(op: StructuredOperator,
-                         threshold: int = EXPLICIT_THRESHOLD) -> np.ndarray:
+def operator_materialize(op: StructuredOperator) -> np.ndarray:
     """Dense matrix with the same action as ``op`` on every basis vector."""
-    if op.in_dim > threshold:
-        raise TooLarge(f"input dimension {op.in_dim} exceeds threshold {threshold}")
+    if op.in_dim > EXPLICIT_THRESHOLD:
+        raise TooLarge(f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}")
     return op.apply2(np.eye(op.in_dim))
 
 
-def abs_operator(op: StructuredOperator,
-                 threshold: int = EXPLICIT_THRESHOLD) -> StructuredOperator:
+def abs_operator(op: StructuredOperator) -> StructuredOperator:
     """Entrywise absolute value of the materialized composition.
 
     There is no matrix-free shortcut: |composition| differs from the
     composition of absolute values, so this requires the dense form.
     """
-    if op.in_dim > threshold:
+    if op.in_dim > EXPLICIT_THRESHOLD:
         raise AbsOperatorTooLarge(
-            f"input dimension {op.in_dim} exceeds threshold {threshold}"
+            f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}"
         )
-    return StructuredOperator(stages=(DenseStage(np.abs(operator_materialize(op, threshold))),))
+    return StructuredOperator(stages=(DenseStage(np.abs(operator_materialize(op))),))
 
 
 def operator_spectral_norm(op: StructuredOperator, **kwargs) -> float:

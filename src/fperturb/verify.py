@@ -16,23 +16,24 @@ noise floor, and measuring there in double would compare rounding noise, not
 factor sensitivity. Platforms without a wider longdouble fall back to double.
 
 Trials are independent: each derives its own random stream from
-(seed, trial_index), so results do not depend on execution order and trials
-may run on a thread pool (capped by the FPERTURB_THREADS environment
-variable) with a deterministic, index-ordered merge.
+(seed, trial_index), so results do not depend on execution order.
+
+:data:`EXPERIMENTS` is the table of the four theorems under test. Each entry
+names its perturbation model, the model field that holds the perturbation
+size, and the runner that computes the bounds and measures one trial.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
-from .errors import BoundNotApplicable, FperturbError, RankDeficient, SingularLeadingMinor
+from .errors import BoundNotApplicable, FperturbError, RankDeficient
 from .matgen import (
     ComponentwiseLU,
     ComponentwiseQR,
@@ -41,29 +42,9 @@ from .matgen import (
     sample_perturbation,
 )
 
-EXPERIMENTS = ("lu-normwise", "lu-componentwise", "qr-normwise", "qr-componentwise")
-
 _MEASURE_DTYPE = (np.longdouble
                   if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
                   else np.float64)
-
-
-def _lu_measure(a) -> tuple[np.ndarray, np.ndarray]:
-    """Pivot-free Doolittle factorization in the measurement precision."""
-    a = np.asarray(a, dtype=_MEASURE_DTYPE)
-    n = a.shape[0]
-    scale = np.sqrt(np.sum(a * a))
-    u = a.copy()
-    l = np.eye(n, dtype=a.dtype)
-    for k in range(n - 1):
-        piv = u[k, k]
-        if abs(piv) <= dense.PIVOT_TOL * scale:
-            raise SingularLeadingMinor(k + 1)
-        mults = u[k + 1 :, k] / piv
-        l[k + 1 :, k] = mults
-        u[k + 1 :, k:] -= np.outer(mults, u[k, k:])
-        u[k + 1 :, k] = 0.0
-    return l, np.triu(u)
 
 
 def _qr_measure_r(a) -> np.ndarray:
@@ -105,44 +86,30 @@ def _ratio(actual: float, bound: float) -> float:
     return actual / bound
 
 
-def _thread_count(threads: int | None) -> int:
-    if threads is not None:
-        return max(1, threads)
-    env = os.environ.get("FPERTURB_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            return 1
-    return 1
-
-
-def _run_trials(fn, trials: int, threads: int | None):
-    count = _thread_count(threads)
-    indices = range(trials)
-    if count == 1:
-        return [fn(i) for i in indices]
-    with ThreadPoolExecutor(max_workers=count) as pool:
-        return list(pool.map(fn, indices))
-
-
 def infer_experiment(spec: PerturbationSpec, experiment: str | None) -> str:
-    """Resolve the experiment name; the normwise model serves two theorems."""
-    if experiment is not None:
-        if experiment not in EXPERIMENTS:
-            raise ValueError(f"unknown experiment {experiment!r}")
-        return experiment
-    if isinstance(spec.model, ComponentwiseLU):
-        return "lu-componentwise"
-    if isinstance(spec.model, ComponentwiseQR):
-        return "qr-componentwise"
-    raise ValueError("a normwise spec needs an explicit experiment "
-                     "('lu-normwise' or 'qr-normwise')")
+    """Resolve the experiment name and check that the spec's model fits it.
+
+    Without a name, the experiment is the only one that takes the model; the
+    normwise model serves two theorems and so needs the name.
+    """
+    if experiment is None:
+        matches = [name for name, exp in EXPERIMENTS.items()
+                   if isinstance(spec.model, exp.model)]
+        if len(matches) != 1:
+            raise ValueError(f"cannot infer the experiment of a {type(spec.model).__name__} "
+                             f"spec; name one of {', '.join(matches or EXPERIMENTS)}")
+        return matches[0]
+    if experiment not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment {experiment!r}")
+    model = EXPERIMENTS[experiment].model
+    if not isinstance(spec.model, model):
+        raise ValueError(f"{experiment} needs a {model.__name__} perturbation model")
+    return experiment
 
 
 def verify_bounds(a, spec: PerturbationSpec, trials: int,
-                  seed: int | None = None, experiment: str | None = None,
-                  threads: int | None = None) -> VerificationReport:
+                  seed: int | None = None,
+                  experiment: str | None = None) -> VerificationReport:
     """Empirically check the bounds on ``trials`` perturbation draws.
 
     Raises :class:`BoundNotApplicable` when the applicability condition of
@@ -159,19 +126,11 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
         spec = PerturbationSpec(model=spec.model, seed=seed)
 
     t0 = time.perf_counter()
-    if experiment == "lu-normwise":
-        runner = _lu_normwise_runner(a, spec)
-    elif experiment == "lu-componentwise":
-        runner = _lu_componentwise_runner(a, spec)
-    elif experiment == "qr-normwise":
-        runner = _qr_normwise_runner(a, spec)
-    else:
-        runner = _qr_componentwise_runner(a, spec)
-    per_trial, report = runner
+    per_trial, report = EXPERIMENTS[experiment].runner(a, spec)
     t_bounds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    outcomes = _run_trials(per_trial, trials, threads)
+    outcomes = [per_trial(i) for i in range(trials)]
     t_trials = time.perf_counter() - t1
 
     violations = 0
@@ -201,23 +160,21 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
 
 def _lu_normwise_runner(a, spec):
     model = spec.model
-    if not isinstance(model, Normwise):
-        raise ValueError("lu-normwise needs a normwise perturbation model")
     report = lu_bounds.lu_normwise_bounds(dense.lu_factor(a), model.delta)
     if not report.applicable:
         raise BoundNotApplicable(
             f"condition value {report.condition_value:.3e} is not below 1/4")
     a_hp = a.astype(_MEASURE_DTYPE)
-    base_l, base_u = _lu_measure(a_hp)
+    base = dense.lu_factor(a_hp)
 
     def trial(i: int):
         da = sample_perturbation(spec, matrix=a, trial_index=i)
         try:
-            pert_l, pert_u = _lu_measure(a_hp + da)
+            pert = dense.lu_factor(a_hp + da)
         except FperturbError as exc:
             return f"factorization failed: {exc}"
-        dl = float(np.linalg.norm(pert_l - base_l))
-        du = float(np.linalg.norm(pert_u - base_u))
+        dl = float(np.linalg.norm(pert.l - base.l))
+        du = float(np.linalg.norm(pert.u - base.u))
         rig = max(_ratio(dl, report.rigorous_dl), _ratio(du, report.rigorous_du))
         fo = 0.0
         if report.fo_applicable:
@@ -230,23 +187,21 @@ def _lu_normwise_runner(a, spec):
 
 def _lu_componentwise_runner(a, spec):
     model = spec.model
-    if not isinstance(model, ComponentwiseLU):
-        raise ValueError("lu-componentwise needs a componentwise LU model")
     tilde = dense.lu_factor(a)
     report = lu_bounds.lu_componentwise_bounds(tilde, model.epsilon)
     if not report.applicable:
         raise BoundNotApplicable("componentwise applicability condition fails")
     a_hp = a.astype(_MEASURE_DTYPE)
-    tilde_l, tilde_u = _lu_measure(a_hp)
+    tilde_hp = dense.lu_factor(a_hp)
 
     def trial(i: int):
         da = sample_perturbation(spec, lu=tilde, trial_index=i)
         try:
-            pert_l, pert_u = _lu_measure(a_hp - da)  # the perturbed matrix sits below A~
+            pert = dense.lu_factor(a_hp - da)  # the perturbed matrix sits below A~
         except FperturbError as exc:
             return f"factorization failed: {exc}"
-        dl = float(np.linalg.norm(tilde_l - pert_l))
-        du = float(np.linalg.norm(tilde_u - pert_u))
+        dl = float(np.linalg.norm(tilde_hp.l - pert.l))
+        du = float(np.linalg.norm(tilde_hp.u - pert.u))
         rig = max(_ratio(dl, report.rigorous_dl), _ratio(du, report.rigorous_du))
         fo = max(_ratio(dl, report.first_order_dl_f),
                  _ratio(du, report.first_order_du_f))
@@ -257,8 +212,6 @@ def _lu_componentwise_runner(a, spec):
 
 def _qr_normwise_runner(a, spec):
     model = spec.model
-    if not isinstance(model, Normwise):
-        raise ValueError("qr-normwise needs a normwise perturbation model")
     base = dense.qr_factor(a)
     report = qr_bounds.qr_normwise_bounds(base, model.delta, model.delta)
     if not report.applicable:
@@ -287,8 +240,6 @@ def _qr_normwise_runner(a, spec):
 
 def _qr_componentwise_runner(a, spec):
     model = spec.model
-    if not isinstance(model, ComponentwiseQR):
-        raise ValueError("qr-componentwise needs a componentwise QR model")
     base = dense.qr_factor(a)
     report = qr_bounds.qr_componentwise_bounds(base, model.c, model.epsilon)
     if not report.applicable:
@@ -310,9 +261,32 @@ def _qr_componentwise_runner(a, spec):
     return trial, report
 
 
+@dataclass(frozen=True)
+class Experiment:
+    """One theorem under test.
+
+    ``model`` is the perturbation model class it takes, ``size`` the field of
+    that model holding the perturbation size (``"delta"`` or ``"epsilon"``),
+    and ``runner(a, spec)`` returns ``(trial, bound_report)``, where
+    ``trial(i)`` measures trial ``i`` and returns its ratios, or the reason
+    it was skipped.
+    """
+
+    model: type
+    size: str
+    runner: Callable
+
+
+EXPERIMENTS = {
+    "lu-normwise": Experiment(Normwise, "delta", _lu_normwise_runner),
+    "lu-componentwise": Experiment(ComponentwiseLU, "epsilon", _lu_componentwise_runner),
+    "qr-normwise": Experiment(Normwise, "delta", _qr_normwise_runner),
+    "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_componentwise_runner),
+}
+
+
 def delta_halving(a, spec: PerturbationSpec, trials: int, levels: int,
-                  experiment: str | None = None,
-                  threads: int | None = None) -> list[VerificationReport]:
+                  experiment: str | None = None) -> list[VerificationReport]:
     """Run the verification at the configured size and ``levels`` halvings.
 
     Per-trial streams are level-independent, so each level perturbs along the
@@ -320,17 +294,11 @@ def delta_halving(a, spec: PerturbationSpec, trials: int, levels: int,
     sequence then exposes the asymptotic behaviour without sampling noise.
     """
     experiment = infer_experiment(spec, experiment)
+    size = EXPERIMENTS[experiment].size
+    base = getattr(spec.model, size)
     reports = []
-    model = spec.model
     for level in range(levels + 1):
-        scale = 0.5 ** level
-        if isinstance(model, Normwise):
-            scaled = Normwise(delta=model.delta * scale)
-        elif isinstance(model, ComponentwiseLU):
-            scaled = ComponentwiseLU(epsilon=model.epsilon * scale)
-        else:
-            scaled = ComponentwiseQR(epsilon=model.epsilon * scale, c=model.c)
+        scaled = replace(spec.model, **{size: base * 0.5 ** level})
         level_spec = PerturbationSpec(model=scaled, seed=spec.seed)
-        reports.append(verify_bounds(a, level_spec, trials,
-                                     experiment=experiment, threads=threads))
+        reports.append(verify_bounds(a, level_spec, trials, experiment=experiment))
     return reports

@@ -1,0 +1,85 @@
+"""Regenerate the golden CLI outputs that ``tests/test_golden.py`` compares.
+
+Run from the root of a checkout, and only when a change of output is meant:
+
+    PYTHONPATH=src python3 tests/golden/capture.py
+
+Every case is one ``fperturb`` command line, run with ``--no-timings`` so its
+output is byte-identical from run to run. The cases go to ``cases.json`` and
+each output to ``<case>.<format>`` in this directory. The verify cases set
+each perturbation size at a tenth of its applicability gate, computed with
+``verify_sizes`` from the benchmark's workloads.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+import fperturb  # noqa: E402
+from fperturb import cli  # noqa: E402
+from fperturb.matgen import graded_random, kahan, random_c_matrix  # noqa: E402
+from workloads import verify_sizes  # noqa: E402
+
+KAHAN = ["--kahan", "8,0.3927"]
+GRADED = ["--graded", "10,0.9,1.1", "--seed", "3"]
+BOUND_FLAGS = {
+    "lu-normwise": ["--delta", "1e-6"],
+    "lu-componentwise": ["--epsilon", "ge"],
+    "qr-normwise": ["--delta", "1e-6", "--delta1", "5e-7"],
+    "qr-componentwise": ["--epsilon", "ge"],
+}
+VERIFY_TRIALS = "50"
+
+
+def cases() -> list[dict]:
+    out = []
+
+    def add(name, argv, fmt="csv"):
+        out.append({"name": name, "argv": argv + ["--output", fmt], "file": f"{name}.{fmt}"})
+
+    for table in ("table1", "table2", "table3"):
+        add(table, [table])
+    add("table2-sweep2", ["table2", "--seed-sweep", "2"])
+
+    for command, flags in BOUND_FLAGS.items():
+        add(f"{command}-kahan", [command, *KAHAN, *flags])
+        add(f"{command}-graded", [command, *GRADED, *flags])
+    add("lu-componentwise-graded-json",
+        ["lu-componentwise", *GRADED, *BOUND_FLAGS["lu-componentwise"]], fmt="json")
+
+    # verify: graded order 10 for all four experiments, and a halving run on Kahan
+    graded = ["--graded", "10,1,1", "--seed", "3"]
+    sizes = verify_sizes(fperturb, graded_random(10, 1.0, 1.0, 3), random_c_matrix(10, 3))
+    for experiment, size in sizes.items():
+        flag = "--delta" if experiment.endswith("normwise") else "--epsilon"
+        add(f"verify-{experiment}", ["verify", "--experiment", experiment, *graded,
+                                     flag, repr(size), "--trials", VERIFY_TRIALS])
+    halving = ["--kahan", "8,0.3927", "--seed", "5"]
+    size = verify_sizes(fperturb, kahan(8, 0.3927), random_c_matrix(8, 5))["qr-componentwise"]
+    add("verify-qr-componentwise-halving2",
+        ["verify", "--experiment", "qr-componentwise", *halving, "--epsilon", repr(size),
+         "--trials", VERIFY_TRIALS, "--delta-halving", "2"])
+    return out
+
+
+def main() -> int:
+    all_cases = cases()
+    for case in all_cases:
+        code = cli.main(case["argv"] + ["--no-timings", "--out", str(HERE / case["file"])])
+        if code != 0:
+            print(f"{case['name']}: fperturb exited with code {code}", file=sys.stderr)
+            return 1
+    (HERE / "cases.json").write_text(json.dumps(all_cases, indent=1) + "\n", encoding="utf-8")
+    print(f"wrote {len(all_cases)} golden outputs to {HERE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -39,19 +39,23 @@ from fperturb.qr_bounds import (
     r_factor_operator,
     r_quadratic_operator,
     scaling_d_e,
-    scaling_d_r,
     zeta,
 )
 from fperturb.structured import (
+    KroneckerStage,
     SelectionKind,
-    kronecker_apply,
+    VecPermutationStage,
     operator_materialize,
     operator_spectral_norm,
     selection_matrix,
     vec,
-    vec_permutation_apply,
 )
-from fperturb.verify import _lu_measure, _qr_measure_r, verify_bounds
+from fperturb.verify import _qr_measure_r, verify_bounds
+
+
+def _lu_measure(a):
+    f = lu_factor(a)
+    return f.l, f.u
 
 
 def _report(criterion, detail, t0, budget):
@@ -81,14 +85,14 @@ def test_criterion_1_operator_identities():
             # vec of a triple product against the dense Kronecker route
             assert np.abs(np.kron(b.T, a) @ vec(x) - vec(a @ x @ b)).max() <= tol
             # vec permutation transposes
-            assert np.abs(vec_permutation_apply(n, n, vec(a)) - vec(a.T)).max() <= tol
+            assert np.abs(VecPermutationStage(n, n).apply2(vec(a)) - vec(a.T)).max() <= tol
             # Kronecker inverse factorizes (well-conditioned factors, unit probe)
             a2 = a + 3.0 * np.eye(n)
             b2 = b + 3.0 * np.eye(n)
             probe = rng.standard_normal(n * n)
             probe /= np.linalg.norm(probe)
-            back = kronecker_apply(a2, b2, kronecker_apply(
-                np.linalg.inv(a2), np.linalg.inv(b2), probe))
+            back = KroneckerStage(a2, b2).apply2(KroneckerStage(
+                np.linalg.inv(a2), np.linalg.inv(b2)).apply2(probe))
             assert np.abs(back - probe).max() <= tol
             # triangular projections absorb triangular Kronecker factors
             l = np.tril(rng.standard_normal((n, n)), -1) + np.eye(n)
@@ -155,7 +159,7 @@ def test_criterion_3_paper_inequalities():
         absr = np.abs(r)
         lin_w, _, _ = componentwise_operator_norms(r)
         assert dense.spectral_norm(absr) <= lin_w * (1 + rel)
-        for d in (scaling_d_r(r), scaling_d_e(r), ScalingMatrix(np.ones(n))):
+        for d in (heuristic_scaling(r, "rows"), scaling_d_e(r), ScalingMatrix(np.ones(n))):
             z = zeta(d)
             cap = math.sqrt(1 + z * z) * dense.kappa2_triangular(
                 r / d.diagonal[:, None], "upper")
@@ -337,7 +341,7 @@ def test_criterion_6_bound_orderings_and_tightness():
         if repq.applicable:
             assert repq.rigorous_dr <= repq.relaxed_dr * (1 + 1e-12)
             assert repq.relaxed_dr < repq.simple_dr
-            for d in (scaling_d_r(fq.r), scaling_d_e(fq.r)):
+            for d in (heuristic_scaling(fq.r, "rows"), scaling_d_e(fq.r)):
                 comp, _ = chang_stehle_qr(fq.r, 1e-3, "normwise", d)
                 assert repq.simple_dr <= comp * (1 + 1e-10)
         c = random_c_matrix(n, seed)

@@ -5,8 +5,10 @@ import json
 import numpy as np
 import pytest
 
+from fperturb import cli
 from fperturb.cli import main
 from fperturb.tables import TABLE1_COLUMNS, TABLE2_COLUMNS, TIMING_COLUMNS
+from fperturb.verify import VerificationReport
 
 
 def run(args, capsys):
@@ -61,6 +63,51 @@ class TestExitCodes:
                           "--matrix", str(path), "--delta", "0.3", "--trials", "3"],
                          capsys)
         assert code == 4
+
+
+#: matrices written to CSV for the probes; {name} in an argument is its path
+PROBE_MATRICES = {
+    "nan": np.array([[1.0, np.nan], [0.0, 1.0]]),
+    "wide": np.ones((2, 3)),
+    # the top singular values of the lower factor map differ by 1e-4 relative,
+    # too close for power iteration to settle within its iteration cap
+    "clustered": np.diag([1.0, 0.9999, 1.0]),
+}
+KAHAN = ["--kahan", "4,0.5"]
+PROBES = [
+    ("non-finite-csv-entry", ["lu-normwise", "--matrix", "{nan}", "--delta", "0.1"], 2),
+    ("non-square-matrix", ["lu-normwise", "--matrix", "{wide}", "--delta", "0.1"], 2),
+    ("wide-qr-matrix", ["qr-normwise", "--matrix", "{wide}", "--delta", "0.1"], 2),
+    ("negative-delta", ["lu-normwise", *KAHAN, "--delta", "-1"], 1),
+    ("nan-delta", ["lu-normwise", *KAHAN, "--delta", "nan"], 1),
+    ("inf-delta", ["qr-normwise", *KAHAN, "--delta", "inf"], 1),
+    ("negative-delta1", ["qr-normwise", *KAHAN, "--delta", "0.1", "--delta1", "-1"], 1),
+    ("nan-delta1", ["qr-normwise", *KAHAN, "--delta", "0.1", "--delta1", "nan"], 1),
+    ("inf-delta1", ["qr-normwise", *KAHAN, "--delta", "0.1", "--delta1", "inf"], 1),
+    ("verify-nan-delta", ["verify", "--experiment", "qr-normwise", *KAHAN,
+                          "--delta", "nan"], 1),
+    ("verify-inf-epsilon", ["verify", "--experiment", "lu-componentwise", *KAHAN,
+                            "--epsilon", "inf"], 1),
+    ("verify-zero-trials", ["verify", "--experiment", "lu-normwise", *KAHAN,
+                            "--delta", "1e-6", "--trials", "0"], 1),
+    ("zero-seed-sweep", ["table2", "--seed-sweep", "0"], 1),
+    ("abs-operator-too-large", ["qr-componentwise", "--graded", "70,1,1",
+                                "--epsilon", "ge"], 1),
+    ("no-convergence", ["lu-normwise", "--matrix", "{clustered}", "--delta", "1e-6"], 5),
+]
+
+
+@pytest.mark.parametrize("argv, code", [p[1:] for p in PROBES], ids=[p[0] for p in PROBES])
+def test_probe_exits_with_documented_code(argv, code, tmp_path, capsys):
+    paths = {}
+    for name, a in PROBE_MATRICES.items():
+        paths[name] = str(tmp_path / f"{name}.csv")
+        write_matrix(paths[name], a)
+    got, out, err = run([arg.format(**paths) for arg in argv], capsys)
+    assert got == code
+    assert out == ""
+    assert err.startswith("fperturb: error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestBoundCommands:
@@ -149,6 +196,22 @@ class TestVerifyCommand:
         rows = json.loads(out)["rows"]
         assert [r["level"] for r in rows] == [0, 1, 2, 3]
         assert rows[1]["size"] == pytest.approx(0.025)
+
+    def test_delta_halving_timings_sum_over_levels(self, monkeypatch, capsys):
+        def fake_halving(a, spec, trials, levels, experiment=None):
+            return [VerificationReport(experiment=experiment, trials=trials, violations=0,
+                                       timings={"bounds_s": 0.25 * (k + 1),
+                                                "trials_s": 1.5})
+                    for k in range(levels + 1)]
+
+        monkeypatch.setattr(cli, "delta_halving", fake_halving)
+        code, out, _ = run(["verify", "--experiment", "qr-normwise", "--kahan", "4,0.5",
+                            "--delta", "1e-3", "--trials", "5", "--delta-halving", "2",
+                            "--output", "json"], capsys)
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert timings["bounds_s"] == 1.5    # 0.25 + 0.5 + 0.75
+        assert timings["trials_s"] == 4.5    # three levels of 1.5
 
 
 class TestTables:

@@ -24,7 +24,6 @@ from fperturb.structured import (
     structured_extract,
     vec,
 )
-from fperturb.verify import _lu_measure
 
 from conftest import random_square, seeded_rng
 
@@ -185,8 +184,17 @@ class TestComponentwiseBounds:
         assert rep.tau == pytest.approx(rep.c * 1e-9)
 
     def test_abs_operator_threshold(self):
+        # order 65: the factor maps have input dimension 65^2 = 4225 > 4096
         with pytest.raises(AbsOperatorTooLarge):
-            lu_componentwise_bounds(factor(0, n=5), 1e-9, threshold=16)
+            lu_componentwise_bounds(factor(0, n=65), 1e-9)
+
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -1.0])
+    def test_non_finite_sizes_rejected(self, size):
+        f = factor(0, n=3)
+        with pytest.raises(ValueError):
+            lu_normwise_bounds(f, size)
+        with pytest.raises(ValueError):
+            lu_componentwise_bounds(f, size)
 
     def test_epsilon_preset(self):
         u = 2.0 ** -53
@@ -209,11 +217,11 @@ class TestWorstCasePerturbation:
         a = random_square(5, 7, shift=5.0)
         f = lu_factor(a)
         a_hp = a.astype(np.longdouble)
-        base_l, _ = _lu_measure(a_hp)
+        base_l = lu_factor(a_hp).l
         ratios = []
         for eps in (1e-5, 5e-6, 2.5e-6):
             da = worst_case_m_norm_perturbation(f, eps, "L")
-            pert_l, _ = _lu_measure(a_hp - da)
+            pert_l = lu_factor(a_hp - da).l
             bound = lu_componentwise_bounds(f, eps).first_order_dl_m
             ratios.append(float(np.max(np.abs(base_l - pert_l))) / bound)
         assert ratios[-1] > 0.99

@@ -110,3 +110,12 @@ class TestSamplePerturbation:
             Normwise(delta=-1.0)
         with pytest.raises(ValueError):
             ComponentwiseQR(epsilon=0.1, c=np.full((2, 2), 1.5))
+
+    @pytest.mark.parametrize("size", [math.nan, math.inf, -1.0])
+    def test_non_finite_sizes_rejected(self, size):
+        with pytest.raises(ValueError):
+            Normwise(delta=size)
+        with pytest.raises(ValueError):
+            ComponentwiseLU(epsilon=size)
+        with pytest.raises(ValueError):
+            ComponentwiseQR(epsilon=size, c=np.full((2, 2), 0.5))

@@ -6,13 +6,12 @@ import numpy as np
 import pytest
 
 from fperturb import dense
-from fperturb.dense import qr_factor
+from fperturb.dense import QrFactors, qr_factor
 from fperturb.errors import SingularDiagonal
-from fperturb.lu_bounds import ScalingMatrix
+from fperturb.lu_bounds import ScalingMatrix, heuristic_scaling
 from fperturb.matgen import kahan, random_c_matrix
 from fperturb.qr_bounds import (
     SQRT6_PLUS_SQRT3,
-    abs_scaling_ratio,
     chang_stehle_qr,
     componentwise_operator_norms,
     qr_componentwise_bounds,
@@ -20,7 +19,6 @@ from fperturb.qr_bounds import (
     r_factor_operator,
     r_quadratic_operator,
     scaling_d_e,
-    scaling_d_r,
     zeta,
 )
 from fperturb.structured import (
@@ -67,7 +65,8 @@ class TestROperators:
         for seed in range(20):
             r = random_upper(5, seed)
             lin = operator_spectral_norm(r_factor_operator(r))
-            for d in (scaling_d_r(r), scaling_d_e(r), ScalingMatrix(np.ones(5))):
+            for d in (heuristic_scaling(r, "rows"), scaling_d_e(r),
+                      ScalingMatrix(np.ones(5))):
                 z = zeta(d)
                 upper = (math.sqrt(1 + z * z)
                          * dense.kappa2_triangular(r / d.diagonal[:, None], "upper"))
@@ -103,7 +102,7 @@ class TestNormwiseReport:
                 continue
             assert rep.rigorous_dr <= rep.relaxed_dr * (1 + 1e-12)
             assert rep.relaxed_dr < rep.simple_dr
-            for d in (scaling_d_r(f.r), scaling_d_e(f.r)):
+            for d in (heuristic_scaling(f.r, "rows"), scaling_d_e(f.r)):
                 comp, _ = chang_stehle_qr(f.r, 1e-3, "normwise", d)
                 assert rep.simple_dr <= comp * (1 + 1e-10)
 
@@ -121,12 +120,12 @@ class TestChangStehleQr:
 
 class TestScalings:
     def test_identity(self):
-        assert np.allclose(scaling_d_r(np.eye(4)).diagonal, np.ones(4))
+        assert np.allclose(heuristic_scaling(np.eye(4), "rows").diagonal, np.ones(4))
         assert np.allclose(scaling_d_e(np.eye(4)).diagonal, np.ones(4))
 
     def test_diagonal_example(self):
         r = np.diag([2.0, 8.0])
-        assert np.allclose(scaling_d_r(r).diagonal, [2.0, 8.0])
+        assert np.allclose(heuristic_scaling(r, "rows").diagonal, [2.0, 8.0])
         # row 1-norm scaling makes the scaled inverse the identity, so the
         # recursion keeps every entry at one
         assert np.allclose(scaling_d_e(r).diagonal, [1.0, 1.0])
@@ -148,8 +147,13 @@ class TestScalings:
     def test_eta_at_least_one(self):
         for seed in range(10):
             r = random_upper(5, seed)
-            for d in (scaling_d_r(r), scaling_d_e(r)):
-                assert abs_scaling_ratio(r, d) >= 1.0 - 1e-12
+            rep = qr_componentwise_bounds(QrFactors(q=np.eye(5), r=r),
+                                          random_c_matrix(5, seed), 1e-9)
+            for eta, d in ((rep.eta_dr, heuristic_scaling(r, "rows")),
+                           (rep.eta_de, scaling_d_e(r))):
+                assert eta == (dense.spectral_norm(np.abs(r) / d.diagonal[:, None])
+                               / dense.spectral_norm(r / d.diagonal[:, None]))
+                assert eta >= 1.0 - 1e-12
 
 
 class TestComponentwiseReport:
@@ -183,12 +187,36 @@ class TestComponentwiseReport:
             absr = np.abs(r)
             rinv = dense.triangular_inverse(r, "upper")
             assert dense.spectral_norm(absr) <= lin_w * (1 + 1e-10)
-            for d in (scaling_d_r(r), scaling_d_e(r)):
+            for d in (heuristic_scaling(r, "rows"), scaling_d_e(r)):
                 z = zeta(d)
                 upper = (math.sqrt(1 + z * z)
                          * dense.spectral_norm(absr / d.diagonal[:, None])
                          * dense.spectral_norm(absr @ np.abs(rinv) * d.diagonal[None, :]))
                 assert lin_w <= upper * (1 + 1e-10)
+
+    def test_comparison_matches_chang_stehle(self):
+        # one product per scaling gives the comparison bound and gamma bit for bit
+        for seed in range(6):
+            a = seeded_rng(44, seed).standard_normal((6, 6)) + 6 * np.eye(6)
+            f = qr_factor(a)
+            c = random_c_matrix(6, seed)
+            rep = qr_componentwise_bounds(f, c, 1e-9)
+            r_norm = dense.spectral_norm(f.r)
+            for d, comp, gamma in (
+                    (heuristic_scaling(f.r, "rows"), rep.comparison_dr_row, rep.gamma_r_dr),
+                    (scaling_d_e(f.r), rep.comparison_dr_eq, rep.gamma_r_de)):
+                bound, ok = chang_stehle_qr(f.r, 1e-9, "componentwise", d, c=c, q=f.q)
+                assert comp == bound
+                assert ok == rep.comparison_applicable
+                assert gamma == pytest.approx(bound / 1e-9 / r_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("size", [np.nan, np.inf, -1.0])
+    def test_non_finite_sizes_rejected(self, size):
+        f = qr_factor(np.eye(3))
+        with pytest.raises(ValueError):
+            qr_normwise_bounds(f, size, size)
+        with pytest.raises(ValueError):
+            qr_componentwise_bounds(f, np.full((3, 3), 0.5), size)
 
     def test_envelope_validation(self):
         f = qr_factor(np.eye(3))

@@ -14,17 +14,22 @@ from fperturb.structured import (
     SumStage,
     VecPermutationStage,
     abs_operator,
-    identity_operator,
-    kronecker_apply,
     operator_materialize,
     operator_spectral_norm,
     selection_matrix,
     structured_extract,
     vec,
-    vec_permutation_apply,
 )
 
 from conftest import seeded_rng
+
+
+def identity(dim):
+    return StructuredOperator(stages=(DenseStage(np.eye(dim)),))
+
+
+#: an operator of order 65, whose input dimension 65^2 = 4225 exceeds EXPLICIT_THRESHOLD
+TOO_LARGE = StructuredOperator(stages=(KroneckerStage(np.eye(65), np.eye(65)),))
 
 
 class TestStructuredExtract:
@@ -92,28 +97,28 @@ class TestSelectionMatrices:
 
 class TestVecPermutation:
     def test_two_by_two(self):
-        assert np.array_equal(vec_permutation_apply(2, 2, [1.0, 3.0, 2.0, 4.0]),
+        assert np.array_equal(VecPermutationStage(2, 2).apply2(np.array([1.0, 3.0, 2.0, 4.0])),
                               [1, 2, 3, 4])
 
     def test_vector_shapes_are_identity(self):
         x = seeded_rng(12).standard_normal(5)
-        assert np.array_equal(vec_permutation_apply(1, 5, x), x)
-        assert np.array_equal(vec_permutation_apply(5, 1, x), x)
+        assert np.array_equal(VecPermutationStage(1, 5).apply2(x), x)
+        assert np.array_equal(VecPermutationStage(5, 1).apply2(x), x)
 
     def test_transpose_oracle(self):
         a = seeded_rng(13).standard_normal((3, 4))
-        assert np.array_equal(vec_permutation_apply(3, 4, vec(a)), vec(a.T))
+        assert np.array_equal(VecPermutationStage(3, 4).apply2(vec(a)), vec(a.T))
 
     def test_orthogonality(self):
         x = seeded_rng(14).standard_normal(12)
-        y = vec_permutation_apply(3, 4, x)
-        assert np.array_equal(vec_permutation_apply(4, 3, y), x)
+        y = VecPermutationStage(3, 4).apply2(x)
+        assert np.array_equal(VecPermutationStage(4, 3).apply2(y), x)
 
 
 class TestKronecker:
     def test_identity(self):
         x = seeded_rng(15).standard_normal(4)
-        assert np.array_equal(kronecker_apply(np.eye(2), np.eye(2), x), x)
+        assert np.array_equal(KroneckerStage(np.eye(2), np.eye(2)).apply2(x), x)
 
     def test_basis_column_against_dense(self):
         rng = seeded_rng(16)
@@ -121,7 +126,7 @@ class TestKronecker:
         b = rng.standard_normal((4, 3))
         e1 = np.zeros(6)
         e1[0] = 1.0
-        assert np.allclose(kronecker_apply(a, b, e1), np.kron(a, b)[:, 0])
+        assert np.allclose(KroneckerStage(a, b).apply2(e1), np.kron(a, b)[:, 0])
 
     def test_vec_of_product_identity(self):
         rng = seeded_rng(17)
@@ -134,13 +139,14 @@ class TestKronecker:
         a = rng.standard_normal((2, 2)) + 3 * np.eye(2)
         b = rng.standard_normal((2, 2)) + 3 * np.eye(2)
         x = rng.standard_normal(4)
-        y = kronecker_apply(np.linalg.inv(a), np.linalg.inv(b),
-                            kronecker_apply(a, b, x))
+        y = KroneckerStage(np.linalg.inv(a), np.linalg.inv(b)).apply2(
+            KroneckerStage(a, b).apply2(x))
         assert np.allclose(y, x, atol=1e-13)
 
     def test_dimension_mismatch(self):
+        op = StructuredOperator(stages=(KroneckerStage(np.eye(2), np.eye(2)),))
         with pytest.raises(DimensionMismatch):
-            kronecker_apply(np.eye(2), np.eye(2), np.ones(5))
+            op.apply(np.ones(5))
 
 
 def _random_operator(n, seed):
@@ -161,10 +167,10 @@ def _random_operator(n, seed):
 
 class TestStructuredOperator:
     def test_identity_norm(self):
-        assert operator_spectral_norm(identity_operator(4)) == pytest.approx(1.0)
+        assert operator_spectral_norm(identity(4)) == pytest.approx(1.0)
 
     def test_materialize_identity(self):
-        assert np.array_equal(operator_materialize(identity_operator(3)), np.eye(3))
+        assert np.array_equal(operator_materialize(identity(3)), np.eye(3))
 
     def test_kron_stage_materializes_to_block_layout(self):
         rng = seeded_rng(20)
@@ -195,7 +201,7 @@ class TestStructuredOperator:
 
     def test_materialize_too_large(self):
         with pytest.raises(TooLarge):
-            operator_materialize(identity_operator(10), threshold=9)
+            operator_materialize(TOO_LARGE)
 
     def test_abs_operator_is_entrywise_abs_of_composition(self):
         op = _random_operator(3, 1)
@@ -207,7 +213,7 @@ class TestStructuredOperator:
 
     def test_abs_operator_too_large(self):
         with pytest.raises(AbsOperatorTooLarge):
-            abs_operator(_random_operator(4, 0), threshold=15)
+            abs_operator(TOO_LARGE)
 
 
 class TestTriangularProjectionIdentities:

@@ -29,6 +29,13 @@ class TestInference:
         with pytest.raises(ValueError):
             infer_experiment(PerturbationSpec(Normwise(0.1)), None)
 
+    def test_explicit_experiment_must_fit_the_model(self):
+        assert infer_experiment(PerturbationSpec(Normwise(0.1)), "qr-normwise") == "qr-normwise"
+        with pytest.raises(ValueError):
+            infer_experiment(PerturbationSpec(ComponentwiseLU(1e-8)), "qr-componentwise")
+        with pytest.raises(ValueError):
+            infer_experiment(PerturbationSpec(Normwise(0.1)), "cholesky")
+
 
 class TestVerifyBounds:
     def test_zero_perturbation_all_zero_ratios(self):
@@ -65,7 +72,8 @@ class TestVerifyBounds:
             assert 0.0 < rep.max_ratio_rigorous <= 1.0
 
     def test_skipped_trials_are_reported(self, monkeypatch):
-        real = verify_mod._lu_measure
+        # the first two calls factorize the base matrix, in double and in longdouble
+        real = verify_mod.dense.lu_factor
         calls = {"n": 0}
 
         def flaky(a):
@@ -74,21 +82,12 @@ class TestVerifyBounds:
                 raise SingularLeadingMinor(1)
             return real(a)
 
-        monkeypatch.setattr(verify_mod, "_lu_measure", flaky)
+        monkeypatch.setattr(verify_mod.dense, "lu_factor", flaky)
         rep = verify_bounds(np.eye(6), PerturbationSpec(Normwise(0.1), seed=4), 12,
                             experiment="lu-normwise")
         assert rep.skipped
         assert all("singular" in reason for _, reason in rep.skipped)
         assert rep.trials == 12
-
-    def test_threads_match_serial(self, monkeypatch):
-        a = random_square(6, 9, shift=6.0)
-        spec = PerturbationSpec(Normwise(1e-3), seed=21)
-        serial = verify_bounds(a, spec, 40, experiment="qr-normwise", threads=1)
-        monkeypatch.setenv("FPERTURB_THREADS", "4")
-        threaded = verify_bounds(a, spec, 40, experiment="qr-normwise")
-        assert serial.max_ratio_rigorous == threaded.max_ratio_rigorous
-        assert serial.max_ratio_first_order == threaded.max_ratio_first_order
 
 
 class TestDeltaHalving:
