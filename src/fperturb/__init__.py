@@ -19,7 +19,6 @@ from .errors import (
     RankDeficient,
     SingularDiagonal,
     SingularLeadingMinor,
-    TooLarge,
     ZeroVector,
 )
 from .lu_bounds import (
@@ -58,15 +57,9 @@ from .qr_bounds import (
     zeta,
 )
 from .structured import (
-    SelectionKind,
-    SelectionMatrix,
     StructuredOperator,
-    abs_operator,
     operator_materialize,
     operator_spectral_norm,
-    selection_matrix,
-    structured_extract,
-    unvec,
     vec,
 )
 from .verify import VerificationReport, delta_halving, verify_bounds

@@ -175,22 +175,25 @@ def load_matrix_csv(path: str) -> np.ndarray:
         raise CliError(EXIT_BAD_MATRIX, f"cannot parse matrix file: {exc}") from exc
 
 
+def _parse_order(value: float, what: str) -> int:
+    if not value.is_integer():
+        raise CliError(EXIT_BAD_CONFIG, f"{what} needs an integer order, got {value!r}")
+    return int(value)
+
+
 def _resolve_matrix(args) -> np.ndarray:
     if args.matrix:
         return load_matrix_csv(args.matrix)
-    if args.kahan:
-        vals = _parse_floats(args.kahan, 2, "--kahan")
-        n = int(vals[0])
-        try:
-            return kahan(n, vals[1])
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_CONFIG, str(exc)) from exc
-    if args.graded:
-        vals = _parse_floats(args.graded, 3, "--graded")
-        try:
-            return graded_random(int(vals[0]), vals[1], vals[2], args.seed)
-        except ValueError as exc:
-            raise CliError(EXIT_BAD_CONFIG, str(exc)) from exc
+    # an order too large to allocate fails at once, before any memory is taken
+    try:
+        if args.kahan:
+            n, theta = _parse_floats(args.kahan, 2, "--kahan")
+            return kahan(_parse_order(n, "--kahan"), theta)
+        if args.graded:
+            n, d1, d2 = _parse_floats(args.graded, 3, "--graded")
+            return graded_random(_parse_order(n, "--graded"), d1, d2, args.seed)
+    except (ValueError, MemoryError) as exc:
+        raise CliError(EXIT_BAD_CONFIG, str(exc)) from exc
     raise CliError(EXIT_BAD_CONFIG,
                    "one of --matrix / --kahan / --graded is required")
 

@@ -141,9 +141,7 @@ def triangular_inverse(t, shape: str) -> np.ndarray:
     raise ValueError(f"shape must be 'lower' or 'upper', got {shape!r}")
 
 
-def _power_spectral_norm(matvec, rmatvec, dim_in: int,
-                         tol: float = SPECTRAL_TOL,
-                         max_iter: int = POWER_MAX_ITER) -> float:
+def _power_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
     """Largest singular value of a linear map given by matvec/rmatvec.
 
     Power iteration on the normal operator, started from the normalized
@@ -156,7 +154,7 @@ def _power_spectral_norm(matvec, rmatvec, dim_in: int,
     v = np.full(dim_in, 1.0 / math.sqrt(dim_in))
     restart = 0
     sigma_prev = -1.0
-    for _ in range(max_iter):
+    for _ in range(POWER_MAX_ITER):
         u = matvec(v)
         if u.size == 0:
             return 0.0
@@ -175,19 +173,18 @@ def _power_spectral_norm(matvec, rmatvec, dim_in: int,
         if nw == 0.0:
             return nu
         v = w / nw
-        if sigma_prev >= 0.0 and abs(nw - sigma_prev) <= tol * nw:
+        if sigma_prev >= 0.0 and abs(nw - sigma_prev) <= SPECTRAL_TOL * nw:
             return float(np.linalg.norm(matvec(v)))
         sigma_prev = nw
-    raise NoConvergence(max_iter)
+    raise NoConvergence(POWER_MAX_ITER)
 
 
-def spectral_norm(a, tol: float = SPECTRAL_TOL, max_iter: int = POWER_MAX_ITER) -> float:
+def spectral_norm(a) -> float:
     """Spectral norm of a dense matrix via power iteration."""
     a = _as_matrix(a)
     if a.size == 0:
         return 0.0
-    return _power_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1],
-                                tol=tol, max_iter=max_iter)
+    return _power_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
 
 
 def svd_spectral_norm(a) -> float:

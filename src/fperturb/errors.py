@@ -46,12 +46,8 @@ class DimensionMismatch(FperturbError):
     """Operands have incompatible shapes."""
 
 
-class TooLarge(FperturbError):
-    """Dense materialization was requested above the explicit threshold."""
-
-
 class AbsOperatorTooLarge(FperturbError):
-    """An entrywise-absolute-value operator needs a materialization that is too large."""
+    """A dense materialization, which the entrywise absolute value of a map needs, is too large."""
 
 
 class ZeroVector(FperturbError):

@@ -2,20 +2,23 @@
 
 For A = LU with a normwise perturbation of Frobenius size delta, the
 first-order changes of the factors are linear images of vec(dA), so the bound
-machinery is built from two structured operators:
+machinery is built from two masked-sandwich operators:
 
-* the lower map sends vec(dA) to slvec(dL): a strict-lower selection of
-  L * slt(L^{-1} dA [U_{n-1}^{-1} 0; 0 0]),
-* the upper map sends vec(dA) to uvec(dU): an upper selection of
-  ut(L^{-1} dA U^{-1}) * U.
+* the lower map sends vec(dA) to slvec(dL), the strict lower triangle of
+  L * slt(L^{-1} dA [U_{n-1}^{-1} 0; 0 0]): one term (L^{-1}, the padded
+  U_{n-1}^{-1}), the strict-lower mask, and L on the left;
+* the upper map sends vec(dA) to uvec(dU), the upper triangle of
+  ut(L^{-1} dA U^{-1}) * U: one term (L^{-1}, U^{-1}), the upper mask, and U
+  on the right.
 
 A fixed-point argument turns the operator norms into rigorous bounds valid
 whenever the product of the two norms times delta stays below 1/4, and the
 same structure handles componentwise perturbations bounded by the
-backward-error envelope eps * |L~| |U~| of Gaussian elimination. Comparison
-bounds in the style of Chang and Stehle, which the reports evaluate at the
-column-norm scaling of L and the row-norm scaling of U, are provided so the
-tightness of the operator-norm bounds can be measured.
+backward-error envelope eps * |L~| |U~| of Gaussian elimination, through the
+entrywise absolute values of the materialized maps. Comparison bounds in the
+style of Chang and Stehle, which the reports evaluate at the column-norm
+scaling of L and the row-norm scaling of U, are provided so the tightness of
+the operator-norm bounds can be measured.
 """
 
 from __future__ import annotations
@@ -28,16 +31,11 @@ import numpy as np
 
 from . import dense
 from .dense import LuFactors
-from .errors import AbsOperatorTooLarge, ZeroVector, check_size
+from .errors import ZeroVector, check_size
 from .structured import (
-    KroneckerStage,
-    SelectionKind,
-    SelectionStage,
     StructuredOperator,
-    abs_operator,
     operator_materialize,
     operator_spectral_norm,
-    selection_matrix,
     vec,
 )
 
@@ -61,9 +59,6 @@ class ScalingMatrix:
         if d.ndim != 1 or d.size == 0 or not np.all(d > 0.0):
             raise ValueError("scaling diagonal must be a 1-D positive vector")
         object.__setattr__(self, "diagonal", d)
-
-    def matrix(self) -> np.ndarray:
-        return np.diag(self.diagonal)
 
 
 def heuristic_scaling(m, mode: str) -> ScalingMatrix:
@@ -90,12 +85,8 @@ def lower_factor_operator(l, u) -> StructuredOperator:
     pad = np.zeros((n, n))
     if n > 1:
         pad[: n - 1, : n - 1] = dense.triangular_inverse(u[: n - 1, : n - 1], "upper")
-    return StructuredOperator(stages=(
-        SelectionStage(selection_matrix(SelectionKind.SLVEC, n)),
-        KroneckerStage(np.eye(n), l),
-        SelectionStage(selection_matrix(SelectionKind.SLT, n)),
-        KroneckerStage(pad.T, linv),
-    ))
+    return StructuredOperator(terms=((linv, pad, False),),
+                              weights=np.tril(np.ones((n, n)), -1), left=l)
 
 
 def upper_factor_operator(l, u) -> StructuredOperator:
@@ -105,12 +96,8 @@ def upper_factor_operator(l, u) -> StructuredOperator:
     n = l.shape[0]
     linv = dense.triangular_inverse(l, "lower")
     uinv = dense.triangular_inverse(u, "upper")
-    return StructuredOperator(stages=(
-        SelectionStage(selection_matrix(SelectionKind.UVEC, n)),
-        KroneckerStage(u.T, np.eye(n)),
-        SelectionStage(selection_matrix(SelectionKind.UT, n)),
-        KroneckerStage(uinv.T, linv),
-    ))
+    return StructuredOperator(terms=((linv, uinv, False),),
+                              weights=np.triu(np.ones((n, n))), right=u)
 
 
 @dataclass(frozen=True)
@@ -277,16 +264,15 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuCompo
     n = lt.shape[0]
 
     t0 = time.perf_counter()
-    abs_lower = abs_operator(lower_factor_operator(lt, ut))
-    abs_upper = abs_operator(upper_factor_operator(lt, ut))
-    envelope = np.abs(lt) @ np.abs(ut)
-    venv = vec(envelope)
-    lower_image = abs_lower.apply(venv)
-    upper_image = abs_upper.apply(venv)
+    abs_lower = np.abs(operator_materialize(lower_factor_operator(lt, ut)))
+    abs_upper = np.abs(operator_materialize(upper_factor_operator(lt, ut)))
+    venv = vec(np.abs(lt) @ np.abs(ut))
+    lower_image = abs_lower @ venv
+    upper_image = abs_upper @ venv
     a = float(np.linalg.norm(lower_image))
     b = float(np.linalg.norm(upper_image))
-    n_abs_l = operator_spectral_norm(abs_lower)
-    n_abs_u = operator_spectral_norm(abs_upper)
+    n_abs_l = dense.spectral_norm(abs_lower)
+    n_abs_u = dense.spectral_norm(abs_upper)
     c = b * n_abs_l - a * n_abs_u
     ce = c * epsilon
 
@@ -380,7 +366,9 @@ def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,
 
     The extremal dA has vec(dA) = eps * sign(row_k) * vec(|L~||U~|) entrywise,
     where row_k is the row of the factor map whose absolute image of the
-    envelope is largest. ``target`` is ``"L"`` or ``"U"``.
+    envelope is largest. ``target`` is ``"L"`` or ``"U"``. The map is
+    materialized, so this raises AbsOperatorTooLarge above
+    ``EXPLICIT_THRESHOLD``.
     """
     check_size(epsilon, "epsilon")
     lt, ut = tilde_factors.l, tilde_factors.u
@@ -391,9 +379,6 @@ def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,
         op = upper_factor_operator(lt, ut)
     else:
         raise ValueError(f"target must be 'L' or 'U', got {target!r}")
-    if op.in_dim > dense.EXPLICIT_THRESHOLD:
-        raise AbsOperatorTooLarge(
-            f"input dimension {op.in_dim} exceeds threshold {dense.EXPLICIT_THRESHOLD}")
     rows = operator_materialize(op)
     venv = vec(np.abs(lt) @ np.abs(ut))
     image = np.abs(rows) @ venv

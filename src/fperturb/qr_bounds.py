@@ -1,22 +1,24 @@
 """Perturbation bounds for the triangular factor of the QR factorization.
 
-Two structured operators drive everything. The linear map sends
-vec(Q^T dA) to uvec(dR) at first order and is built as
+Two masked-sandwich operators drive everything. The linear map sends
+X = Q^T dA to uvec(dR) at first order,
 
-    uvec-selection . (R^T kron I) . up-mask . [R^{-T} kron I + (I kron R^{-T}) Pi]
+    dR = up(X R^{-1} + R^{-T} X^T) R,
 
-with Pi the vec-permutation; the quadratic map, with the same outer stages and
-core R^{-T} kron R^{-T}, absorbs the second-order terms dA^T dA - dR^T dR. A
-fixed-point argument then yields rigorous bounds whenever
-||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4, where d2 = ||dA||_F and the bound
-itself uses d1 = ||Q^T dA||_F <= d2.
+with the terms (I, R^{-1}) and the transposed (R^{-T}, I), the mask of ``up``
+(the upper triangle with the diagonal halved) and R on the right; the
+quadratic map up(R^{-T} X R^{-1}) R, with the same mask and outer factor,
+absorbs the second-order terms dA^T dA - dR^T dR. A fixed-point argument then
+yields rigorous bounds whenever ||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4,
+where d2 = ||dA||_F and the bound itself uses d1 = ||Q^T dA||_F <= d2.
 
 Componentwise perturbations |dA| <= eps C |A| route through the entrywise
 absolute values of the two maps weighted by Kronecker factors of |R|; those
-need dense materialization. The scaled comparison bounds of Chang and Stehle
-are included for tightness measurements, at the two scalings used in the
-experiments: row 2-norms (``heuristic_scaling(r, "rows")``) and the recursive
-equilibration built from row 1-norms.
+need dense materialization, and ``sandwich`` applies the weights. The scaled
+comparison bounds of Chang and Stehle are included for tightness
+measurements, at the two scalings used in the experiments: row 2-norms
+(``heuristic_scaling(r, "rows")``) and the recursive equilibration built from
+row 1-norms.
 """
 
 from __future__ import annotations
@@ -29,18 +31,13 @@ import numpy as np
 
 from . import dense
 from .dense import QrFactors
-from .errors import AbsOperatorTooLarge, check_size
+from .errors import check_size
 from .lu_bounds import ScalingMatrix, heuristic_scaling
 from .structured import (
-    KroneckerStage,
-    SelectionKind,
-    SelectionStage,
     StructuredOperator,
-    SumStage,
-    VecPermutationStage,
     operator_materialize,
     operator_spectral_norm,
-    selection_matrix,
+    sandwich,
 )
 
 SQRT6_PLUS_SQRT3 = math.sqrt(6.0) + math.sqrt(3.0)
@@ -48,36 +45,25 @@ SQRT6_PLUS_SQRT3 = math.sqrt(6.0) + math.sqrt(3.0)
 COMPARISON_GATE = math.sqrt(1.5) - 1.0
 
 
+def _up_mask(n: int) -> np.ndarray:
+    """Mask of ``up``: ones above the diagonal, halves on it."""
+    return np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
+
+
 def r_factor_operator(r) -> StructuredOperator:
     """Map from vec(Q^T dA) to uvec(dR), the first-order change of R."""
     r = np.asarray(r, dtype=float)
-    n = r.shape[0]
     rinv = dense.triangular_inverse(r, "upper")
-    eye = np.eye(n)
-    branch_direct = StructuredOperator(stages=(KroneckerStage(rinv.T, eye),))
-    branch_transposed = StructuredOperator(stages=(
-        KroneckerStage(eye, rinv.T),
-        VecPermutationStage(n, n),
-    ))
-    return StructuredOperator(stages=(
-        SelectionStage(selection_matrix(SelectionKind.UVEC, n)),
-        KroneckerStage(r.T, eye),
-        SelectionStage(selection_matrix(SelectionKind.UP, n)),
-        SumStage(branches=(branch_direct, branch_transposed)),
-    ))
+    return StructuredOperator(terms=((None, rinv, False), (rinv.T, None, True)),
+                              weights=_up_mask(r.shape[0]), right=r)
 
 
 def r_quadratic_operator(r) -> StructuredOperator:
     """Map absorbing the quadratic terms dA^T dA - dR^T dR into uvec(dR)."""
     r = np.asarray(r, dtype=float)
-    n = r.shape[0]
     rinv = dense.triangular_inverse(r, "upper")
-    return StructuredOperator(stages=(
-        SelectionStage(selection_matrix(SelectionKind.UVEC, n)),
-        KroneckerStage(r.T, np.eye(n)),
-        SelectionStage(selection_matrix(SelectionKind.UP, n)),
-        KroneckerStage(rinv.T, rinv.T),
-    ))
+    return StructuredOperator(terms=((rinv.T, rinv, False),),
+                              weights=_up_mask(r.shape[0]), right=r)
 
 
 def zeta(d: ScalingMatrix) -> float:
@@ -249,17 +235,12 @@ def componentwise_operator_norms(r):
     AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``.
     """
     r = np.asarray(r, dtype=float)
-    n = r.shape[0]
-    if n * n > dense.EXPLICIT_THRESHOLD:
-        raise AbsOperatorTooLarge(
-            f"input dimension {n * n} exceeds threshold {dense.EXPLICIT_THRESHOLD}")
     absr = np.abs(r)
-    eye = np.eye(n)
     gmat = np.abs(operator_materialize(r_factor_operator(r)))
     hmat = np.abs(operator_materialize(r_quadratic_operator(r)))
     # |M| (|R^T| kron B) computed as (kron(|R|, B^T) |M|^T)^T without the big kron
-    g_weighted = KroneckerStage(absr, eye).apply2(gmat.T).T
-    h_weighted = KroneckerStage(absr, absr).apply2(hmat.T).T
+    g_weighted = sandwich(None, absr.T, gmat.T).T
+    h_weighted = sandwich(absr, absr.T, hmat.T).T
     return (dense.spectral_norm(g_weighted),
             dense.spectral_norm(h_weighted),
             dense.spectral_norm(hmat))

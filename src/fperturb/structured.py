@@ -1,46 +1,36 @@
-"""Vectorization operators, selection matrices, and matrix-free Kronecker maps.
+"""Matrix-free factor maps: a triangular mask placed between matrix products.
 
-``vec`` stacks columns. On top of it live five structural operators on square
-matrices:
+``vec`` stacks columns. The matrix-vector equation approach writes every
+first-order factor change as a triangular mask between matrix products:
 
-* ``uvec``  - stack the first j entries of column j (the upper triangle),
-* ``slvec`` - stack the last n-j entries of column j (the strict lower triangle),
-* ``up``    - keep the upper triangle and halve the diagonal,
-* ``ut``    - keep the upper triangle,
-* ``slt``   - keep the strict lower triangle.
+* dL = L slt(L^{-1} dA [U_{n-1}^{-1} 0; 0 0]),
+* dU = ut(L^{-1} dA U^{-1}) U,
+* dR = up(X R^{-1} + R^{-T} X^T) R with X = Q^T dA, and the quadratic R map
+  up(R^{-T} X R^{-1}) R,
 
-Each has a selection-matrix representation acting on vec-space: ``uvec`` and
-``slvec`` become row-orthonormal 0/1 gather matrices, while ``up``/``ut``/``slt``
-become diagonal masks with entries in {0, 1/2, 1}. The perturbation maps for
-the factorization bounds are compositions of these selections with Kronecker
-products and the vec-permutation; :class:`StructuredOperator` keeps such a
-composition in matrix-free form, so applying an n^2-dimensional map costs a
-few n-by-n matrix products instead of an n^2-by-n^2 one.
+where ``slt`` keeps the strict lower triangle, ``ut`` the upper triangle and
+``up`` the upper triangle with the diagonal halved. :class:`StructuredOperator`
+holds one such map as a sum of sandwiches a X b (or a X^T b), an n-by-n mask W
+with entries in {0, 1/2, 1} and two outer factors. Its output is the part of
+the result on the support of W, read column by column, so the upper maps
+return uvec(dU) and the lower map slvec(dL). :func:`sandwich` forms each
+product through vec(a X b) = (b^T kron a) vec(X) without the Kronecker
+product, so an n^2-dimensional map costs a few n-by-n matrix products.
 
-Dense materialization is available below ``EXPLICIT_THRESHOLD`` as an oracle
-and as the only mathematically valid route to entrywise-absolute-value
-operators (the absolute value of a composition is not the composition of
-absolute values).
+Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as an oracle
+and as the only valid route to the entrywise absolute value of a map (the
+absolute value of a composition is not the composition of absolute values).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from enum import Enum
-from functools import lru_cache
 
 import numpy as np
 
-from .dense import EXPLICIT_THRESHOLD, _as_square, _power_spectral_norm
-from .errors import AbsOperatorTooLarge, DimensionMismatch, TooLarge
-
-
-class SelectionKind(Enum):
-    UVEC = "uvec"
-    SLVEC = "slvec"
-    UP = "up"
-    UT = "ut"
-    SLT = "slt"
+from .dense import EXPLICIT_THRESHOLD, _power_spectral_norm
+from .errors import AbsOperatorTooLarge, DimensionMismatch
 
 
 def vec(a) -> np.ndarray:
@@ -48,280 +38,94 @@ def vec(a) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
-def unvec(x, m: int, n: int) -> np.ndarray:
-    """Inverse of :func:`vec` for an m-by-n matrix."""
-    x = np.asarray(x, dtype=float)
-    if x.size != m * n:
-        raise DimensionMismatch(f"cannot reshape length {x.size} into {m}x{n}")
-    return x.reshape((m, n), order="F")
+def _vec_transpose(v: np.ndarray) -> np.ndarray:
+    """vec(X^T) for every column vec(X) of an n^2-by-k block."""
+    n = math.isqrt(v.shape[0])
+    return v.reshape((n, n, -1), order="F").transpose(1, 0, 2).reshape(v.shape, order="F")
 
 
-def structured_extract(a, kind: SelectionKind):
-    """Apply one of the structural operators directly to a square matrix.
+def sandwich(a, b, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """vec(a X b) for every column vec(X) of the n^2-by-k block ``v``.
 
-    UVEC and SLVEC return stacked vectors; UP, UT, SLT return matrices.
+    ``None`` stands for the identity; with ``transpose`` X^T takes the place
+    of X.
     """
-    a = _as_square(a)
-    n = a.shape[0]
-    if kind is SelectionKind.UVEC:
-        return np.concatenate([a[: j + 1, j] for j in range(n)]) if n else np.zeros(0)
-    if kind is SelectionKind.SLVEC:
-        parts = [a[j + 1 :, j] for j in range(n - 1)]
-        return np.concatenate(parts) if parts else np.zeros(0)
-    if kind is SelectionKind.UT:
-        return np.triu(a)
-    if kind is SelectionKind.SLT:
-        return np.tril(a, -1)
-    if kind is SelectionKind.UP:
-        return np.triu(a, 1) + 0.5 * np.diag(np.diag(a))
-    raise ValueError(f"unknown selection kind {kind!r}")
+    if transpose:
+        v = _vec_transpose(v)
+    n = math.isqrt(v.shape[0])
+    k = v.shape[1]
+    x = v.reshape((n, n, k), order="F")
+    # a copy, not a view, keeps the memory layout, and so the rounding, of
+    # the product with the identity it stands for
+    t = x.copy() if a is None else np.tensordot(a, x, axes=([1], [0]))    # (n, n, k)
+    if b is not None:
+        t = np.moveaxis(np.tensordot(t, b, axes=([1], [0])), 2, 1)      # (n, k, n) -> (n, n, k)
+    return t.reshape((n * n, k), order="F")
 
 
-@lru_cache(maxsize=256)
-def _selection_indices(kind: SelectionKind, n: int) -> np.ndarray:
-    # position of entry (i, j) inside vec is j*n + i
-    idx = []
-    if kind is SelectionKind.UVEC:
-        for j in range(n):
-            idx.extend(j * n + i for i in range(j + 1))
-    elif kind is SelectionKind.SLVEC:
-        for j in range(n - 1):
-            idx.extend(j * n + i for i in range(j + 1, n))
-    else:
-        raise ValueError(kind)
-    return np.asarray(idx, dtype=np.intp)
-
-
-@lru_cache(maxsize=256)
-def _mask_weights(kind: SelectionKind, n: int) -> np.ndarray:
-    i = np.tile(np.arange(n), n)          # row index of each vec position
-    j = np.repeat(np.arange(n), n)        # column index
-    if kind is SelectionKind.UT:
-        return (i <= j).astype(float)
-    if kind is SelectionKind.SLT:
-        return (i > j).astype(float)
-    if kind is SelectionKind.UP:
-        return np.where(i < j, 1.0, np.where(i == j, 0.5, 0.0))
-    raise ValueError(kind)
-
-
-@dataclass(frozen=True)
-class SelectionMatrix:
-    """Selection-matrix representation of a structural operator on vec-space."""
-
-    kind: SelectionKind
-    n: int
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        n2 = self.n * self.n
-        if self.kind is SelectionKind.UVEC:
-            return (self.n * (self.n + 1) // 2, n2)
-        if self.kind is SelectionKind.SLVEC:
-            return (self.n * (self.n - 1) // 2, n2)
-        return (n2, n2)
-
-    def _data(self) -> np.ndarray:
-        if self.kind in (SelectionKind.UVEC, SelectionKind.SLVEC):
-            return _selection_indices(self.kind, self.n)
-        return _mask_weights(self.kind, self.n)
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return self.apply2(np.atleast_1d(x))
-
-    def apply2(self, v: np.ndarray) -> np.ndarray:
-        if self.kind in (SelectionKind.UVEC, SelectionKind.SLVEC):
-            return v[self._data()]
-        if v.ndim == 1:
-            return self._data() * v
-        return self._data()[:, None] * v
-
-    def applyt2(self, v: np.ndarray) -> np.ndarray:
-        if self.kind in (SelectionKind.UVEC, SelectionKind.SLVEC):
-            out_shape = (self.n * self.n,) + v.shape[1:]
-            out = np.zeros(out_shape)
-            out[self._data()] = v
-            return out
-        return self.apply2(v)  # diagonal masks are symmetric
-
-    def materialize(self) -> np.ndarray:
-        rows, cols = self.shape
-        if self.kind in (SelectionKind.UVEC, SelectionKind.SLVEC):
-            m = np.zeros((rows, cols))
-            m[np.arange(rows), self._data()] = 1.0
-            return m
-        return np.diag(self._data())
-
-
-def selection_matrix(kind: SelectionKind, n: int) -> SelectionMatrix:
-    """Selection matrix of the given kind and order."""
-    if n < 1:
-        raise DimensionMismatch("selection matrices need n >= 1")
-    return SelectionMatrix(kind=kind, n=n)
-
-
-@lru_cache(maxsize=256)
-def _vec_perm_indices(m: int, n: int) -> np.ndarray:
-    return np.arange(m * n).reshape((m, n), order="F").T.reshape(-1, order="F")
-
-
-@dataclass(frozen=True)
-class KroneckerStage:
-    """Stage representing (a kron b) applied in matrix-free form."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def out_dim(self) -> int:
-        return self.a.shape[0] * self.b.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.a.shape[1] * self.b.shape[1]
-
-    def apply2(self, v: np.ndarray) -> np.ndarray:
-        p, m = self.a.shape
-        q, n = self.b.shape
-        single = v.ndim == 1
-        if single:
-            v = v[:, None]
-        k = v.shape[1]
-        x = v.reshape((n, m, k), order="F")
-        t = np.tensordot(self.b, x, axes=([1], [0]))         # (q, m, k)
-        y = np.tensordot(t, self.a, axes=([1], [1]))         # (q, k, p)
-        y = np.moveaxis(y, 2, 1).reshape((q * p, k), order="F")
-        return y[:, 0] if single else y
-
-    def applyt2(self, v: np.ndarray) -> np.ndarray:
-        return KroneckerStage(self.a.T, self.b.T).apply2(v)
-
-
-@dataclass(frozen=True)
-class SelectionStage:
-    sel: SelectionMatrix
-
-    @property
-    def out_dim(self) -> int:
-        return self.sel.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.sel.shape[1]
-
-    def apply2(self, v: np.ndarray) -> np.ndarray:
-        return self.sel.apply2(v)
-
-    def applyt2(self, v: np.ndarray) -> np.ndarray:
-        return self.sel.applyt2(v)
-
-
-@dataclass(frozen=True)
-class VecPermutationStage:
-    m: int
-    n: int
-
-    @property
-    def out_dim(self) -> int:
-        return self.m * self.n
-
-    @property
-    def in_dim(self) -> int:
-        return self.m * self.n
-
-    def apply2(self, v: np.ndarray) -> np.ndarray:
-        return v[_vec_perm_indices(self.m, self.n)]
-
-    def applyt2(self, v: np.ndarray) -> np.ndarray:
-        return v[_vec_perm_indices(self.n, self.m)]
-
-
-@dataclass(frozen=True)
-class DenseStage:
-    matrix: np.ndarray
-
-    @property
-    def out_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def in_dim(self) -> int:
-        return self.matrix.shape[1]
-
-    def apply2(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ v
-
-    def applyt2(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix.T @ v
-
-
-@dataclass(frozen=True)
-class SumStage:
-    """Pointwise sum of operators with identical shapes."""
-
-    branches: tuple
-
-    def __post_init__(self):
-        dims = {(b.out_dim, b.in_dim) for b in self.branches}
-        if len(dims) != 1:
-            raise DimensionMismatch(f"sum branches disagree on shape: {dims}")
-
-    @property
-    def out_dim(self) -> int:
-        return self.branches[0].out_dim
-
-    @property
-    def in_dim(self) -> int:
-        return self.branches[0].in_dim
-
-    def apply2(self, v: np.ndarray) -> np.ndarray:
-        out = self.branches[0].apply2(v)
-        for b in self.branches[1:]:
-            out = out + b.apply2(v)
-        return out
-
-    def applyt2(self, v: np.ndarray) -> np.ndarray:
-        out = self.branches[0].applyt2(v)
-        for b in self.branches[1:]:
-            out = out + b.applyt2(v)
-        return out
+def _transposed(m):
+    return None if m is None else m.T
 
 
 @dataclass(frozen=True)
 class StructuredOperator:
-    """Composition of stages, written left to right in product order.
+    """vec(X) -> the entries of left (W * sum_t a_t op_t(X) b_t) right on the support of W.
 
-    ``stages[0]`` is applied last, matching how the operator would be
-    written as a matrix product. All stages are immutable; instances are safe
-    to share across threads.
+    ``terms`` holds triples ``(a, b, transpose)``, where op_t is the transpose
+    when the flag is set; ``weights`` is the n-by-n mask W with entries in
+    {0, 1/2, 1}; ``None`` stands for the identity. The support of W is read
+    column by column. Instances are immutable and safe to share.
     """
 
-    stages: tuple
+    terms: tuple
+    weights: np.ndarray
+    left: np.ndarray | None = None
+    right: np.ndarray | None = None
 
     def __post_init__(self):
-        for left, right in zip(self.stages, self.stages[1:]):
-            if left.in_dim != right.out_dim:
-                raise DimensionMismatch(
-                    f"stage chain mismatch: {left.in_dim} != {right.out_dim}"
-                )
+        w = vec(self.weights)
+        object.__setattr__(self, "_w", w[:, None])
+        object.__setattr__(self, "_support", np.flatnonzero(w))
 
     @property
     def out_dim(self) -> int:
-        return self.stages[0].out_dim
+        return self._support.size
 
     @property
     def in_dim(self) -> int:
-        return self.stages[-1].in_dim
+        return self._w.shape[0]
 
     def apply2(self, v: np.ndarray) -> np.ndarray:
-        for stage in reversed(self.stages):
-            v = stage.apply2(v)
-        return v
+        single = v.ndim == 1
+        # rebinding v lets the input block go before the outer product
+        v = self._masked_terms(v.reshape(v.shape[0], -1))
+        v = sandwich(self.left, self.right, v)[self._support]
+        return v[:, 0] if single else v
+
+    def _masked_terms(self, block: np.ndarray) -> np.ndarray:
+        """W * sum_t a_t op_t(X) b_t for every column vec(X) of ``block``, in place."""
+        (a, b, transpose), *rest = self.terms
+        s = sandwich(a, b, block, transpose)
+        for a, b, transpose in rest:
+            s += sandwich(a, b, block, transpose)
+        s *= self._w
+        return s
 
     def applyt2(self, v: np.ndarray) -> np.ndarray:
-        for stage in self.stages:
-            v = stage.applyt2(v)
-        return v
+        full = np.zeros((self.in_dim,) + v.shape[1:])
+        full[self._support] = v
+        s = sandwich(_transposed(self.left), _transposed(self.right),
+                     full.reshape(self.in_dim, -1))
+        s *= self._w
+        out = None
+        for a, b, transpose in self.terms:
+            y = sandwich(_transposed(a), _transposed(b), s)
+            y = _vec_transpose(y) if transpose else y
+            if out is None:
+                out = y
+            else:
+                out += y
+        return out[:, 0] if v.ndim == 1 else out
 
     def apply(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -337,27 +141,20 @@ class StructuredOperator:
 
 
 def operator_materialize(op: StructuredOperator) -> np.ndarray:
-    """Dense matrix with the same action as ``op`` on every basis vector."""
-    if op.in_dim > EXPLICIT_THRESHOLD:
-        raise TooLarge(f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}")
-    return op.apply2(np.eye(op.in_dim))
+    """Dense matrix with the same action as ``op`` on every basis vector.
 
-
-def abs_operator(op: StructuredOperator) -> StructuredOperator:
-    """Entrywise absolute value of the materialized composition.
-
-    There is no matrix-free shortcut: |composition| differs from the
-    composition of absolute values, so this requires the dense form.
+    Raises AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``: the entrywise
+    absolute value of a map, which the componentwise bounds need, exists only
+    through this dense form.
     """
     if op.in_dim > EXPLICIT_THRESHOLD:
         raise AbsOperatorTooLarge(
-            f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}"
-        )
-    return StructuredOperator(stages=(DenseStage(np.abs(operator_materialize(op))),))
+            f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}")
+    return op.apply2(np.eye(op.in_dim))
 
 
-def operator_spectral_norm(op: StructuredOperator, **kwargs) -> float:
+def operator_spectral_norm(op: StructuredOperator) -> float:
     """Largest singular value of a structured operator via power iteration."""
     if op.in_dim == 0 or op.out_dim == 0:
         return 0.0
-    return _power_spectral_norm(op.apply, op.apply_transpose, op.in_dim, **kwargs)
+    return _power_spectral_norm(op.apply, op.apply_transpose, op.in_dim)

@@ -42,15 +42,14 @@ from fperturb.qr_bounds import (
     zeta,
 )
 from fperturb.structured import (
-    KroneckerStage,
-    SelectionKind,
-    VecPermutationStage,
     operator_materialize,
     operator_spectral_norm,
-    selection_matrix,
+    sandwich,
     vec,
 )
 from fperturb.verify import _qr_measure_r, verify_bounds
+
+from conftest import SelectionKind, selection_matrix
 
 
 def _lu_measure(a):
@@ -74,31 +73,31 @@ def test_criterion_1_operator_identities():
             x = rng.standard_normal((n, n))
             b = rng.standard_normal((n, n))
             # row selections have orthonormal rows; masks are their Gram matrices
-            mu = selection_matrix(SelectionKind.UVEC, n).materialize()
-            ms = selection_matrix(SelectionKind.SLVEC, n).materialize()
+            mu = selection_matrix(SelectionKind.UVEC, n)
+            ms = selection_matrix(SelectionKind.SLVEC, n)
             assert np.abs(mu @ mu.T - np.eye(mu.shape[0])).max() <= tol
             assert np.abs(ms @ ms.T - np.eye(ms.shape[0])).max() <= tol
-            mut = selection_matrix(SelectionKind.UT, n).materialize()
-            mslt = selection_matrix(SelectionKind.SLT, n).materialize()
+            mut = selection_matrix(SelectionKind.UT, n)
+            mslt = selection_matrix(SelectionKind.SLT, n)
             assert np.abs(mu.T @ mu - mut).max() <= tol
             assert np.abs(ms.T @ ms - mslt).max() <= tol
             # vec of a triple product against the dense Kronecker route
             assert np.abs(np.kron(b.T, a) @ vec(x) - vec(a @ x @ b)).max() <= tol
             # vec permutation transposes
-            assert np.abs(VecPermutationStage(n, n).apply2(vec(a)) - vec(a.T)).max() <= tol
+            transposed = sandwich(None, None, vec(a)[:, None], transpose=True)[:, 0]
+            assert np.abs(transposed - vec(a.T)).max() <= tol
             # Kronecker inverse factorizes (well-conditioned factors, unit probe)
             a2 = a + 3.0 * np.eye(n)
             b2 = b + 3.0 * np.eye(n)
-            probe = rng.standard_normal(n * n)
+            probe = rng.standard_normal((n * n, 1))
             probe /= np.linalg.norm(probe)
-            back = KroneckerStage(a2, b2).apply2(KroneckerStage(
-                np.linalg.inv(a2), np.linalg.inv(b2)).apply2(probe))
+            back = sandwich(b2, a2.T, sandwich(np.linalg.inv(b2), np.linalg.inv(a2).T, probe))
             assert np.abs(back - probe).max() <= tol
             # triangular projections absorb triangular Kronecker factors
             l = np.tril(rng.standard_normal((n, n)), -1) + np.eye(n)
             u = np.triu(rng.standard_normal((n, n)))
             r = np.triu(rng.standard_normal((n, n))) + n * np.eye(n)
-            mup = selection_matrix(SelectionKind.UP, n).materialize()
+            mup = selection_matrix(SelectionKind.UP, n)
             k1 = np.kron(np.eye(n), l)
             assert np.abs(mslt @ k1 @ mslt - k1 @ mslt).max() <= tol
             k2 = np.kron(u.T, np.eye(n))

@@ -94,6 +94,10 @@ PROBES = [
     ("abs-operator-too-large", ["qr-componentwise", "--graded", "70,1,1",
                                 "--epsilon", "ge"], 1),
     ("no-convergence", ["lu-normwise", "--matrix", "{clustered}", "--delta", "1e-6"], 5),
+    ("non-integer-kahan-order", ["lu-normwise", "--kahan", "2.5,0.3", "--delta", "0.1"], 1),
+    ("non-integer-graded-order", ["qr-normwise", "--graded", "3.5,1,1", "--delta", "0.1"], 1),
+    # numpy refuses the 8e18-byte array at once, so nothing is allocated
+    ("kahan-order-too-large", ["lu-normwise", "--kahan", "1e9,0.3", "--delta", "0.1"], 1),
 ]
 
 

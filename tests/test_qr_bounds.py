@@ -22,14 +22,12 @@ from fperturb.qr_bounds import (
     zeta,
 )
 from fperturb.structured import (
-    SelectionKind,
     operator_materialize,
     operator_spectral_norm,
-    structured_extract,
     vec,
 )
 
-from conftest import random_upper, seeded_rng
+from conftest import SelectionKind, extract, random_upper, seeded_rng
 
 
 class TestROperators:
@@ -46,9 +44,9 @@ class TestROperators:
         r = random_upper(5, 2)
         rinv = dense.triangular_inverse(r, "upper")
         x = seeded_rng(40).standard_normal((5, 5))
-        up = lambda m: structured_extract(m, SelectionKind.UP)
-        ref_lin = structured_extract(up(x @ rinv + rinv.T @ x.T) @ r, SelectionKind.UVEC)
-        ref_quad = structured_extract(up(rinv.T @ x @ rinv) @ r, SelectionKind.UVEC)
+        up = lambda m: extract(m, SelectionKind.UP)
+        ref_lin = extract(up(x @ rinv + rinv.T @ x.T) @ r, SelectionKind.UVEC)
+        ref_quad = extract(up(rinv.T @ x @ rinv) @ r, SelectionKind.UVEC)
         assert np.allclose(r_factor_operator(r).apply(vec(x)), ref_lin, atol=1e-11)
         assert np.allclose(r_quadratic_operator(r).apply(vec(x)), ref_quad, atol=1e-11)
 
