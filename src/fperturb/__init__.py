@@ -7,7 +7,6 @@ from .dense import (
     lu_factor,
     qr_factor,
     spectral_norm,
-    svd_spectral_norm,
     triangular_inverse,
 )
 from .errors import (

@@ -9,6 +9,10 @@ The LU factorization here is deliberately pivot-free: the perturbation theory
 bounds the factors of ``A`` itself, and row exchanges would change the object
 being bounded. The QR factorization normalizes the triangular factor to a
 strictly positive diagonal, which makes it unique for full-column-rank input.
+
+Every spectral norm in the package, of a dense matrix or of a matrix-free
+factor map, comes from one Krylov estimator, a Golub-Kahan bidiagonalization
+that needs only products with the map and its transpose.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ from .errors import (
 PIVOT_TOL = 1e-13          # relative pivot threshold for pivot-free LU
 RANK_TOL = 1e-12           # relative smallest-singular-value threshold for QR
 RECONSTRUCT_TOL = 1e-11    # relative reconstruction accuracy contract
-SPECTRAL_TOL = 1e-12       # relative convergence tolerance of power iteration
-POWER_MAX_ITER = 10_000
+SPECTRAL_TOL = 1e-12       # relative residual tolerance of the Krylov norm estimate
+KRYLOV_MAX_STEPS = 1_000   # bidiagonalization steps before NoConvergence
+KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an SVD of B_k each)
 EXPLICIT_THRESHOLD = 4096  # largest vec-dimension that may be materialized
 
 
@@ -141,58 +146,67 @@ def triangular_inverse(t, shape: str) -> np.ndarray:
     raise ValueError(f"shape must be 'lower' or 'upper', got {shape!r}")
 
 
-def _power_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
+def _krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
     """Largest singular value of a linear map given by matvec/rmatvec.
 
-    Power iteration on the normal operator, started from the normalized
-    all-ones vector, stopping on the relative change of the singular-value
-    estimate. The returned value is the final Rayleigh quotient ``||A v||``
-    for the last normalized right vector, i.e. a certified lower estimate.
+    Golub-Kahan-Lanczos bidiagonalization from the normalized all-ones
+    vector, without keeping the basis: after k steps A V_k = U_k B_k, with B_k
+    upper bidiagonal (alphas on the diagonal, betas above it). The top triplet
+    of B_k has the residual beta_k |p_k|, p_k the last entry of its left
+    singular vector, and is returned once that is below ``SPECTRAL_TOL``
+    times its value. A tiny alpha means the Krylov space is exhausted; the
+    norm is then exactly that of the k-by-(k+1) bidiagonal [B_k, beta_k e_k].
+    Both are norms of compressions of the map, so lower estimates.
     """
     if dim_in == 0:
         return 0.0
     v = np.full(dim_in, 1.0 / math.sqrt(dim_in))
-    restart = 0
-    sigma_prev = -1.0
-    for _ in range(POWER_MAX_ITER):
+    for restart in range(dim_in + 1):
         u = matvec(v)
         if u.size == 0:
             return 0.0
-        nu = float(np.linalg.norm(u))
-        if nu == 0.0:
-            # The start vector happens to lie in the null space; probe basis
-            # directions deterministically before concluding the map is zero.
-            if restart >= dim_in:
-                return 0.0
-            v = np.zeros(dim_in)
-            v[restart] = 1.0
-            restart += 1
-            continue
-        w = rmatvec(u / nu)
-        nw = float(np.linalg.norm(w))
-        if nw == 0.0:
-            return nu
-        v = w / nw
-        if sigma_prev >= 0.0 and abs(nw - sigma_prev) <= SPECTRAL_TOL * nw:
-            return float(np.linalg.norm(matvec(v)))
-        sigma_prev = nw
-    raise NoConvergence(POWER_MAX_ITER)
+        alpha = float(np.linalg.norm(u))
+        if alpha > 0.0:
+            break
+        # The start vector happens to lie in the null space; probe basis
+        # directions deterministically before concluding the map is zero.
+        if restart == dim_in:
+            return 0.0
+        v = np.zeros(dim_in)
+        v[restart] = 1.0
+    u /= alpha
+    alphas, betas = [alpha], []
+    scale = alpha                    # largest entry of B so far, a lower bound
+    for k in range(1, KRYLOV_MAX_STEPS + 1):
+        w = rmatvec(u)
+        w -= alpha * v
+        beta = float(np.linalg.norm(w))
+        betas.append(beta)
+        exhausted = beta <= SPECTRAL_TOL * scale
+        if exhausted or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
+            left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
+            if exhausted or beta * abs(left[-1, 0]) <= SPECTRAL_TOL * s[0]:
+                return float(s[0])
+        v = w / beta
+        p = matvec(v)
+        p -= beta * u
+        alpha = float(np.linalg.norm(p))
+        scale = max(scale, beta)
+        if alpha <= SPECTRAL_TOL * scale:
+            # the last row of the (k+1)-square bidiagonal is zero; drop it
+            return float(np.linalg.norm((np.diag(alphas + [0.0]) + np.diag(betas, 1))[:-1], 2))
+        alphas.append(alpha)
+        scale = max(scale, alpha)
+        u = p / alpha
+    raise NoConvergence(KRYLOV_MAX_STEPS)
 
 
 def spectral_norm(a) -> float:
-    """Spectral norm of a dense matrix via power iteration."""
+    """Spectral norm of a dense matrix through the Krylov estimator."""
     a = _as_matrix(a)
     if a.size == 0:
         return 0.0
-    return _power_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
-
-
-def svd_spectral_norm(a) -> float:
-    """Spectral norm through a full dense SVD; the oracle route for checks."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.svd(a, compute_uv=False)[0])
+    return _krylov_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
 
 
 def kappa2_triangular(t, shape: str) -> float:

@@ -35,11 +35,11 @@ class SingularDiagonal(FperturbError):
 
 
 class NoConvergence(FperturbError):
-    """Power iteration failed to converge within the iteration cap."""
+    """The Krylov norm estimate did not converge within its step cap."""
 
-    def __init__(self, iterations: int):
-        self.iterations = iterations
-        super().__init__(f"power iteration did not converge in {iterations} iterations")
+    def __init__(self, steps: int):
+        self.steps = steps
+        super().__init__(f"Krylov norm estimate did not converge in {steps} steps")
 
 
 class DimensionMismatch(FperturbError):

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import EXPLICIT_THRESHOLD, _power_spectral_norm
+from .dense import EXPLICIT_THRESHOLD, _krylov_spectral_norm
 from .errors import AbsOperatorTooLarge, DimensionMismatch
 
 
@@ -154,7 +154,7 @@ def operator_materialize(op: StructuredOperator) -> np.ndarray:
 
 
 def operator_spectral_norm(op: StructuredOperator) -> float:
-    """Largest singular value of a structured operator via power iteration."""
+    """Largest singular value of a structured operator via the Krylov estimator."""
     if op.in_dim == 0 or op.out_dim == 0:
         return 0.0
-    return _power_spectral_norm(op.apply, op.apply_transpose, op.in_dim)
+    return _krylov_spectral_norm(op.apply, op.apply_transpose, op.in_dim)

@@ -8,6 +8,14 @@ def seeded_rng(*key):
     return np.random.default_rng(list(key))
 
 
+def svd_spectral_norm(a):
+    """Spectral norm through a full dense SVD; the oracle of the Krylov estimator."""
+    a = np.asarray(a, dtype=float)
+    if a.size == 0:
+        return 0.0
+    return float(np.linalg.svd(a, compute_uv=False)[0])
+
+
 def random_square(n, seed, shift=0.0):
     """Standard normal matrix, optionally diagonally shifted for conditioning."""
     return seeded_rng(7, n, seed).standard_normal((n, n)) + shift * np.eye(n)

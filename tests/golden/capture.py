@@ -4,6 +4,11 @@ Run from the root of a checkout, and only when a change of output is meant:
 
     PYTHONPATH=src python3 tests/golden/capture.py
 
+Before re-capturing, ``--drift`` runs the cases into a temporary directory
+and compares them with the committed goldens token by token: it prints, per
+file, the largest relative change of a numeric token, and it fails when any
+other token (a boolean, ``n/a``, a column name) or the token count changed.
+
 Every case is one ``fperturb`` command line, run with ``--no-timings`` so its
 output is byte-identical from run to run. The cases go to ``cases.json`` and
 each output to ``<case>.<format>`` in this directory. The verify cases set
@@ -14,7 +19,10 @@ each perturbation size at a tenth of its applicability gate, computed with
 from __future__ import annotations
 
 import json
+import math
+import re
 import sys
+import tempfile
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
@@ -69,17 +77,76 @@ def cases() -> list[dict]:
     return out
 
 
-def main() -> int:
-    all_cases = cases()
+def run_cases(all_cases: list[dict], dest: Path) -> bool:
+    """Write every case's output into ``dest``; False when a command fails."""
     for case in all_cases:
-        code = cli.main(case["argv"] + ["--no-timings", "--out", str(HERE / case["file"])])
+        code = cli.main(case["argv"] + ["--no-timings", "--out", str(dest / case["file"])])
         if code != 0:
             print(f"{case['name']}: fperturb exited with code {code}", file=sys.stderr)
+            return False
+    return True
+
+
+#: separators of CSV and JSON output; they are kept as tokens of their own
+SEPARATORS = re.compile(r'([\s,:\[\]{}"]+)')
+
+
+def _number(token: str) -> float | None:
+    try:
+        value = float(token)
+    except ValueError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def token_drift(old: str, new: str) -> float | None:
+    """Largest relative change of a numeric token; None when any other token differs."""
+    old_tokens, new_tokens = SEPARATORS.split(old), SEPARATORS.split(new)
+    if len(old_tokens) != len(new_tokens):
+        return None
+    drift = 0.0
+    for a, b in zip(old_tokens, new_tokens):
+        if a == b:
+            continue
+        x, y = _number(a), _number(b)
+        if x is None or y is None:
+            return None
+        if x != y:
+            drift = max(drift, abs(x - y) / max(abs(x), abs(y)))
+    return drift
+
+
+def drift(all_cases: list[dict]) -> int:
+    with tempfile.TemporaryDirectory() as tmp:
+        if not run_cases(all_cases, Path(tmp)):
             return 1
+        changed = []
+        for case in all_cases:
+            old = (HERE / case["file"]).read_text(encoding="utf-8")
+            new = (Path(tmp) / case["file"]).read_text(encoding="utf-8")
+            rel = token_drift(old, new)
+            print(f"{case['file']}: " + ("non-numeric change" if rel is None else f"{rel:.1e}"))
+            if rel is None:
+                changed.append(case["file"])
+    if changed:
+        print(f"non-numeric changes in {len(changed)} files", file=sys.stderr)
+        return 1
+    return 0
+
+
+def main(argv: list[str]) -> int:
+    all_cases = cases()
+    if argv == ["--drift"]:
+        return drift(all_cases)
+    if argv:
+        print("usage: capture.py [--drift]", file=sys.stderr)
+        return 2
+    if not run_cases(all_cases, HERE):
+        return 1
     (HERE / "cases.json").write_text(json.dumps(all_cases, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(all_cases)} golden outputs to {HERE}")
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -23,7 +23,14 @@ from fperturb.structured import (
     vec,
 )
 
-from conftest import SelectionKind, extract, random_square, seeded_rng, selection_matrix
+from conftest import (
+    SelectionKind,
+    extract,
+    random_square,
+    seeded_rng,
+    selection_matrix,
+    svd_spectral_norm,
+)
 
 
 def factor(seed, n=5, shift=None):
@@ -35,7 +42,7 @@ class TestFactorOperators:
         f = lu_factor(np.eye(5))
         for op in (lower_factor_operator(f.l, f.u), upper_factor_operator(f.l, f.u)):
             m = operator_materialize(op)
-            assert dense.svd_spectral_norm(m) == pytest.approx(1.0, abs=1e-12)
+            assert svd_spectral_norm(m) == pytest.approx(1.0, abs=1e-12)
             assert operator_spectral_norm(op) == pytest.approx(1.0, abs=1e-11)
 
     def test_direct_formula_oracle(self):
@@ -59,9 +66,9 @@ class TestFactorOperators:
             n = f.l.shape[0]
             nl = operator_spectral_norm(lower_factor_operator(f.l, f.u))
             nu = operator_spectral_norm(upper_factor_operator(f.l, f.u))
-            un1 = dense.svd_spectral_norm(
+            un1 = svd_spectral_norm(
                 dense.triangular_inverse(f.u[: n - 1, : n - 1], "upper"))
-            li = dense.svd_spectral_norm(dense.triangular_inverse(f.l, "lower"))
+            li = svd_spectral_norm(dense.triangular_inverse(f.l, "lower"))
             assert nl >= un1 * (1 - 1e-10)
             assert nu >= li * (1 - 1e-10)
 
@@ -75,7 +82,7 @@ class TestFactorOperators:
         full = lower_factor_operator(f.l, f.u)
         bare = (np.kron(np.eye(n), f.l) @ selection_matrix(SelectionKind.SLT, n)
                 @ np.kron(pad.T, linv))
-        assert dense.svd_spectral_norm(bare) == pytest.approx(
+        assert svd_spectral_norm(bare) == pytest.approx(
             operator_spectral_norm(full), rel=1e-10)
 
 
@@ -90,6 +97,14 @@ class TestNormwiseBounds:
         assert rep.condition_value == pytest.approx(3.0 / 16.0, abs=1e-12)
         assert rep.rigorous_dl == pytest.approx(0.25, abs=1e-12)
         assert rep.rigorous_du == pytest.approx(0.25, abs=1e-12)
+
+    @pytest.mark.parametrize("eps", [1e-4, 1e-6])
+    def test_close_top_singular_values(self, eps):
+        # the top singular values of the lower map differ by about eps relative
+        f = lu_factor(np.diag([1.0, 1.0 - eps, 1.0]))
+        rep = lu_normwise_bounds(f, 1e-6)
+        ref = svd_spectral_norm(operator_materialize(lower_factor_operator(f.l, f.u)))
+        assert rep.l_op_norm == pytest.approx(ref, rel=1e-12)
 
     def test_inapplicable_reports_absent(self):
         rep = lu_normwise_bounds(lu_factor(np.eye(4)), 0.3)

@@ -33,6 +33,7 @@ from conftest import (
     random_upper,
     seeded_rng,
     selection_matrix,
+    svd_spectral_norm,
     vec_permutation,
 )
 
@@ -228,7 +229,7 @@ class TestStructuredOperator:
     def test_operator_norm_matches_dense_svd(self):
         for n in (2, 4, 6):
             op = _random_operator(n, 0)
-            ref = dense.svd_spectral_norm(operator_materialize(op))
+            ref = svd_spectral_norm(operator_materialize(op))
             assert operator_spectral_norm(op) == pytest.approx(ref, rel=1e-10)
 
     def test_materialize_too_large(self):
