@@ -46,8 +46,8 @@ EXIT_FACTORIZATION = 3
 EXIT_INAPPLICABLE = 4
 EXIT_NO_CONVERGENCE = 5
 
-#: exit code of each library error that the bound and verify commands report;
-#: a ValueError is a rejected argument, such as a negative or NaN size
+#: exit code of each library error that the commands report; a ValueError is a
+#: rejected argument, such as a negative or NaN size
 _ERROR_EXITS = (
     (DimensionMismatch, EXIT_BAD_MATRIX),
     ((SingularLeadingMinor, RankDeficient, SingularDiagonal), EXIT_FACTORIZATION),
@@ -235,11 +235,10 @@ def _report_rows(report, no_timings: bool) -> list[dict]:
 def _run_command(args) -> tuple[list[dict], dict, int | None]:
     """Return (rows, timings, violations) for the parsed command."""
     t0 = time.perf_counter()
-    if args.command in tables.TABLES:
-        rows = _table_rows(args)
-        return rows, {"total_s": time.perf_counter() - t0}, None
     try:
-        if args.command == "verify":
+        if args.command in tables.TABLES:
+            rows, timings, violations = _table_rows(args), {}, None
+        elif args.command == "verify":
             rows, timings, violations = _verify_rows(args)
         else:
             report = args.report(args, _resolve_matrix(args))
@@ -278,6 +277,8 @@ def _verify_rows(args) -> tuple[list[dict], dict, int]:
 
 
 def _table_rows(args) -> list[dict]:
+    """Rows of the table; a row whose matrix failed to factorize is printed
+    as n/a, and its reason goes to stderr as a note."""
     if args.seed_sweep < 1:
         raise CliError(EXIT_BAD_CONFIG, "--seed-sweep must be at least 1")
     kwargs = {}
@@ -287,9 +288,12 @@ def _table_rows(args) -> list[dict]:
         result = tables.seed_sweep(args.command, args.seed, args.seed_sweep, **kwargs)
     else:
         result = tables.TABLES[args.command](args.seed, **kwargs)
+    for note in result.notes:
+        print(f"fperturb: note: {note}", file=sys.stderr)
     columns = [c for c in result.columns
                if not (args.no_timings and c in tables.TIMING_COLUMNS)]
-    return [{c: (round(row[c], 3) if c in tables.TIMING_COLUMNS else row[c])
+    return [{c: (round(row[c], 3) if c in tables.TIMING_COLUMNS and row[c] is not None
+                 else row[c])
              for c in columns} for row in result.rows]
 
 

@@ -47,7 +47,12 @@ class DimensionMismatch(FperturbError):
 
 
 class AbsOperatorTooLarge(FperturbError):
-    """A dense materialization, which the entrywise absolute value of a map needs, is too large."""
+    """The entrywise absolute value of a factor map is too large to form.
+
+    For the LU maps that is a dense materialization above
+    ``EXPLICIT_THRESHOLD``; for the QR maps, stacks of more than its square
+    entries.
+    """
 
 
 class ZeroVector(FperturbError):

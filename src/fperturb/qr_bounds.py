@@ -13,8 +13,12 @@ yields rigorous bounds whenever ||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4,
 where d2 = ||dA||_F and the bound itself uses d1 = ||Q^T dA||_F <= d2.
 
 Componentwise perturbations |dA| <= eps C |A| route through the entrywise
-absolute values of the two maps weighted by Kronecker factors of |R|; those
-need dense materialization, and ``sandwich`` applies the weights. The scaled
+absolute values of the two maps weighted by Kronecker factors of |R|.
+Every coefficient of either map is one entry of an n-by-n block per output
+row, or a product of such an entry with an entry of R^{-1} or R, so its
+absolute value is taken entry by entry; :func:`absolute_r_maps` applies the
+absolute maps matrix-free from two n^3 stacks of those blocks, at O(n^3)
+per product with a map or its transpose. The scaled
 comparison bounds of Chang and Stehle are included for tightness
 measurements, at the two scalings used in the experiments: row 2-norms
 (``heuristic_scaling(r, "rows")``) and the recursive equilibration built from
@@ -30,15 +34,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense
-from .dense import QrFactors
-from .errors import check_size
+from .dense import EXPLICIT_THRESHOLD, QrFactors
+from .errors import AbsOperatorTooLarge, check_size
 from .lu_bounds import ScalingMatrix, heuristic_scaling
-from .structured import (
-    StructuredOperator,
-    operator_materialize,
-    operator_spectral_norm,
-    sandwich,
-)
+from .structured import StructuredOperator, operator_spectral_norm, vec
 
 SQRT6_PLUS_SQRT3 = math.sqrt(6.0) + math.sqrt(3.0)
 #: applicability gate of the comparison bounds
@@ -226,24 +225,89 @@ class QrComponentwiseReport:
     t_gamma_de: float
 
 
+def absolute_r_maps(r) -> dict:
+    """Entrywise absolute values of the two R maps, applied matrix-free.
+
+    Returns ``{name: (matvec, rmatvec)}`` for ``"lin"`` = |lin|, ``"quad"`` =
+    |quad| and the weighted ``"lin_weighted"`` = |lin| (|R^T| kron I) and
+    ``"quad_weighted"`` = |quad| (|R^T| kron |R^T|). Each matvec takes vec(X)
+    and returns uvec of the image; each rmatvec is its transpose.
+
+    With S = R^{-1} and F_i = S[:, i:] R[i:, :], the coefficient of X[a, p]
+    in the (i, j) entry of the linear map is F_i[p, j] for a = i (the halved
+    diagonal of ``up`` and the transposed term merged exactly), S[p, i] R[a, j]
+    for a > i and 0 for a < i. In the quadratic map it is S[a, i] G_i[p, j],
+    with G_i = F_i - S[:, i] R[i, :] / 2. The stacks |F| and |G| are built
+    once in O(n^3) from a backward sum of outer products, and each product
+    with a map costs O(n^3). The weights act on X: |lin| (|R^T| kron I) is
+    |lin| at X |R|, and |quad| (|R^T| kron |R^T|) is |quad| at |R|^T X |R|.
+    Raises AbsOperatorTooLarge when n^3 exceeds ``EXPLICIT_THRESHOLD``^2,
+    the largest dense block that materialization allows.
+    """
+    r = np.asarray(r, dtype=float)
+    n = r.shape[0]
+    if n ** 3 > EXPLICIT_THRESHOLD ** 2:
+        raise AbsOperatorTooLarge(
+            f"order {n} needs {n ** 3} stacked entries, above {EXPLICIT_THRESHOLD ** 2}")
+    s = dense.triangular_inverse(r, "upper")
+    abs_f = np.empty((n, n, n))
+    abs_g = np.empty((n, n, n))
+    f = np.zeros((n, n))
+    for i in range(n - 1, -1, -1):
+        outer = np.outer(s[:, i], r[i, :])
+        f += outer
+        np.abs(f, out=abs_f[i])
+        np.abs(f - 0.5 * outer, out=abs_g[i])
+    absr, abss = np.abs(r), np.abs(s)
+    cols, rows = np.tril_indices(n)  # the (i, j) with i <= j, column by column
+
+    def lin(x):
+        return (np.matmul(x[:, None, :], abs_f)[:, 0, :]
+                + np.tril(x @ abss, -1).T @ absr)
+
+    def lin_t(y):
+        return (np.matmul(abs_f, y[:, :, None])[:, :, 0]
+                + np.tril(absr @ y.T, -1) @ abss.T)
+
+    def quad(x):
+        return np.matmul((abss.T @ x)[:, None, :], abs_g)[:, 0, :]
+
+    def quad_t(y):
+        return abss @ np.matmul(abs_g, y[:, :, None])[:, :, 0]
+
+    def on_vectors(apply, apply_t):
+        def matvec(v):
+            return apply(v.reshape((n, n), order="F"))[rows, cols]
+
+        def rmatvec(u):
+            y = np.zeros((n, n))
+            y[rows, cols] = u
+            return vec(apply_t(y))
+        return matvec, rmatvec
+
+    return {
+        "lin": on_vectors(lin, lin_t),
+        "quad": on_vectors(quad, quad_t),
+        "lin_weighted": on_vectors(lambda x: lin(x @ absr),
+                                   lambda y: lin_t(y) @ absr.T),
+        "quad_weighted": on_vectors(lambda x: quad(absr.T @ x @ absr),
+                                    lambda y: absr @ quad_t(y) @ absr.T),
+    }
+
+
 def componentwise_operator_norms(r):
     """Weighted absolute-operator norms entering the componentwise bounds.
 
     Returns ``(abs_lin_weighted, abs_quad_weighted, abs_quad)``:
     || |lin| (|R^T| kron I) ||_2, || |quad| (|R^T| kron |R^T|) ||_2 and
-    || |quad| ||_2. Dense materialization is required; raises
-    AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``.
+    || |quad| ||_2, each from the Krylov estimator on the matrix-free maps
+    of :func:`absolute_r_maps`, which raises AbsOperatorTooLarge for an
+    order above 256.
     """
-    r = np.asarray(r, dtype=float)
-    absr = np.abs(r)
-    gmat = np.abs(operator_materialize(r_factor_operator(r)))
-    hmat = np.abs(operator_materialize(r_quadratic_operator(r)))
-    # |M| (|R^T| kron B) computed as (kron(|R|, B^T) |M|^T)^T without the big kron
-    g_weighted = sandwich(None, absr.T, gmat.T).T
-    h_weighted = sandwich(absr, absr.T, hmat.T).T
-    return (dense.spectral_norm(g_weighted),
-            dense.spectral_norm(h_weighted),
-            dense.spectral_norm(hmat))
+    maps = absolute_r_maps(r)
+    dim_in = np.asarray(r).shape[0] ** 2
+    return tuple(dense._krylov_spectral_norm(*maps[name], dim_in)
+                 for name in ("lin_weighted", "quad_weighted", "quad"))
 
 
 def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float) -> QrComponentwiseReport:

@@ -18,8 +18,9 @@ product through vec(a X b) = (b^T kron a) vec(X) without the Kronecker
 product, so an n^2-dimensional map costs a few n-by-n matrix products.
 
 Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as an oracle
-and as the only valid route to the entrywise absolute value of a map (the
+and as the route to the entrywise absolute values of the LU maps (the
 absolute value of a composition is not the composition of absolute values).
+The QR maps have a matrix-free absolute form, ``qr_bounds.absolute_r_maps``.
 """
 
 from __future__ import annotations
@@ -144,8 +145,8 @@ def operator_materialize(op: StructuredOperator) -> np.ndarray:
     """Dense matrix with the same action as ``op`` on every basis vector.
 
     Raises AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``: the entrywise
-    absolute value of a map, which the componentwise bounds need, exists only
-    through this dense form.
+    absolute values of the LU maps, which the componentwise LU bounds need,
+    are taken of this dense form.
     """
     if op.in_dim > EXPLICIT_THRESHOLD:
         raise AbsOperatorTooLarge(

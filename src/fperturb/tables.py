@@ -16,6 +16,11 @@ Every gamma column reports a bound divided by the matrix norm and the
 perturbation size, so the rows compare like against like. The random draws
 are irreproducible in the original experiments, so a seed sweep reporting
 per-column medians is the stable way to compare magnitudes.
+
+A row whose matrix cannot be factorized (a numerically singular leading
+minor, rank deficiency or a zero diagonal) keeps its key columns and reports
+``None`` in the others, with the reason in the table's notes; the rest of the
+table is unaffected.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
+from .errors import RankDeficient, SingularDiagonal, SingularLeadingMinor
 from .matgen import graded_random, kahan, random_c_matrix, rng_stream
 
 TABLE1_COLUMNS = ("d1", "d2", "gamma_L", "gamma_L_DL", "eta_DL",
@@ -40,13 +46,45 @@ TABLE4_COLUMNS = ("n", "q", "gamma_R", "t_gamma_R", "gamma_R_Dr",
 #: columns that report wall-clock seconds rather than reproducible numbers
 TIMING_COLUMNS = frozenset({"t_gamma", "t_gamma_D", "t_gamma_R",
                             "t_gamma_R_Dr", "t_gamma_R_De"})
+#: columns that identify a row; they survive a row whose matrix fails to factorize
+KEY_COLUMNS = frozenset({"d1", "d2", "n"})
+#: factorization failures that leave one row without values
+ROW_FAILURES = (SingularLeadingMinor, RankDeficient, SingularDiagonal)
 
 
 @dataclass(frozen=True)
 class TableResult:
     name: str
     columns: tuple
-    rows: tuple  # of dicts keyed by column name
+    rows: tuple  # of dicts keyed by column name; None where a row failed
+    notes: tuple  # one line per failed row, with the reason
+
+
+class _Rows:
+    """Collects the rows of one table for one seed."""
+
+    def __init__(self, name: str, columns: tuple, seed: int):
+        self.name, self.columns, self.seed = name, columns, seed
+        self.rows, self.notes = [], []
+
+    def add(self, keys: dict, compute):
+        """Add the row with key columns ``keys`` and the values ``compute()`` returns.
+
+        When factorizing the row's matrix fails, every value is None and the
+        reason goes to the notes.
+        """
+        try:
+            values = compute()
+        except ROW_FAILURES as exc:
+            where = ", ".join(f"{k}={v}" for k, v in keys.items())
+            self.notes.append(f"{self.name} seed {self.seed}, {where}: "
+                              f"{type(exc).__name__}: {exc}")
+            values = {c: None for c in self.columns if c not in keys}
+        self.rows.append({**keys, **values})
+
+    def result(self) -> TableResult:
+        return TableResult(name=self.name, columns=self.columns,
+                           rows=tuple(self.rows), notes=tuple(self.notes))
 
 
 def table1(seed: int, n: int = 10, d_values=(0.2, 1.0, 2.0),
@@ -60,22 +98,24 @@ def table1(seed: int, n: int = 10, d_values=(0.2, 1.0, 2.0),
     if epsilon is None:
         epsilon = lu_bounds.gaussian_elimination_epsilon(n)
     b = rng_stream(seed).standard_normal((n, n))
-    rows = []
+    rows = _Rows("table1", TABLE1_COLUMNS, seed)
     for d1 in d_values:
         for d2 in d_values:
             a = (d1 ** np.arange(n))[:, None] * b * (d2 ** np.arange(n))[None, :]
-            factors = dense.lu_factor(a)
-            rep = lu_bounds.lu_componentwise_bounds(factors, epsilon)
-            rows.append({
-                "d1": d1, "d2": d2,
-                "gamma_L": rep.gamma_l, "gamma_L_DL": rep.gamma_l_d,
-                "eta_DL": rep.eta_dl,
-                "gamma_U": rep.gamma_u, "gamma_U_DU": rep.gamma_u_d,
-                "eta_DU": rep.eta_du,
-                "t_gamma": rep.t_gamma, "t_gamma_D": rep.t_gamma_d,
-                "tau": rep.tau,
-            })
-    return TableResult(name="table1", columns=TABLE1_COLUMNS, rows=tuple(rows))
+            rows.add({"d1": d1, "d2": d2}, lambda: _lu_table_row(a, epsilon))
+    return rows.result()
+
+
+def _lu_table_row(a: np.ndarray, epsilon: float) -> dict:
+    rep = lu_bounds.lu_componentwise_bounds(dense.lu_factor(a), epsilon)
+    return {
+        "gamma_L": rep.gamma_l, "gamma_L_DL": rep.gamma_l_d,
+        "eta_DL": rep.eta_dl,
+        "gamma_U": rep.gamma_u, "gamma_U_DU": rep.gamma_u_d,
+        "eta_DU": rep.eta_du,
+        "t_gamma": rep.t_gamma, "t_gamma_D": rep.t_gamma_d,
+        "tau": rep.tau,
+    }
 
 
 def _qr_table_row(a: np.ndarray, c: np.ndarray, epsilon: float,
@@ -96,15 +136,13 @@ def _qr_table_row(a: np.ndarray, c: np.ndarray, epsilon: float,
 def table2(seed: int, sizes=(5, 10, 15, 20, 25),
            theta: float = math.pi / 8.0) -> TableResult:
     """Componentwise QR comparison on graded triangular test matrices."""
-    rows = []
+    rows = _Rows("table2", TABLE2_COLUMNS, seed)
     for idx, n in enumerate(sizes):
         a = kahan(n, theta)
         c = random_c_matrix(n, seed=_derived_seed(seed, idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
-        row = {"n": n}
-        row.update(_qr_table_row(a, c, eps, include_q=False))
-        rows.append(row)
-    return TableResult(name="table2", columns=TABLE2_COLUMNS, rows=tuple(rows))
+        rows.add({"n": n}, lambda: _qr_table_row(a, c, eps, include_q=False))
+    return rows.result()
 
 
 def table3(seed: int, n: int = 20, d_values=(0.8, 1.0, 2.0)) -> TableResult:
@@ -112,28 +150,24 @@ def table3(seed: int, n: int = 20, d_values=(0.8, 1.0, 2.0)) -> TableResult:
     b = rng_stream(seed).standard_normal((n, n))
     c = random_c_matrix(n, seed=_derived_seed(seed, 0))
     eps = lu_bounds.gaussian_elimination_epsilon(n)
-    rows = []
+    rows = _Rows("table3", TABLE3_COLUMNS, seed)
     for d1 in d_values:
         for d2 in d_values:
             a = (d1 ** np.arange(n))[:, None] * b * (d2 ** np.arange(n))[None, :]
-            row = {"d1": d1, "d2": d2}
-            row.update(_qr_table_row(a, c, eps))
-            rows.append(row)
-    return TableResult(name="table3", columns=TABLE3_COLUMNS, rows=tuple(rows))
+            rows.add({"d1": d1, "d2": d2}, lambda: _qr_table_row(a, c, eps))
+    return rows.result()
 
 
 def table4(seed: int, sizes=(20, 25, 30, 35, 40, 45, 50, 55),
            d: float = 0.8) -> TableResult:
     """Componentwise QR comparison on graded random matrices, size sweep."""
-    rows = []
+    rows = _Rows("table4", TABLE4_COLUMNS, seed)
     for idx, n in enumerate(sizes):
         a = graded_random(n, d, d, seed=_derived_seed(seed, idx))
         c = random_c_matrix(n, seed=_derived_seed(seed, 1000 + idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
-        row = {"n": n}
-        row.update(_qr_table_row(a, c, eps))
-        rows.append(row)
-    return TableResult(name="table4", columns=TABLE4_COLUMNS, rows=tuple(rows))
+        rows.add({"n": n}, lambda: _qr_table_row(a, c, eps))
+    return rows.result()
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -148,21 +182,24 @@ def seed_sweep(name: str, base_seed: int, count: int, **kwargs) -> TableResult:
     """Run a table for ``count`` consecutive seeds and report per-cell medians.
 
     Key columns (grading factors, sizes) are carried through unchanged;
-    every other numeric column becomes the median over the sweep.
+    every other column becomes the median over the seeds that gave a value,
+    and None when none did. The notes of every seed are kept.
     """
     if count < 1:
         raise ValueError("seed sweep count must be at least 1")
     fn = TABLES[name]
     results = [fn(base_seed + i, **kwargs) for i in range(count)]
     first = results[0]
-    key_cols = {"d1", "d2", "n"}
     rows = []
     for r_idx in range(len(first.rows)):
         row = {}
         for col in first.columns:
-            if col in key_cols:
+            if col in KEY_COLUMNS:
                 row[col] = first.rows[r_idx][col]
-            else:
-                row[col] = float(np.median([res.rows[r_idx][col] for res in results]))
+                continue
+            values = [res.rows[r_idx][col] for res in results
+                      if res.rows[r_idx][col] is not None]
+            row[col] = float(np.median(values)) if values else None
         rows.append(row)
-    return TableResult(name=first.name, columns=first.columns, rows=tuple(rows))
+    return TableResult(name=first.name, columns=first.columns, rows=tuple(rows),
+                       notes=tuple(note for res in results for note in res.notes))

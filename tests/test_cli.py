@@ -5,9 +5,15 @@ import json
 import numpy as np
 import pytest
 
-from fperturb import cli, dense
+from fperturb import cli, dense, tables
 from fperturb.cli import main
-from fperturb.tables import TABLE1_COLUMNS, TABLE2_COLUMNS, TIMING_COLUMNS
+from fperturb.tables import (
+    KEY_COLUMNS,
+    TABLE1_COLUMNS,
+    TABLE2_COLUMNS,
+    TABLE3_COLUMNS,
+    TIMING_COLUMNS,
+)
 from fperturb.verify import VerificationReport
 
 
@@ -73,7 +79,7 @@ PROBE_MATRICES = {
 KAHAN = ["--kahan", "4,0.5"]
 #: probes run with the Krylov step cap lowered, so that a norm estimate that
 #: converges in more steps reaches the NoConvergence exit
-STEP_CAPS = {"no-convergence": 1}
+STEP_CAPS = {"no-convergence": 1, "table-no-convergence": 1}
 PROBES = [
     ("non-finite-csv-entry", ["lu-normwise", "--matrix", "{nan}", "--delta", "0.1"], 2),
     ("non-square-matrix", ["lu-normwise", "--matrix", "{wide}", "--delta", "0.1"], 2),
@@ -91,9 +97,10 @@ PROBES = [
     ("verify-zero-trials", ["verify", "--experiment", "lu-normwise", *KAHAN,
                             "--delta", "1e-6", "--trials", "0"], 1),
     ("zero-seed-sweep", ["table2", "--seed-sweep", "0"], 1),
-    ("abs-operator-too-large", ["qr-componentwise", "--graded", "70,1,1",
+    ("abs-operator-too-large", ["qr-componentwise", "--graded", "300,1,1",
                                 "--epsilon", "ge"], 1),
     ("no-convergence", ["lu-normwise", *KAHAN, "--delta", "1e-6"], 5),
+    ("table-no-convergence", ["table2"], 5),
     ("non-integer-kahan-order", ["lu-normwise", "--kahan", "2.5,0.3", "--delta", "0.1"], 1),
     ("non-integer-graded-order", ["qr-normwise", "--graded", "3.5,1,1", "--delta", "0.1"], 1),
     # numpy refuses the 8e18-byte array at once, so nothing is allocated
@@ -158,6 +165,13 @@ class TestBoundCommands:
         payload = json.loads(out)
         assert payload["rows"][0]["applicable"] is True
         assert payload["rows"][0]["rigorous_dr"] > 0.0
+
+    def test_qr_componentwise_at_order_200(self, capsys):
+        code, out, _ = run(["qr-componentwise", "--graded", "200,1,1", "--epsilon", "ge",
+                            "--output", "json"], capsys)
+        assert code == 0
+        row = json.loads(out)["rows"][0]
+        assert all(np.isfinite(row[k]) and row[k] > 0.0 for k in ("a_t", "b_t", "c_t"))
 
     def test_graded_source(self, capsys):
         code, out, _ = run(["qr-normwise", "--graded", "6,0.9,1.1", "--seed", "3",
@@ -239,6 +253,32 @@ class TestTables:
                             "--no-timings"], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 6
+
+    def test_row_that_fails_to_factorize_is_na(self, capsys):
+        # at seed 8 the (2, 2) grading of table3 is rank deficient
+        code, out, err = run(["table3", "--seed", "8"], capsys)
+        assert code == 0
+        lines = out.strip().splitlines()
+        assert lines[0].split(",") == list(TABLE3_COLUMNS)
+        rows = [dict(zip(TABLE3_COLUMNS, line.split(","))) for line in lines[1:]]
+        assert len(rows) == 9
+        failed = [row for row in rows if row["gamma_R"] == "n/a"]
+        assert len(failed) == 1
+        assert (failed[0]["d1"], failed[0]["d2"]) == ("2.0", "2.0")
+        assert all(v == "n/a" for c, v in failed[0].items() if c not in KEY_COLUMNS)
+        assert err.startswith("fperturb: note: table3 seed 8, d1=2.0, d2=2.0: RankDeficient")
+        assert err.count("\n") == 1
+
+    def test_seed_sweep_skips_failed_rows(self):
+        # seed 8 fails at (2, 2), so the median over seeds 7 and 8 is seed 7's value
+        alone = tables.seed_sweep("table3", 8, 1).rows[-1]
+        assert all(alone[c] is None for c in TABLE3_COLUMNS if c not in KEY_COLUMNS)
+        swept = tables.seed_sweep("table3", 7, 2)
+        assert len(swept.notes) == 1
+        seed7 = tables.table3(7).rows[-1]
+        for c in TABLE3_COLUMNS:
+            if c not in TIMING_COLUMNS:
+                assert swept.rows[-1][c] == seed7[c]
 
     def test_byte_identical_without_timings(self, tmp_path):
         out1 = tmp_path / "a.csv"

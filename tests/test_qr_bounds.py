@@ -9,9 +9,10 @@ from fperturb import dense
 from fperturb.dense import QrFactors, qr_factor
 from fperturb.errors import SingularDiagonal
 from fperturb.lu_bounds import ScalingMatrix, heuristic_scaling
-from fperturb.matgen import kahan, random_c_matrix
+from fperturb.matgen import graded_random, kahan, random_c_matrix
 from fperturb.qr_bounds import (
     SQRT6_PLUS_SQRT3,
+    absolute_r_maps,
     chang_stehle_qr,
     componentwise_operator_norms,
     qr_componentwise_bounds,
@@ -24,6 +25,7 @@ from fperturb.qr_bounds import (
 from fperturb.structured import (
     operator_materialize,
     operator_spectral_norm,
+    sandwich,
     vec,
 )
 
@@ -69,6 +71,60 @@ class TestROperators:
                 upper = (math.sqrt(1 + z * z)
                          * dense.kappa2_triangular(r / d.diagonal[:, None], "upper"))
                 assert lin <= upper * (1 + 1e-10)
+
+
+def _abs_oracles(r):
+    """The absolute R maps from dense materialization, weighted by Kronecker products."""
+    absr = np.abs(r)
+    lin = np.abs(operator_materialize(r_factor_operator(r)))
+    quad = np.abs(operator_materialize(r_quadratic_operator(r)))
+    # |M| (|R^T| kron B) = (kron(|R|, B^T) |M|^T)^T, without forming the Kronecker product
+    return {"lin": lin, "quad": quad,
+            "lin_weighted": sandwich(None, absr.T, lin.T).T,
+            "quad_weighted": sandwich(absr, absr.T, quad.T).T}
+
+
+def _abs_case_r(n, family):
+    if family == "random":
+        return random_upper(n, n)
+    if family == "kahan":
+        return qr_factor(kahan(n, 1.2)).r
+    return qr_factor(graded_random(n, 0.8, 0.8, n)).r
+
+
+ABS_CASES = ([(n, "random") for n in range(1, 13)]
+             + [(12, "kahan"), (20, "kahan"), (20, "graded"), (35, "graded"), (55, "graded")])
+
+
+class TestAbsoluteRMaps:
+    @pytest.mark.parametrize("n, family", ABS_CASES)
+    def test_matches_materialized_oracle(self, n, family):
+        r = _abs_case_r(n, family)
+        maps = absolute_r_maps(r)
+        oracles = _abs_oracles(r)
+        rng = seeded_rng(45, n)
+        for name, m in oracles.items():
+            matvec, rmatvec = maps[name]
+            x = rng.random(n * n)
+            y = rng.random(m.shape[0])
+            assert np.linalg.norm(matvec(x) - m @ x) <= 1e-13 * np.linalg.norm(m @ x)
+            assert np.linalg.norm(rmatvec(y) - m.T @ y) <= 1e-13 * np.linalg.norm(m.T @ y)
+        # above n = 35 each SVD takes seconds, so the estimate that the
+        # materialized route used to make is the oracle there
+        oracle_norm = svd_spectral_norm if n <= 35 else dense.spectral_norm
+        norms = componentwise_operator_norms(r)
+        for name, value in zip(("lin_weighted", "quad_weighted", "quad"), norms):
+            assert value == pytest.approx(oracle_norm(oracles[name]), rel=1e-11)
+
+    @pytest.mark.parametrize("n, family", [(1, "random"), (7, "kahan"), (30, "graded")])
+    def test_adjoint_identity(self, n, family):
+        maps = absolute_r_maps(_abs_case_r(n, family))
+        rng = seeded_rng(46, n)
+        for matvec, rmatvec in maps.values():
+            x = rng.standard_normal(n * n)
+            y = rng.standard_normal(n * (n + 1) // 2)
+            lhs, rhs = matvec(x) @ y, x @ rmatvec(y)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
 class TestNormwiseReport:

@@ -251,9 +251,10 @@ class TestStructuredOperator:
         assert not np.allclose(abs_m, composed)
 
     def test_abs_operator_too_large(self):
-        # the absolute-value routes of the bounds materialize, so the same gate holds
+        # the QR maps are gated at n^3 > EXPLICIT_THRESHOLD^2 (n > 256) before
+        # their stacks are allocated; the LU maps materialize, with the same gate
         with pytest.raises(AbsOperatorTooLarge):
-            componentwise_operator_norms(np.eye(65))
+            componentwise_operator_norms(np.eye(300))
         with pytest.raises(AbsOperatorTooLarge):
             worst_case_m_norm_perturbation(lu_factor(np.eye(65)), 1e-9, "L")
 
