@@ -255,7 +255,7 @@ def _run_command(args) -> tuple[list[dict], dict, int | None]:
 def _verify_rows(args) -> tuple[list[dict], dict, int]:
     a = _resolve_matrix(args)
     spec = _verify_spec(args, a)
-    if args.delta_halving > 0:
+    if args.delta_halving:
         reports = delta_halving(a, spec, args.trials, args.delta_halving,
                                 experiment=args.experiment)
     else:
@@ -270,7 +270,8 @@ def _verify_rows(args) -> tuple[list[dict], dict, int]:
         "max_ratio_rigorous": rep.max_ratio_rigorous,
         "max_ratio_first_order": rep.max_ratio_first_order,
     } for level, rep in enumerate(reports)]
-    # every level is a full run, so the timings add up over the levels
+    # the first level's bounds time holds the work the levels share, so the
+    # timings add up over the levels
     timings = {key: round(sum(rep.timings[key] for rep in reports), 3)
                for key in reports[0].timings}
     return rows, timings, sum(rep.violations for rep in reports)

@@ -84,19 +84,48 @@ def lu_factor(a) -> LuFactors:
     """
     a = np.asarray(a)
     a = _as_square(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
-    n = a.shape[0]
-    scale = np.linalg.norm(a)
+    l, u, singular = lu_factor_stack(a[None])
+    if singular[0]:
+        raise SingularLeadingMinor(int(singular[0]))
+    return LuFactors(l=l[0], u=u[0])
+
+
+def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pivot-free LU factorization of every slice of a (k, n, n) stack.
+
+    The elimination of :func:`lu_factor`, run on all slices at once with the
+    same floating-point operations, so each slice's factors are bit-identical
+    to factorizing it alone. Returns ``(l, u, singular)``: ``singular[j]`` is
+    0 when slice j factorized, and otherwise the 1-based index of its first
+    pivot at or below ``PIVOT_TOL * ||a[j]||_F``. The elimination of such a
+    slice stops there, and its factors are meaningless.
+    """
+    a = np.asarray(a)
+    a = np.asarray(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
+    if a.ndim != 3 or a.shape[1] != a.shape[2]:
+        raise DimensionMismatch(f"stack must have shape (k, n, n), got {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("stack has non-finite entries")
+    k, n, _ = a.shape
+    # one norm call per slice, as for a single matrix, so that no gate moves
+    tol = PIVOT_TOL * np.array([np.linalg.norm(s) for s in a], dtype=a.dtype)
     u = a.copy()
-    l = np.eye(n, dtype=a.dtype)
-    for k in range(n - 1):
-        piv = u[k, k]
-        if abs(piv) <= PIVOT_TOL * scale:
-            raise SingularLeadingMinor(k + 1)
-        mults = u[k + 1 :, k] / piv
-        l[k + 1 :, k] = mults
-        u[k + 1 :, k:] -= np.outer(mults, u[k, k:])
-        u[k + 1 :, k] = 0.0
-    return LuFactors(l=l, u=np.triu(u))
+    l = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
+    singular = np.zeros(k, dtype=int)
+    for c in range(n - 1):
+        piv = u[:, c, c]
+        small = (np.abs(piv) <= tol) & (singular == 0)
+        if small.any():
+            singular[small] = c + 1
+            u[small] = 0.0
+        if singular.any():
+            # a stopped slice is all zeros; dividing it by one keeps it so
+            piv = np.where(singular > 0, 1.0, piv)
+        mults = u[:, c + 1 :, c] / piv[:, None]
+        l[:, c + 1 :, c] = mults
+        u[:, c + 1 :, c:] -= mults[:, :, None] * u[:, c, None, c:]
+        u[:, c + 1 :, c] = 0.0
+    return l, np.triu(u), singular
 
 
 def qr_factor(a) -> QrFactors:

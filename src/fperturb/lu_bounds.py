@@ -260,6 +260,13 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuCompo
     scaling of L~ and the row-norm scaling of U~.
     """
     check_size(epsilon, "epsilon")
+    return _lu_componentwise_evaluator(tilde_factors)(epsilon)
+
+
+def _lu_componentwise_evaluator(tilde_factors: LuFactors):
+    """Build the epsilon-free part of :func:`lu_componentwise_bounds`: the
+    materialized maps, their images of the envelope, and the comparison
+    norms. Returns the function that evaluates the report at one epsilon."""
     lt, ut = tilde_factors.l, tilde_factors.u
     n = lt.shape[0]
 
@@ -274,26 +281,12 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuCompo
     n_abs_l = dense.spectral_norm(abs_lower)
     n_abs_u = dense.spectral_norm(abs_upper)
     c = b * n_abs_l - a * n_abs_u
-    ce = c * epsilon
-
-    applicable = abs(c) * epsilon < 1.0 and 4.0 * a * n_abs_u * epsilon < (1.0 - ce) ** 2
-    rigorous_dl = rigorous_du = relaxed_dl = relaxed_du = None
-    if applicable:
-        root = math.sqrt((1.0 - ce) ** 2 - 4.0 * a * n_abs_u * epsilon)
-        rigorous_dl = 2.0 * a * epsilon / (1.0 - ce + root)
-        rigorous_du = 2.0 * b * epsilon / (1.0 + ce + root)
-        relaxed_dl = 2.0 * a * epsilon / (1.0 - ce)
-        relaxed_du = 2.0 * b * epsilon / (1.0 + ce)
-
-    fo_dl_m = float(np.max(lower_image)) * epsilon if lower_image.size else 0.0
-    fo_du_m = float(np.max(upper_image)) * epsilon if upper_image.size else 0.0
-    fo_dl_s = float(np.sum(lower_image)) * epsilon
-    fo_du_s = float(np.sum(upper_image)) * epsilon
-
+    max_l = float(np.max(lower_image)) if lower_image.size else 0.0
+    max_u = float(np.max(upper_image)) if upper_image.size else 0.0
+    sum_l = float(np.sum(lower_image))
+    sum_u = float(np.sum(upper_image))
     lt_fro = float(np.linalg.norm(lt))
     ut_fro = float(np.linalg.norm(ut))
-    gamma_l = (a / (1.0 - ce)) / lt_fro
-    gamma_u = (b / (1.0 + ce)) / ut_fro
     t_gamma = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -322,42 +315,51 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuCompo
                  * float(np.linalg.norm(abs_linv_l))) / ut_fro
     eta_dl = dense.spectral_norm(np.abs(lt) / d_l.diagonal[None, :]) / l_scaled_norm
     eta_du = dense.spectral_norm(np.abs(ut) / d_u.diagonal[:, None]) / u_scaled_norm
-
-    comparison_dl = 2.0 * epsilon * gamma_l_d * lt_fro
-    comparison_du = 2.0 * epsilon * gamma_u_d * ut_fro
-    comparison_applicable = (dense.spectral_norm(abs_linv_l)
-                             * dense.spectral_norm(abs_u_uinv) * epsilon < 0.25)
+    comparison_norms = dense.spectral_norm(abs_linv_l) * dense.spectral_norm(abs_u_uinv)
     t_gamma_d = time.perf_counter() - t1
 
-    return LuComponentwiseReport(
-        epsilon=epsilon,
-        a=a, b=b, c=c,
-        abs_l_op_norm=n_abs_l,
-        abs_u_op_norm=n_abs_u,
-        applicable=applicable,
-        rigorous_dl=rigorous_dl,
-        rigorous_du=rigorous_du,
-        relaxed_dl=relaxed_dl,
-        relaxed_du=relaxed_du,
-        first_order_dl_f=a * epsilon,
-        first_order_du_f=b * epsilon,
-        first_order_dl_m=fo_dl_m,
-        first_order_du_m=fo_du_m,
-        first_order_dl_s=fo_dl_s,
-        first_order_du_s=fo_du_s,
-        gamma_l=gamma_l,
-        gamma_l_d=gamma_l_d,
-        gamma_u=gamma_u,
-        gamma_u_d=gamma_u_d,
-        eta_dl=eta_dl,
-        eta_du=eta_du,
-        tau=ce,
-        comparison_dl=comparison_dl,
-        comparison_du=comparison_du,
-        comparison_applicable=comparison_applicable,
-        t_gamma=t_gamma,
-        t_gamma_d=t_gamma_d,
-    )
+    def report(epsilon: float) -> LuComponentwiseReport:
+        ce = c * epsilon
+        applicable = abs(c) * epsilon < 1.0 and 4.0 * a * n_abs_u * epsilon < (1.0 - ce) ** 2
+        rigorous_dl = rigorous_du = relaxed_dl = relaxed_du = None
+        if applicable:
+            root = math.sqrt((1.0 - ce) ** 2 - 4.0 * a * n_abs_u * epsilon)
+            rigorous_dl = 2.0 * a * epsilon / (1.0 - ce + root)
+            rigorous_du = 2.0 * b * epsilon / (1.0 + ce + root)
+            relaxed_dl = 2.0 * a * epsilon / (1.0 - ce)
+            relaxed_du = 2.0 * b * epsilon / (1.0 + ce)
+
+        return LuComponentwiseReport(
+            epsilon=epsilon,
+            a=a, b=b, c=c,
+            abs_l_op_norm=n_abs_l,
+            abs_u_op_norm=n_abs_u,
+            applicable=applicable,
+            rigorous_dl=rigorous_dl,
+            rigorous_du=rigorous_du,
+            relaxed_dl=relaxed_dl,
+            relaxed_du=relaxed_du,
+            first_order_dl_f=a * epsilon,
+            first_order_du_f=b * epsilon,
+            first_order_dl_m=max_l * epsilon,
+            first_order_du_m=max_u * epsilon,
+            first_order_dl_s=sum_l * epsilon,
+            first_order_du_s=sum_u * epsilon,
+            gamma_l=(a / (1.0 - ce)) / lt_fro,
+            gamma_l_d=gamma_l_d,
+            gamma_u=(b / (1.0 + ce)) / ut_fro,
+            gamma_u_d=gamma_u_d,
+            eta_dl=eta_dl,
+            eta_du=eta_du,
+            tau=ce,
+            comparison_dl=2.0 * epsilon * gamma_l_d * lt_fro,
+            comparison_du=2.0 * epsilon * gamma_u_d * ut_fro,
+            comparison_applicable=comparison_norms * epsilon < 0.25,
+            t_gamma=t_gamma,
+            t_gamma_d=t_gamma_d,
+        )
+
+    return report
 
 
 def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,

@@ -16,11 +16,19 @@ noise floor, and measuring there in double would compare rounding noise, not
 factor sensitivity. Platforms without a wider longdouble fall back to double.
 
 Trials are independent: each derives its own random stream from
-(seed, trial_index), so results do not depend on execution order.
+(seed, trial_index), so results do not depend on execution order. They run
+in blocks: the draws of a block are stacked along a leading axis and
+refactorized by one stacked elimination (or Householder QR), whose
+floating-point operations on each slice are those of a single
+factorization. The streams and the results are those of one trial at a
+time, and a block's size is capped, so memory does not grow with the number
+of trials.
 
 :data:`EXPERIMENTS` is the table of the four theorems under test. Each entry
 names its perturbation model, the model field that holds the perturbation
-size, and the runner that computes the bounds and measures one trial.
+size, the work that does not depend on the size (done once per matrix, also
+across the levels of :func:`delta_halving`), and the evaluation that
+computes the bounds at one size and measures blocks of trials.
 """
 
 from __future__ import annotations
@@ -33,7 +41,7 @@ from typing import Callable
 import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
-from .errors import BoundNotApplicable, FperturbError, RankDeficient
+from .errors import BoundNotApplicable, RankDeficient, SingularLeadingMinor
 from .matgen import (
     ComponentwiseLU,
     ComponentwiseQR,
@@ -46,26 +54,68 @@ _MEASURE_DTYPE = (np.longdouble
                   if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
                   else np.float64)
 
+#: entries of the perturbed matrices stacked in one block of trials; memory
+#: stays flat in the number of trials
+_BLOCK_ENTRIES = 1 << 16
+
+_ZERO_COLUMN = "zero column during refactorization"
+
 
 def _qr_measure_r(a) -> np.ndarray:
     """Triangular QR factor (positive diagonal) in the measurement precision."""
-    r = np.asarray(a, dtype=_MEASURE_DTYPE).copy()
-    m, n = r.shape
-    for k in range(n):
-        x = r[k:, k]
-        nx = np.sqrt(np.sum(x * x))
-        if nx == 0.0:
-            raise RankDeficient("zero column during refactorization")
+    r, zero_column = _qr_measure_r_stack(np.asarray(a)[None])
+    if zero_column[0]:
+        raise RankDeficient(_ZERO_COLUMN)
+    return r[0]
+
+
+def _qr_measure_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Householder R factors (positive diagonal) of a (k, m, n) stack.
+
+    Runs in the measurement precision, with the floating-point operations of
+    a single factorization on every slice. Returns ``(r, zero_column)``;
+    the factor of a slice flagged in ``zero_column`` met a zero column and is
+    meaningless. A reflection whose vector vanishes is skipped.
+    """
+    r = np.array(a, dtype=_MEASURE_DTYPE)
+    k, m, n = r.shape
+    zero_column = np.zeros(k, dtype=bool)
+    for c in range(n):
+        x = r[:, c:, c]
+        nx = np.sqrt(np.sum(x * x, axis=1))
+        zero_column |= nx == 0.0
         v = x.copy()
-        v[0] += nx if x[0] >= 0.0 else -nx
-        s = np.sum(v * v)
-        if s == 0.0:
-            continue
-        w = (r[k:, k:].T @ v) * (2.0 / s)
-        r[k:, k:] -= np.outer(v, w)
-    r = np.triu(r[:n, :n])
-    signs = np.where(np.diag(r) < 0.0, -1.0, 1.0)
-    return r * signs[:, None]
+        v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
+        s = np.sum(v * v, axis=1)
+        reflect = s != 0.0
+        coef = np.divide(2.0, s, out=np.zeros_like(s), where=reflect)
+        w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
+        np.subtract(r[:, c:, c:], v[:, :, None] * w[:, None, :], out=r[:, c:, c:],
+                    where=reflect[:, None, None])
+    r = np.triu(r[:, :n, :n])
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    return r * signs[:, :, None], zero_column
+
+
+def _draws(spec: PerturbationSpec, indices, **source) -> np.ndarray:
+    """The perturbations of trials ``indices``, each from its own stream, stacked."""
+    return np.stack([sample_perturbation(spec, trial_index=i, **source) for i in indices])
+
+
+def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> list:
+    """(||dL||_F, ||dU||_F) of each refactorized slice, or why it failed."""
+    l, u, singular = dense.lu_factor_stack(perturbed)
+    return [f"factorization failed: {SingularLeadingMinor(int(pivot))}" if pivot else
+            (float(np.linalg.norm(l[j] - base.l)), float(np.linalg.norm(u[j] - base.u)))
+            for j, pivot in enumerate(singular)]
+
+
+def _r_changes(base_r: np.ndarray, perturbed: np.ndarray) -> list:
+    """||dR||_F of each refactorized slice, or why it failed."""
+    r, zero_column = _qr_measure_r_stack(perturbed)
+    return [f"factorization failed: {_ZERO_COLUMN}" if zero else
+            float(np.linalg.norm(r[j] - base_r))
+            for j, zero in enumerate(zero_column)]
 
 
 @dataclass(frozen=True)
@@ -107,6 +157,24 @@ def infer_experiment(spec: PerturbationSpec, experiment: str | None) -> str:
     return experiment
 
 
+class _SharedMatrix:
+    """A matrix that does each experiment's size-free work at most once.
+
+    :func:`delta_halving` passes one to :func:`verify_bounds` for all its
+    levels, so the factorizations and the size-free bound quantities are
+    built once per matrix.
+    """
+
+    def __init__(self, a):
+        self.matrix = np.asarray(a, dtype=float)
+        self._bases = {}
+
+    def base(self, experiment: str):
+        if experiment not in self._bases:
+            self._bases[experiment] = EXPERIMENTS[experiment].prepare(self.matrix)
+        return self._bases[experiment]
+
+
 def verify_bounds(a, spec: PerturbationSpec, trials: int,
                   seed: int | None = None,
                   experiment: str | None = None) -> VerificationReport:
@@ -116,9 +184,13 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     the requested rigorous bound fails for the given matrix and model, and
     propagates factorization failures of the base matrix. Per-trial
     factorization failures are recorded as skipped trials, never silently
-    dropped.
+    dropped. The trials run in blocks of stacked matrices, each trial on its
+    own (seed, trial_index) stream. ``a`` is the matrix, or the
+    :class:`_SharedMatrix` through which :func:`delta_halving` shares the
+    size-free work over its levels.
     """
-    a = np.asarray(a, dtype=float)
+    shared = a if isinstance(a, _SharedMatrix) else _SharedMatrix(a)
+    a = shared.matrix
     if trials < 1:
         raise ValueError("trials must be at least 1")
     experiment = infer_experiment(spec, experiment)
@@ -126,25 +198,26 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
         spec = PerturbationSpec(model=spec.model, seed=seed)
 
     t0 = time.perf_counter()
-    per_trial, report = EXPERIMENTS[experiment].runner(a, spec)
+    measure, report = EXPERIMENTS[experiment].evaluate(a, shared.base(experiment), spec)
     t_bounds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    outcomes = [per_trial(i) for i in range(trials)]
-    t_trials = time.perf_counter() - t1
-
     violations = 0
     skipped = []
     max_rig = 0.0
     max_fo = 0.0
-    for idx, outcome in enumerate(outcomes):
-        if isinstance(outcome, str):
-            skipped.append((idx, outcome))
-            continue
-        rig, fo, violated = outcome
-        violations += int(violated)
-        max_rig = max(max_rig, rig)
-        max_fo = max(max_fo, fo)
+    block = max(1, _BLOCK_ENTRIES // max(a.size, 1))
+    for start in range(0, trials, block):
+        indices = range(start, min(start + block, trials))
+        for idx, outcome in zip(indices, measure(indices)):
+            if isinstance(outcome, str):
+                skipped.append((idx, outcome))
+                continue
+            rig, fo, violated = outcome
+            violations += int(violated)
+            max_rig = max(max_rig, rig)
+            max_fo = max(max_fo, fo)
+    t_trials = time.perf_counter() - t1
 
     return VerificationReport(
         experiment=experiment,
@@ -158,23 +231,20 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     )
 
 
-def _lu_normwise_runner(a, spec):
+def _lu_prepare(a):
+    return dense.lu_factor(a), dense.lu_factor(a.astype(_MEASURE_DTYPE))
+
+
+def _lu_normwise(a, base, spec):
+    factors, base_hp = base
     model = spec.model
-    report = lu_bounds.lu_normwise_bounds(dense.lu_factor(a), model.delta)
+    report = lu_bounds.lu_normwise_bounds(factors, model.delta)
     if not report.applicable:
         raise BoundNotApplicable(
             f"condition value {report.condition_value:.3e} is not below 1/4")
     a_hp = a.astype(_MEASURE_DTYPE)
-    base = dense.lu_factor(a_hp)
 
-    def trial(i: int):
-        da = sample_perturbation(spec, matrix=a, trial_index=i)
-        try:
-            pert = dense.lu_factor(a_hp + da)
-        except FperturbError as exc:
-            return f"factorization failed: {exc}"
-        dl = float(np.linalg.norm(pert.l - base.l))
-        du = float(np.linalg.norm(pert.u - base.u))
+    def outcome(dl, du):
         rig = max(_ratio(dl, report.rigorous_dl), _ratio(du, report.rigorous_du))
         fo = 0.0
         if report.fo_applicable:
@@ -182,106 +252,116 @@ def _lu_normwise_runner(a, spec):
                      _ratio(du, report.first_order_du))
         return rig, fo, dl > report.rigorous_dl or du > report.rigorous_du
 
-    return trial, report
+    def measure(indices):
+        changes = _lu_changes(base_hp, a_hp + _draws(spec, indices, matrix=a))
+        return [c if isinstance(c, str) else outcome(*c) for c in changes]
+
+    return measure, report
 
 
-def _lu_componentwise_runner(a, spec):
-    model = spec.model
+def _lu_componentwise_prepare(a):
     tilde = dense.lu_factor(a)
-    report = lu_bounds.lu_componentwise_bounds(tilde, model.epsilon)
+    return (tilde, lu_bounds._lu_componentwise_evaluator(tilde),
+            dense.lu_factor(a.astype(_MEASURE_DTYPE)))
+
+
+def _lu_componentwise(a, base, spec):
+    tilde, bounds_at, tilde_hp = base
+    report = bounds_at(spec.model.epsilon)
     if not report.applicable:
         raise BoundNotApplicable("componentwise applicability condition fails")
     a_hp = a.astype(_MEASURE_DTYPE)
-    tilde_hp = dense.lu_factor(a_hp)
 
-    def trial(i: int):
-        da = sample_perturbation(spec, lu=tilde, trial_index=i)
-        try:
-            pert = dense.lu_factor(a_hp - da)  # the perturbed matrix sits below A~
-        except FperturbError as exc:
-            return f"factorization failed: {exc}"
-        dl = float(np.linalg.norm(tilde_hp.l - pert.l))
-        du = float(np.linalg.norm(tilde_hp.u - pert.u))
+    def outcome(dl, du):
         rig = max(_ratio(dl, report.rigorous_dl), _ratio(du, report.rigorous_du))
         fo = max(_ratio(dl, report.first_order_dl_f),
                  _ratio(du, report.first_order_du_f))
         return rig, fo, dl > report.rigorous_dl or du > report.rigorous_du
 
-    return trial, report
+    def measure(indices):
+        # the perturbed matrix sits below A~
+        changes = _lu_changes(tilde_hp, a_hp - _draws(spec, indices, lu=tilde))
+        return [c if isinstance(c, str) else outcome(*c) for c in changes]
+
+    return measure, report
 
 
-def _qr_normwise_runner(a, spec):
+def _qr_prepare(a):
+    return dense.qr_factor(a), _qr_measure_r(a.astype(_MEASURE_DTYPE))
+
+
+def _qr_normwise(a, base, spec):
+    factors, base_r = base
     model = spec.model
-    base = dense.qr_factor(a)
-    report = qr_bounds.qr_normwise_bounds(base, model.delta, model.delta)
+    report = qr_bounds.qr_normwise_bounds(factors, model.delta, model.delta)
     if not report.applicable:
         raise BoundNotApplicable(
             f"condition value {report.condition_value:.3e} is not below 1/4")
     lin, quad = report.linear_op_norm, report.quadratic_op_norm
     a_hp = a.astype(_MEASURE_DTYPE)
-    base_r = _qr_measure_r(a_hp)
 
-    def trial(i: int):
-        da = sample_perturbation(spec, matrix=a, trial_index=i)
-        try:
-            pert_r = _qr_measure_r(a_hp + da)
-        except FperturbError as exc:
-            return f"factorization failed: {exc}"
-        dr = float(np.linalg.norm(pert_r - base_r))
+    def outcome(dr, da):
         d2 = model.delta
-        d1 = min(float(np.linalg.norm(base.q.T @ da)), d2)
+        d1 = min(float(np.linalg.norm(factors.q.T @ da)), d2)
         core = lin * d1 + quad * d2 * d2
         rigorous = 2.0 * core / (1.0 + math.sqrt(1.0 - 4.0 * quad * core))
         fo = lin * d1
         return _ratio(dr, rigorous), _ratio(dr, fo), dr > rigorous
 
-    return trial, report
+    def measure(indices):
+        da = _draws(spec, indices, matrix=a)
+        changes = _r_changes(base_r, a_hp + da)
+        return [c if isinstance(c, str) else outcome(c, d) for c, d in zip(changes, da)]
+
+    return measure, report
 
 
-def _qr_componentwise_runner(a, spec):
+def _qr_componentwise(a, base, spec):
+    factors, base_r = base
     model = spec.model
-    base = dense.qr_factor(a)
-    report = qr_bounds.qr_componentwise_bounds(base, model.c, model.epsilon)
+    report = qr_bounds.qr_componentwise_bounds(factors, model.c, model.epsilon)
     if not report.applicable:
         raise BoundNotApplicable("componentwise applicability condition fails")
     a_hp = a.astype(_MEASURE_DTYPE)
-    base_r = _qr_measure_r(a_hp)
 
-    def trial(i: int):
-        da = sample_perturbation(spec, matrix=a, trial_index=i)
-        try:
-            pert_r = _qr_measure_r(a_hp + da)
-        except FperturbError as exc:
-            return f"factorization failed: {exc}"
-        dr = float(np.linalg.norm(pert_r - base_r))
+    def outcome(dr):
         rig = _ratio(dr, report.rigorous_dr)
         fo = _ratio(dr, report.first_order_dr)
         return rig, fo, dr > report.rigorous_dr
 
-    return trial, report
+    def measure(indices):
+        changes = _r_changes(base_r, a_hp + _draws(spec, indices, matrix=a))
+        return [c if isinstance(c, str) else outcome(c) for c in changes]
+
+    return measure, report
 
 
 @dataclass(frozen=True)
 class Experiment:
     """One theorem under test.
 
-    ``model`` is the perturbation model class it takes, ``size`` the field of
-    that model holding the perturbation size (``"delta"`` or ``"epsilon"``),
-    and ``runner(a, spec)`` returns ``(trial, bound_report)``, where
-    ``trial(i)`` measures trial ``i`` and returns its ratios, or the reason
-    it was skipped.
+    ``model`` is the perturbation model class it takes, and ``size`` the
+    field of that model holding the perturbation size (``"delta"`` or
+    ``"epsilon"``). ``prepare(a)`` does the work that does not depend on the
+    size: the factorizations and the size-free bound quantities.
+    ``evaluate(a, base, spec)`` takes its result and returns
+    ``(measure, bound_report)``, where ``measure(indices)`` refactorizes the
+    trials ``indices`` as one stack and returns each trial's ratios, or the
+    reason it was skipped.
     """
 
     model: type
     size: str
-    runner: Callable
+    prepare: Callable
+    evaluate: Callable
 
 
 EXPERIMENTS = {
-    "lu-normwise": Experiment(Normwise, "delta", _lu_normwise_runner),
-    "lu-componentwise": Experiment(ComponentwiseLU, "epsilon", _lu_componentwise_runner),
-    "qr-normwise": Experiment(Normwise, "delta", _qr_normwise_runner),
-    "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_componentwise_runner),
+    "lu-normwise": Experiment(Normwise, "delta", _lu_prepare, _lu_normwise),
+    "lu-componentwise": Experiment(ComponentwiseLU, "epsilon",
+                                   _lu_componentwise_prepare, _lu_componentwise),
+    "qr-normwise": Experiment(Normwise, "delta", _qr_prepare, _qr_normwise),
+    "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_prepare, _qr_componentwise),
 }
 
 
@@ -292,13 +372,18 @@ def delta_halving(a, spec: PerturbationSpec, trials: int, levels: int,
     Per-trial streams are level-independent, so each level perturbs along the
     same directions at half the previous magnitude; the first-order ratio
     sequence then exposes the asymptotic behaviour without sampling noise.
+    The levels share the factorizations and the size-free bound quantities.
+    Raises ``ValueError`` when ``levels`` is negative.
     """
+    if levels < 0:
+        raise ValueError(f"levels must be nonnegative, got {levels}")
     experiment = infer_experiment(spec, experiment)
     size = EXPERIMENTS[experiment].size
     base = getattr(spec.model, size)
+    shared = _SharedMatrix(a)      # each level is one verify_bounds call on it
     reports = []
     for level in range(levels + 1):
         scaled = replace(spec.model, **{size: base * 0.5 ** level})
         level_spec = PerturbationSpec(model=scaled, seed=spec.seed)
-        reports.append(verify_bounds(a, level_spec, trials, experiment=experiment))
+        reports.append(verify_bounds(shared, level_spec, trials, experiment=experiment))
     return reports

@@ -62,7 +62,8 @@ def cases() -> list[dict]:
     add("lu-componentwise-graded-json",
         ["lu-componentwise", *GRADED, *BOUND_FLAGS["lu-componentwise"]], fmt="json")
 
-    # verify: graded order 10 for all four experiments, and a halving run on Kahan
+    # verify: graded order 10 for all four experiments, and a halving run each on
+    # Kahan (QR) and on a graded matrix (LU)
     graded = ["--graded", "10,1,1", "--seed", "3"]
     sizes = verify_sizes(fperturb, graded_random(10, 1.0, 1.0, 3), random_c_matrix(10, 3))
     for experiment, size in sizes.items():
@@ -73,6 +74,11 @@ def cases() -> list[dict]:
     size = verify_sizes(fperturb, kahan(8, 0.3927), random_c_matrix(8, 5))["qr-componentwise"]
     add("verify-qr-componentwise-halving2",
         ["verify", "--experiment", "qr-componentwise", *halving, "--epsilon", repr(size),
+         "--trials", VERIFY_TRIALS, "--delta-halving", "2"])
+    size = verify_sizes(fperturb, graded_random(10, 0.9, 1.1, 3),
+                        random_c_matrix(10, 3))["lu-componentwise"]
+    add("verify-lu-componentwise-halving2",
+        ["verify", "--experiment", "lu-componentwise", *GRADED, "--epsilon", repr(size),
          "--trials", VERIFY_TRIALS, "--delta-halving", "2"])
     return out
 

@@ -96,6 +96,8 @@ PROBES = [
                             "--epsilon", "inf"], 1),
     ("verify-zero-trials", ["verify", "--experiment", "lu-normwise", *KAHAN,
                             "--delta", "1e-6", "--trials", "0"], 1),
+    ("verify-negative-halving", ["verify", "--experiment", "lu-normwise", *KAHAN,
+                                 "--delta", "1e-6", "--delta-halving", "-1"], 1),
     ("zero-seed-sweep", ["table2", "--seed-sweep", "0"], 1),
     ("abs-operator-too-large", ["qr-componentwise", "--graded", "300,1,1",
                                 "--epsilon", "ge"], 1),

@@ -16,6 +16,7 @@ from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.matgen import graded_random, kahan
 from fperturb.qr_bounds import r_factor_operator, r_quadratic_operator
 from fperturb.structured import operator_materialize, operator_spectral_norm
+from fperturb.verify import _qr_measure_r, _qr_measure_r_stack
 
 from conftest import (
     random_square,
@@ -63,6 +64,109 @@ class TestLuFactor:
         assert wide.l.dtype == wide.u.dtype == np.longdouble
         assert np.allclose(wide.l.astype(float), lu_factor(a).l, rtol=0, atol=1e-13)
         assert lu_factor(a.astype(np.float32)).u.dtype == np.float64
+
+
+def _loop_lu(a):
+    """The pivot-free elimination one matrix at a time; the oracle of the stack kernel.
+
+    Returns ``(l, u)``, or the 1-based index of the first gated pivot.
+    """
+    n = a.shape[0]
+    scale = np.linalg.norm(a)
+    u = a.copy()
+    l = np.eye(n, dtype=a.dtype)
+    for k in range(n - 1):
+        piv = u[k, k]
+        if abs(piv) <= dense.PIVOT_TOL * scale:
+            return k + 1
+        mults = u[k + 1 :, k] / piv
+        l[k + 1 :, k] = mults
+        u[k + 1 :, k:] -= np.outer(mults, u[k, k:])
+        u[k + 1 :, k] = 0.0
+    return l, np.triu(u)
+
+
+def _loop_householder_r(a):
+    """Householder R (positive diagonal) one matrix at a time; None on a zero column."""
+    r = a.copy()
+    m, n = r.shape
+    for k in range(n):
+        x = r[k:, k]
+        nx = np.sqrt(np.sum(x * x))
+        if nx == 0.0:
+            return None
+        v = x.copy()
+        v[0] += nx if x[0] >= 0.0 else -nx
+        s = np.sum(v * v)
+        if s == 0.0:
+            continue
+        w = (r[k:, k:].T @ v) * (2.0 / s)
+        r[k:, k:] -= np.outer(v, w)
+    r = np.triu(r[:n, :n])
+    return r * np.where(np.diag(r) < 0.0, -1.0, 1.0)[:, None]
+
+
+def _longdouble_stacks():
+    """Perturbed stacks of random, graded and Kahan matrices, n = 1..12 and 40."""
+    for n in [*range(1, 13), 40]:
+        bases = (random_square(n, 0, shift=float(n)), graded_random(n, 0.9, 1.1, n),
+                 kahan(n, 0.4))
+        for family, base in enumerate(bases):
+            rng = seeded_rng(11, n, family)
+            stack = base.astype(np.longdouble) + 1e-9 * rng.standard_normal((6, n, n))
+            yield n, stack
+
+
+class TestStackedKernels:
+    """Every slice of a stacked factorization is bit-identical to the loop."""
+
+    def test_lu_stack_matches_the_loop_and_the_2d_routine(self):
+        for n, stack in _longdouble_stacks():
+            l, u, singular = dense.lu_factor_stack(stack)
+            assert l.dtype == u.dtype == np.longdouble
+            for j, a in enumerate(stack):
+                ref = _loop_lu(a)
+                if isinstance(ref, int):
+                    assert singular[j] == ref
+                    continue
+                assert singular[j] == 0
+                assert np.array_equal(l[j], ref[0]) and np.array_equal(u[j], ref[1])
+                single = lu_factor(a)
+                assert np.array_equal(l[j], single.l) and np.array_equal(u[j], single.u)
+
+    def test_householder_stack_matches_the_loop_and_the_2d_routine(self):
+        for n, stack in _longdouble_stacks():
+            r, zero_column = _qr_measure_r_stack(stack)
+            assert r.dtype == np.longdouble
+            for j, a in enumerate(stack):
+                ref = _loop_householder_r(a)
+                assert zero_column[j] == (ref is None)
+                if ref is not None:
+                    assert np.array_equal(r[j], ref)
+                    assert np.array_equal(r[j], _qr_measure_r(a))
+
+    def test_failed_slices_leave_the_others_alone(self):
+        a = random_square(5, 2, shift=5.0).astype(np.longdouble)
+        singular_stack = np.stack([a, a.copy(), a])
+        singular_stack[1, 1] = singular_stack[1, 0]     # leading minor 2 is singular
+        l, u, singular = dense.lu_factor_stack(singular_stack)
+        assert list(singular) == [0, 2, 0]
+        alone = lu_factor(a)
+        for j in (0, 2):
+            assert np.array_equal(l[j], alone.l) and np.array_equal(u[j], alone.u)
+
+        zero_stack = np.stack([a, a.copy(), a])
+        zero_stack[1, :, 3] = 0.0
+        r, zero_column = _qr_measure_r_stack(zero_stack)
+        assert list(zero_column) == [False, True, False]
+        for j in (0, 2):
+            assert np.array_equal(r[j], _qr_measure_r(a))
+
+    def test_bad_stack_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            dense.lu_factor_stack(np.ones((2, 2, 3)))
+        with pytest.raises(ValueError):
+            dense.lu_factor_stack(np.full((1, 2, 2), np.inf))
 
 
 class TestQrFactor:
