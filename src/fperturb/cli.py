@@ -1,8 +1,9 @@
 """Command-line harness for bound reports, verification runs, and tables.
 
 Exit codes: 1 invalid configuration, 2 matrix parse failure, 3 factorization
-failure, 4 bound inapplicable in a mode that demands applicability, 5 norm
-estimation did not converge.
+failure (also a singular factor, or a zero row to scale by), 4 bound
+inapplicable in a mode that demands applicability, 5 norm estimation did not
+converge.
 
 Matrix files are plain CSV: one row per line, no header, decimal floats.
 Output is deterministic for a fixed (configuration, seed) pair except for the
@@ -30,6 +31,7 @@ from .errors import (
     RankDeficient,
     SingularDiagonal,
     SingularLeadingMinor,
+    ZeroVector,
 )
 from .matgen import (
     ComponentwiseQR,
@@ -50,7 +52,7 @@ EXIT_NO_CONVERGENCE = 5
 #: rejected argument, such as a negative or NaN size
 _ERROR_EXITS = (
     (DimensionMismatch, EXIT_BAD_MATRIX),
-    ((SingularLeadingMinor, RankDeficient, SingularDiagonal), EXIT_FACTORIZATION),
+    ((SingularLeadingMinor, RankDeficient, SingularDiagonal, ZeroVector), EXIT_FACTORIZATION),
     (BoundNotApplicable, EXIT_INAPPLICABLE),
     (NoConvergence, EXIT_NO_CONVERGENCE),
     ((AbsOperatorTooLarge, ValueError), EXIT_BAD_CONFIG),

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -42,18 +43,41 @@ EXPLICIT_THRESHOLD = 4096  # largest vec-dimension that may be materialized
 
 @dataclass(frozen=True)
 class LuFactors:
-    """Pivot-free LU factors: ``l`` unit lower triangular, ``u`` upper triangular."""
+    """Pivot-free LU factors: ``l`` unit lower triangular, ``u`` upper triangular.
+
+    ``l_inv``, ``u_inv`` and ``u_lead_inv`` (of the leading (n-1)-square block
+    of U) are computed on first use and kept, so each is inverted once.
+    """
 
     l: np.ndarray
     u: np.ndarray
 
+    @cached_property
+    def l_inv(self) -> np.ndarray:
+        return triangular_inverse(self.l, "lower")
+
+    @cached_property
+    def u_inv(self) -> np.ndarray:
+        return triangular_inverse(self.u, "upper")
+
+    @cached_property
+    def u_lead_inv(self) -> np.ndarray:
+        return triangular_inverse(self.u[:-1, :-1], "upper")
+
 
 @dataclass(frozen=True)
 class QrFactors:
-    """QR factors: ``q`` with orthonormal columns, ``r`` upper triangular, diag(r) > 0."""
+    """QR factors: ``q`` with orthonormal columns, ``r`` upper triangular, diag(r) > 0.
+
+    ``r_inv``, the inverse of R, is computed on first use and kept on the instance.
+    """
 
     q: np.ndarray
     r: np.ndarray
+
+    @cached_property
+    def r_inv(self) -> np.ndarray:
+        return triangular_inverse(self.r, "upper")
 
 
 def _as_matrix(a, name: str = "matrix", dtype=float) -> np.ndarray:
@@ -155,24 +179,25 @@ def triangular_inverse(t, shape: str) -> np.ndarray:
     """Invert a triangular matrix by substitution; result keeps the shape.
 
     ``shape`` is ``"lower"`` or ``"upper"``. Raises :class:`SingularDiagonal`
-    with the 1-based index of the first exactly-zero diagonal entry.
+    with the 1-based index of the first exactly-zero diagonal entry, or of the
+    first row in substitution order that overflows, as a subnormal pivot does.
     """
     t = _as_square(t, "triangular matrix")
+    if shape not in ("lower", "upper"):
+        raise ValueError(f"shape must be 'lower' or 'upper', got {shape!r}")
     n = t.shape[0]
-    diag = np.diag(t)
-    zero = np.flatnonzero(diag == 0.0)
+    zero = np.flatnonzero(np.diag(t) == 0.0)
     if zero.size:
         raise SingularDiagonal(int(zero[0]) + 1)
+    upper = shape == "upper"
     x = np.eye(n)
-    if shape == "upper":
-        for i in range(n - 1, -1, -1):
-            x[i, :] = (x[i, :] - t[i, i + 1 :] @ x[i + 1 :, :]) / t[i, i]
-        return np.triu(x)
-    if shape == "lower":
-        for i in range(n):
-            x[i, :] = (x[i, :] - t[i, :i] @ x[:i, :]) / t[i, i]
-        return np.tril(x)
-    raise ValueError(f"shape must be 'lower' or 'upper', got {shape!r}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1) if upper else range(n):
+            done = slice(i + 1, None) if upper else slice(None, i)
+            x[i, :] = (x[i, :] - t[i, done] @ x[done, :]) / t[i, i]
+            if not np.isfinite(x[i]).all():
+                raise SingularDiagonal(i + 1)
+    return np.triu(x) if upper else np.tril(x)
 
 
 def _krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:

@@ -27,11 +27,11 @@ class RankDeficient(FperturbError):
 
 
 class SingularDiagonal(FperturbError):
-    """A triangular matrix has a zero diagonal entry."""
+    """A triangular matrix has a zero diagonal entry, or its inverse overflows."""
 
     def __init__(self, k: int):
         self.k = k
-        super().__init__(f"triangular matrix has zero diagonal entry {k}")
+        super().__init__(f"triangular matrix is numerically singular at diagonal entry {k}")
 
 
 class NoConvergence(FperturbError):

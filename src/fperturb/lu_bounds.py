@@ -11,14 +11,15 @@ machinery is built from two masked-sandwich operators:
   ut(L^{-1} dA U^{-1}) * U: one term (L^{-1}, U^{-1}), the upper mask, and U
   on the right.
 
-A fixed-point argument turns the operator norms into rigorous bounds valid
-whenever the product of the two norms times delta stays below 1/4, and the
-same structure handles componentwise perturbations bounded by the
-backward-error envelope eps * |L~| |U~| of Gaussian elimination, through the
-entrywise absolute values of the materialized maps. Comparison bounds in the
-style of Chang and Stehle, which the reports evaluate at the column-norm
-scaling of L and the row-norm scaling of U, are provided so the tightness of
-the operator-norm bounds can be measured.
+A fixed-point argument turns the operator norms into rigorous bounds, each the
+smaller root of a Lyapunov majorant that :func:`majorant` solves for the whole
+package; the normwise ones hold while the product of the two norms times delta
+stays below 1/4. Componentwise perturbations within the backward-error envelope
+eps * |L~| |U~| of Gaussian elimination go through the entrywise absolute
+values of the materialized maps. Each report is built once per factorization,
+from the factors and their cached inverses, as a function of the size.
+Comparison bounds in the style of Chang and Stehle, at the column-norm scaling
+of L and the row-norm scaling of U, measure the tightness of the bounds.
 """
 
 from __future__ import annotations
@@ -76,28 +77,35 @@ def heuristic_scaling(m, mode: str) -> ScalingMatrix:
     return ScalingMatrix(diagonal=norms)
 
 
-def lower_factor_operator(l, u) -> StructuredOperator:
+def majorant(a: float, b: float, c: float):
+    """Smaller root of the Lyapunov majorant c rho^2 - b rho + a = 0.
+
+    Every rigorous bound is this root for its own size-dependent a, b, c.
+    Returns ``(applicable, rigorous, relaxed)``: the fixed-point argument
+    applies iff b > 0 and b^2 > 4ac; then ``rigorous`` is the root in the
+    cancellation-free form 2a / (b + sqrt(b^2 - 4ac)) and ``relaxed`` is 2a / b.
+    Both bounds are ``None`` otherwise.
+    """
+    four_ac = 4.0 * a * c
+    if not (b > 0.0 and b * b > four_ac):
+        return False, None, None
+    return True, 2.0 * a / (b + math.sqrt(b * b - four_ac)), 2.0 * a / b
+
+
+def lower_factor_operator(factors: LuFactors) -> StructuredOperator:
     """Map from vec(dA) to slvec(dL), the first-order change of the unit lower factor."""
-    l = np.asarray(l, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = l.shape[0]
-    linv = dense.triangular_inverse(l, "lower")
+    n = factors.l.shape[0]
     pad = np.zeros((n, n))
-    if n > 1:
-        pad[: n - 1, : n - 1] = dense.triangular_inverse(u[: n - 1, : n - 1], "upper")
-    return StructuredOperator(terms=((linv, pad, False),),
-                              weights=np.tril(np.ones((n, n)), -1), left=l)
+    pad[: n - 1, : n - 1] = factors.u_lead_inv
+    return StructuredOperator(terms=((factors.l_inv, pad, False),),
+                              weights=np.tril(np.ones((n, n)), -1), left=factors.l)
 
 
-def upper_factor_operator(l, u) -> StructuredOperator:
+def upper_factor_operator(factors: LuFactors) -> StructuredOperator:
     """Map from vec(dA) to uvec(dU), the first-order change of the upper factor."""
-    l = np.asarray(l, dtype=float)
-    u = np.asarray(u, dtype=float)
-    n = l.shape[0]
-    linv = dense.triangular_inverse(l, "lower")
-    uinv = dense.triangular_inverse(u, "upper")
-    return StructuredOperator(terms=((linv, uinv, False),),
-                              weights=np.triu(np.ones((n, n))), right=u)
+    n = factors.l.shape[0]
+    return StructuredOperator(terms=((factors.l_inv, factors.u_inv, False),),
+                              weights=np.triu(np.ones((n, n))), right=factors.u)
 
 
 @dataclass(frozen=True)
@@ -138,23 +146,18 @@ def chang_stehle_lu(factors: LuFactors, delta: float,
     ||L^-1||_2 ||U^-1||_2 delta < 1/4. The infimum over all positive diagonal
     scalings is approximated by the supplied ones, as in the experiments.
     """
-    l, u = factors.l, factors.u
-    n = l.shape[0]
-    linv_norm = dense.spectral_norm(dense.triangular_inverse(l, "lower"))
-    uinv = dense.triangular_inverse(u, "upper")
-    uinv_norm = dense.spectral_norm(uinv)
-    un1_inv_norm = dense.spectral_norm(_leading_inverse(u)) if n > 1 else 0.0
-    kappa_l = dense.kappa2_triangular(l / d_l.diagonal[None, :], "lower")
-    kappa_u = dense.kappa2_triangular(u / d_u.diagonal[:, None], "upper")
-    bound_dl = 2.0 * kappa_l * un1_inv_norm * delta
-    bound_du = 2.0 * kappa_u * linv_norm * delta
-    applicable = linv_norm * uinv_norm * delta < 0.25
-    return bound_dl, bound_du, applicable
+    dl_per_delta, du_per_delta, inverse_norms = _chang_stehle_lu_constants(factors, d_l, d_u)
+    return dl_per_delta * delta, du_per_delta * delta, inverse_norms * delta < 0.25
 
 
-def _leading_inverse(u: np.ndarray) -> np.ndarray:
-    n = u.shape[0]
-    return dense.triangular_inverse(u[: n - 1, : n - 1], "upper")
+def _chang_stehle_lu_constants(factors: LuFactors, d_l: ScalingMatrix, d_u: ScalingMatrix):
+    """:func:`chang_stehle_lu` per unit delta, and ||L^-1||_2 ||U^-1||_2."""
+    linv_norm = dense.spectral_norm(factors.l_inv)
+    uinv_norm = dense.spectral_norm(factors.u_inv)
+    un1_inv_norm = dense.spectral_norm(factors.u_lead_inv)
+    kappa_l = dense.kappa2_triangular(factors.l / d_l.diagonal[None, :], "lower")
+    kappa_u = dense.kappa2_triangular(factors.u / d_u.diagonal[:, None], "upper")
+    return 2.0 * kappa_l * un1_inv_norm, 2.0 * kappa_u * linv_norm, linv_norm * uinv_norm
 
 
 def lu_normwise_bounds(factors: LuFactors, delta: float) -> LuNormwiseReport:
@@ -164,48 +167,45 @@ def lu_normwise_bounds(factors: LuFactors, delta: float) -> LuNormwiseReport:
     scaling of U.
     """
     check_size(delta, "delta")
-    l, u = factors.l, factors.u
-    nl = operator_spectral_norm(lower_factor_operator(l, u))
-    nu = operator_spectral_norm(upper_factor_operator(l, u))
-    condition = nl * nu * delta
-    applicable = condition < 0.25
+    return _lu_normwise_evaluator(factors)(delta)
 
-    rigorous_dl = rigorous_du = relaxed_dl = relaxed_du = None
-    if applicable:
-        denom = 1.0 + math.sqrt(1.0 - 4.0 * condition)
-        rigorous_dl = 2.0 * nl * delta / denom
-        rigorous_du = 2.0 * nu * delta / denom
-        relaxed_dl = 2.0 * nl * delta
-        relaxed_du = 2.0 * nu * delta
 
-    linv_norm = dense.spectral_norm(dense.triangular_inverse(l, "lower"))
-    uinv_norm = dense.spectral_norm(dense.triangular_inverse(u, "upper"))
-    fo_condition = linv_norm * uinv_norm * delta
-    fo_applicable = fo_condition < 1.0
-    first_order_dl = nl * delta if fo_applicable else None
-    first_order_du = nu * delta if fo_applicable else None
+def _lu_normwise_evaluator(factors: LuFactors):
+    """Build the delta-free part of :func:`lu_normwise_bounds` and return the
+    function that evaluates the report at one delta."""
+    nl = operator_spectral_norm(lower_factor_operator(factors))
+    nu = operator_spectral_norm(upper_factor_operator(factors))
+    comparison_dl, comparison_du, inverse_norms = _chang_stehle_lu_constants(
+        factors, heuristic_scaling(factors.l, "columns"), heuristic_scaling(factors.u, "rows"))
 
-    comparison_dl, comparison_du, comparison_applicable = chang_stehle_lu(
-        factors, delta, heuristic_scaling(l, "columns"), heuristic_scaling(u, "rows"))
+    def report(delta: float) -> LuNormwiseReport:
+        condition = nl * nu * delta
+        ok_l, rigorous_dl, relaxed_dl = majorant(nl * delta, 1.0, nu)
+        ok_u, rigorous_du, relaxed_du = majorant(nu * delta, 1.0, nl)
+        # the gate stays condition < 1/4, also where rounding lets the majorants pass
+        applicable = condition < 0.25 and ok_l and ok_u
+        fo_condition = inverse_norms * delta
+        fo_applicable = fo_condition < 1.0
+        return LuNormwiseReport(
+            delta=delta,
+            l_op_norm=nl,
+            u_op_norm=nu,
+            condition_value=condition,
+            applicable=applicable,
+            rigorous_dl=rigorous_dl if applicable else None,
+            rigorous_du=rigorous_du if applicable else None,
+            relaxed_dl=relaxed_dl if applicable else None,
+            relaxed_du=relaxed_du if applicable else None,
+            fo_condition_value=fo_condition,
+            fo_applicable=fo_applicable,
+            first_order_dl=nl * delta if fo_applicable else None,
+            first_order_du=nu * delta if fo_applicable else None,
+            comparison_dl=comparison_dl * delta,
+            comparison_du=comparison_du * delta,
+            comparison_applicable=fo_condition < 0.25,
+        )
 
-    return LuNormwiseReport(
-        delta=delta,
-        l_op_norm=nl,
-        u_op_norm=nu,
-        condition_value=condition,
-        applicable=applicable,
-        rigorous_dl=rigorous_dl,
-        rigorous_du=rigorous_du,
-        relaxed_dl=relaxed_dl,
-        relaxed_du=relaxed_du,
-        fo_condition_value=fo_condition,
-        fo_applicable=fo_applicable,
-        first_order_dl=first_order_dl,
-        first_order_du=first_order_du,
-        comparison_dl=comparison_dl,
-        comparison_du=comparison_du,
-        comparison_applicable=comparison_applicable,
-    )
+    return report
 
 
 @dataclass(frozen=True)
@@ -268,11 +268,10 @@ def _lu_componentwise_evaluator(tilde_factors: LuFactors):
     materialized maps, their images of the envelope, and the comparison
     norms. Returns the function that evaluates the report at one epsilon."""
     lt, ut = tilde_factors.l, tilde_factors.u
-    n = lt.shape[0]
 
     t0 = time.perf_counter()
-    abs_lower = np.abs(operator_materialize(lower_factor_operator(lt, ut)))
-    abs_upper = np.abs(operator_materialize(upper_factor_operator(lt, ut)))
+    abs_lower = np.abs(operator_materialize(lower_factor_operator(tilde_factors)))
+    abs_upper = np.abs(operator_materialize(upper_factor_operator(tilde_factors)))
     venv = vec(np.abs(lt) @ np.abs(ut))
     lower_image = abs_lower @ venv
     upper_image = abs_upper @ venv
@@ -292,16 +291,9 @@ def _lu_componentwise_evaluator(tilde_factors: LuFactors):
     t1 = time.perf_counter()
     d_l = heuristic_scaling(lt, "columns")
     d_u = heuristic_scaling(ut, "rows")
-    lt_inv = dense.triangular_inverse(lt, "lower")
-    ut_inv = dense.triangular_inverse(ut, "upper")
-    abs_linv_l = np.abs(lt_inv) @ np.abs(lt)
-    abs_u_uinv = np.abs(ut) @ np.abs(ut_inv)
-    if n > 1:
-        un1 = ut[: n - 1, : n - 1]
-        abs_un1 = np.abs(un1) @ np.abs(dense.triangular_inverse(un1, "upper"))
-        abs_un1_fro = float(np.linalg.norm(abs_un1))
-    else:
-        abs_un1_fro = 0.0
+    abs_linv_l = np.abs(tilde_factors.l_inv) @ np.abs(lt)
+    abs_u_uinv = np.abs(ut) @ np.abs(tilde_factors.u_inv)
+    abs_un1_fro = float(np.linalg.norm(np.abs(ut[:-1, :-1]) @ np.abs(tilde_factors.u_lead_inv)))
 
     l_scaled = lt / d_l.diagonal[None, :]
     u_scaled = ut / d_u.diagonal[:, None]
@@ -320,25 +312,19 @@ def _lu_componentwise_evaluator(tilde_factors: LuFactors):
 
     def report(epsilon: float) -> LuComponentwiseReport:
         ce = c * epsilon
-        applicable = abs(c) * epsilon < 1.0 and 4.0 * a * n_abs_u * epsilon < (1.0 - ce) ** 2
-        rigorous_dl = rigorous_du = relaxed_dl = relaxed_du = None
-        if applicable:
-            root = math.sqrt((1.0 - ce) ** 2 - 4.0 * a * n_abs_u * epsilon)
-            rigorous_dl = 2.0 * a * epsilon / (1.0 - ce + root)
-            rigorous_du = 2.0 * b * epsilon / (1.0 + ce + root)
-            relaxed_dl = 2.0 * a * epsilon / (1.0 - ce)
-            relaxed_du = 2.0 * b * epsilon / (1.0 + ce)
-
+        ok_l, rigorous_dl, relaxed_dl = majorant(a * epsilon, 1.0 - ce, n_abs_u)
+        ok_u, rigorous_du, relaxed_du = majorant(b * epsilon, 1.0 + ce, n_abs_l)
+        applicable = ok_l and ok_u
         return LuComponentwiseReport(
             epsilon=epsilon,
             a=a, b=b, c=c,
             abs_l_op_norm=n_abs_l,
             abs_u_op_norm=n_abs_u,
             applicable=applicable,
-            rigorous_dl=rigorous_dl,
-            rigorous_du=rigorous_du,
-            relaxed_dl=relaxed_dl,
-            relaxed_du=relaxed_du,
+            rigorous_dl=rigorous_dl if applicable else None,
+            rigorous_du=rigorous_du if applicable else None,
+            relaxed_dl=relaxed_dl if applicable else None,
+            relaxed_du=relaxed_du if applicable else None,
             first_order_dl_f=a * epsilon,
             first_order_du_f=b * epsilon,
             first_order_dl_m=max_l * epsilon,
@@ -376,9 +362,9 @@ def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,
     lt, ut = tilde_factors.l, tilde_factors.u
     n = lt.shape[0]
     if target == "L":
-        op = lower_factor_operator(lt, ut)
+        op = lower_factor_operator(tilde_factors)
     elif target == "U":
-        op = upper_factor_operator(lt, ut)
+        op = upper_factor_operator(tilde_factors)
     else:
         raise ValueError(f"target must be 'L' or 'U', got {target!r}")
     rows = operator_materialize(op)

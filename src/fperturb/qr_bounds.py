@@ -10,7 +10,9 @@ with the terms (I, R^{-1}) and the transposed (R^{-T}, I), the mask of ``up``
 quadratic map up(R^{-T} X R^{-1}) R, with the same mask and outer factor,
 absorbs the second-order terms dA^T dA - dR^T dR. A fixed-point argument then
 yields rigorous bounds whenever ||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4,
-where d2 = ||dA||_F and the bound itself uses d1 = ||Q^T dA||_F <= d2.
+where d2 = ||dA||_F: the root of ``lu_bounds.majorant`` at (||lin|| d1 +
+||quad|| d2^2, 1, ||quad||), with d1 = ||Q^T dA||_F <= d2. Each report is
+built once per factorization, whose R^{-1} is cached, as a function of the size.
 
 Componentwise perturbations |dA| <= eps C |A| route through the entrywise
 absolute values of the two maps weighted by Kronecker factors of |R|.
@@ -18,9 +20,8 @@ Every coefficient of either map is one entry of an n-by-n block per output
 row, or a product of such an entry with an entry of R^{-1} or R, so its
 absolute value is taken entry by entry; :func:`absolute_r_maps` applies the
 absolute maps matrix-free from two n^3 stacks of those blocks, at O(n^3)
-per product with a map or its transpose. The scaled
-comparison bounds of Chang and Stehle are included for tightness
-measurements, at the two scalings used in the experiments: row 2-norms
+per product with a map or its transpose. The scaled comparison bounds of
+Chang and Stehle measure tightness at the two scalings of the experiments: row 2-norms
 (``heuristic_scaling(r, "rows")``) and the recursive equilibration built from
 row 1-norms.
 """
@@ -36,7 +37,7 @@ import numpy as np
 from . import dense
 from .dense import EXPLICIT_THRESHOLD, QrFactors
 from .errors import AbsOperatorTooLarge, check_size
-from .lu_bounds import ScalingMatrix, heuristic_scaling
+from .lu_bounds import ScalingMatrix, heuristic_scaling, majorant
 from .structured import StructuredOperator, operator_spectral_norm, vec
 
 SQRT6_PLUS_SQRT3 = math.sqrt(6.0) + math.sqrt(3.0)
@@ -49,18 +50,16 @@ def _up_mask(n: int) -> np.ndarray:
     return np.triu(np.ones((n, n)), 1) + 0.5 * np.eye(n)
 
 
-def r_factor_operator(r) -> StructuredOperator:
+def r_factor_operator(factors: QrFactors) -> StructuredOperator:
     """Map from vec(Q^T dA) to uvec(dR), the first-order change of R."""
-    r = np.asarray(r, dtype=float)
-    rinv = dense.triangular_inverse(r, "upper")
+    r, rinv = factors.r, factors.r_inv
     return StructuredOperator(terms=((None, rinv, False), (rinv.T, None, True)),
                               weights=_up_mask(r.shape[0]), right=r)
 
 
-def r_quadratic_operator(r) -> StructuredOperator:
+def r_quadratic_operator(factors: QrFactors) -> StructuredOperator:
     """Map absorbing the quadratic terms dA^T dA - dR^T dR into uvec(dR)."""
-    r = np.asarray(r, dtype=float)
-    rinv = dense.triangular_inverse(r, "upper")
+    r, rinv = factors.r, factors.r_inv
     return StructuredOperator(terms=((rinv.T, rinv, False),),
                               weights=_up_mask(r.shape[0]), right=r)
 
@@ -74,16 +73,16 @@ def zeta(d: ScalingMatrix) -> float:
     return float(np.max(diag[1:] / running_min))
 
 
-def scaling_d_e(r) -> ScalingMatrix:
-    """Recursive equilibration scaling built from row 1-norms.
+def scaling_d_e(factors: QrFactors) -> ScalingMatrix:
+    """Recursive equilibration scaling of R built from row 1-norms.
 
     With M = diag(row 1-norms) @ inv(R), the j-th diagonal entry is the
     reciprocal of the j-th column norm of M whenever those column norms are
     nondecreasing, and repeats the previous entry otherwise.
     """
-    r = np.asarray(r, dtype=float)
+    r = factors.r
     dc = np.sum(np.abs(r), axis=1)
-    m = dc[:, None] * dense.triangular_inverse(r, "upper")
+    m = dc[:, None] * factors.r_inv
     col_norms = np.linalg.norm(m, axis=0)
     n = r.shape[0]
     out = np.empty(n)
@@ -96,38 +95,23 @@ def scaling_d_e(r) -> ScalingMatrix:
     return ScalingMatrix(diagonal=out)
 
 
-def chang_stehle_qr(r, delta_or_eps: float, model: str, d: ScalingMatrix,
-                    c=None, q=None):
-    """Scaled-condition-number comparison bound for dR.
+def chang_stehle_qr(factors: QrFactors, delta: float, d: ScalingMatrix):
+    """Normwise scaled-condition-number comparison bound for dR.
 
-    ``model`` is ``"normwise"`` or ``"componentwise"``. Returns
-    ``(bound, applicable)``; the normwise gate is
-    ||R^-1||_2 ||dA||_F < sqrt(3/2) - 1 and the componentwise gate is
-    || |R||R^-1| ||_2 ||C|Q|||_F eps < sqrt(3/2) - 1.
+    Returns ``(bound, applicable)``: the bound is
+    (sqrt6 + sqrt3) sqrt(1 + zeta^2) kappa2(D^-1 R) delta, and the gate is
+    ||R^-1||_2 ||dA||_F < sqrt(3/2) - 1.
     """
-    r = np.asarray(r, dtype=float)
-    rinv = dense.triangular_inverse(r, "upper")
+    per_delta, rinv_norm = _chang_stehle_qr_constants(factors, d)
+    return per_delta * delta, rinv_norm * delta < COMPARISON_GATE
+
+
+def _chang_stehle_qr_constants(factors: QrFactors, d: ScalingMatrix):
+    """The bound of :func:`chang_stehle_qr` per unit delta, and ||R^-1||_2."""
     z = zeta(d)
-    factor = SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
-    if model == "normwise":
-        kappa = dense.kappa2_triangular(r / d.diagonal[:, None], "upper")
-        bound = factor * kappa * delta_or_eps
-        applicable = dense.spectral_norm(rinv) * delta_or_eps < COMPARISON_GATE
-        return bound, applicable
-    if model == "componentwise":
-        if c is None or q is None:
-            raise ValueError("componentwise model needs the envelope matrix c and q")
-        c = np.asarray(c, dtype=float)
-        q = np.asarray(q, dtype=float)
-        c_env_norm = float(np.linalg.norm(c @ np.abs(q)))
-        bound = (factor
-                 * dense.spectral_norm(r / d.diagonal[:, None])
-                 * dense.spectral_norm(np.abs(r) @ np.abs(rinv) * d.diagonal[None, :])
-                 * c_env_norm * delta_or_eps)
-        applicable = (dense.spectral_norm(np.abs(r) @ np.abs(rinv))
-                      * c_env_norm * delta_or_eps < COMPARISON_GATE)
-        return bound, applicable
-    raise ValueError(f"model must be 'normwise' or 'componentwise', got {model!r}")
+    kappa = dense.kappa2_triangular(factors.r / d.diagonal[:, None], "upper")
+    return (SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z) * kappa,
+            dense.spectral_norm(factors.r_inv))
 
 
 @dataclass(frozen=True)
@@ -161,40 +145,41 @@ def qr_normwise_bounds(factors: QrFactors, delta1: float, delta2: float) -> QrNo
     check_size(delta2, "delta2")
     if delta1 > delta2 * (1.0 + 1e-12):
         raise ValueError("delta1 cannot exceed delta2")
-    delta1 = min(delta1, delta2)
-    r = factors.r
-    lin = operator_spectral_norm(r_factor_operator(r))
-    quad = operator_spectral_norm(r_quadratic_operator(r))
-    condition = quad * (lin * delta2 + quad * delta2 * delta2)
-    strengthened = quad * (1.0 + 2.0 * lin) * delta2
-    applicable = condition < 0.25
+    return _qr_normwise_evaluator(factors)(min(delta1, delta2), delta2)
 
-    rigorous = relaxed = simple = None
-    if applicable:
-        core = lin * delta1 + quad * delta2 * delta2
-        rigorous = 2.0 * core / (1.0 + math.sqrt(1.0 - 4.0 * quad * core))
-        relaxed = 2.0 * core
-        simple = (1.0 + 2.0 * lin) * delta2
 
-    d = heuristic_scaling(r, "rows")
-    comparison, comp_ok = chang_stehle_qr(r, delta2, "normwise", d)
+def _qr_normwise_evaluator(factors: QrFactors):
+    """Build the size-free part of :func:`qr_normwise_bounds` and return the
+    function that evaluates the report at (delta1, delta2), delta1 <= delta2."""
+    lin = operator_spectral_norm(r_factor_operator(factors))
+    quad = operator_spectral_norm(r_quadratic_operator(factors))
+    d = heuristic_scaling(factors.r, "rows")
+    comparison, rinv_norm = _chang_stehle_qr_constants(factors, d)
+    zeta_d = zeta(d)
 
-    return QrNormwiseReport(
-        delta1=delta1,
-        delta2=delta2,
-        linear_op_norm=lin,
-        quadratic_op_norm=quad,
-        condition_value=condition,
-        strengthened_condition_value=strengthened,
-        applicable=applicable,
-        rigorous_dr=rigorous,
-        relaxed_dr=relaxed,
-        simple_dr=simple,
-        first_order_dr=lin * delta1,
-        comparison_dr=comparison,
-        comparison_applicable=comp_ok,
-        zeta_d=zeta(d),
-    )
+    def report(delta1: float, delta2: float) -> QrNormwiseReport:
+        condition = quad * (lin * delta2 + quad * delta2 * delta2)
+        applicable = condition < 0.25
+        # the gate at delta2 implies the majorant's own gate at delta1 <= delta2
+        _, rigorous, relaxed = majorant(lin * delta1 + quad * delta2 * delta2, 1.0, quad)
+        return QrNormwiseReport(
+            delta1=delta1,
+            delta2=delta2,
+            linear_op_norm=lin,
+            quadratic_op_norm=quad,
+            condition_value=condition,
+            strengthened_condition_value=quad * (1.0 + 2.0 * lin) * delta2,
+            applicable=applicable,
+            rigorous_dr=rigorous if applicable else None,
+            relaxed_dr=relaxed if applicable else None,
+            simple_dr=(1.0 + 2.0 * lin) * delta2 if applicable else None,
+            first_order_dr=lin * delta1,
+            comparison_dr=comparison * delta2,
+            comparison_applicable=rinv_norm * delta2 < COMPARISON_GATE,
+            zeta_d=zeta_d,
+        )
+
+    return report
 
 
 @dataclass(frozen=True)
@@ -225,7 +210,7 @@ class QrComponentwiseReport:
     t_gamma_de: float
 
 
-def absolute_r_maps(r) -> dict:
+def absolute_r_maps(factors: QrFactors) -> dict:
     """Entrywise absolute values of the two R maps, applied matrix-free.
 
     Returns ``{name: (matvec, rmatvec)}`` for ``"lin"`` = |lin|, ``"quad"`` =
@@ -244,12 +229,12 @@ def absolute_r_maps(r) -> dict:
     Raises AbsOperatorTooLarge when n^3 exceeds ``EXPLICIT_THRESHOLD``^2,
     the largest dense block that materialization allows.
     """
-    r = np.asarray(r, dtype=float)
+    r = factors.r
     n = r.shape[0]
     if n ** 3 > EXPLICIT_THRESHOLD ** 2:
         raise AbsOperatorTooLarge(
             f"order {n} needs {n ** 3} stacked entries, above {EXPLICIT_THRESHOLD ** 2}")
-    s = dense.triangular_inverse(r, "upper")
+    s = factors.r_inv
     abs_f = np.empty((n, n, n))
     abs_g = np.empty((n, n, n))
     f = np.zeros((n, n))
@@ -295,7 +280,7 @@ def absolute_r_maps(r) -> dict:
     }
 
 
-def componentwise_operator_norms(r):
+def componentwise_operator_norms(factors: QrFactors):
     """Weighted absolute-operator norms entering the componentwise bounds.
 
     Returns ``(abs_lin_weighted, abs_quad_weighted, abs_quad)``:
@@ -304,8 +289,8 @@ def componentwise_operator_norms(r):
     of :func:`absolute_r_maps`, which raises AbsOperatorTooLarge for an
     order above 256.
     """
-    maps = absolute_r_maps(r)
-    dim_in = np.asarray(r).shape[0] ** 2
+    maps = absolute_r_maps(factors)
+    dim_in = factors.r.shape[0] ** 2
     return tuple(dense._krylov_spectral_norm(*maps[name], dim_in)
                  for name in ("lin_weighted", "quad_weighted", "quad"))
 
@@ -318,6 +303,13 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float) -> QrComponen
     scalings of R.
     """
     check_size(epsilon, "epsilon")
+    return _qr_componentwise_evaluator(factors, c)(epsilon)
+
+
+def _qr_componentwise_evaluator(factors: QrFactors, c):
+    """Build the epsilon-free part of :func:`qr_componentwise_bounds` for the
+    envelope ``c`` and return the function that evaluates the report at one
+    epsilon."""
     c = np.asarray(c, dtype=float)
     if np.any(c < 0.0) or np.any(c > 1.0):
         raise ValueError("envelope entries must lie in [0, 1]")
@@ -330,59 +322,54 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float) -> QrComponen
     c_env_norm = float(np.linalg.norm(c @ absq))          # ||C|Q|||_F
     qcq_norm = float(np.linalg.norm(absq.T @ c @ absq))   # || |Q^T| C |Q| ||_F
     qccq_norm = float(np.linalg.norm(absq.T @ (c.T @ c) @ absq))
-    lin_w, quad_w, quad_abs = componentwise_operator_norms(r)
+    lin_w, quad_w, quad_abs = componentwise_operator_norms(factors)
     a_t = lin_w * qcq_norm
     b_t = quad_w * qccq_norm
     c_t = quad_abs
     absr_norm = dense.spectral_norm(np.abs(r))
     r_norm = dense.spectral_norm(r)
-    core = a_t * epsilon + b_t * epsilon * epsilon
-    applicable = c_t * core < 0.25
-    strengthened = c_t * (absr_norm * c_env_norm + 2.0 * a_t) * epsilon
-
-    rigorous = relaxed = simple = None
-    if applicable:
-        rigorous = 2.0 * core / (1.0 + math.sqrt(1.0 - 4.0 * c_t * core))
-        relaxed = 2.0 * core
-        simple = (absr_norm * c_env_norm + 2.0 * a_t) * epsilon
-
-    gamma_r = (absr_norm * c_env_norm + 2.0 * a_t) / r_norm
+    simple_per_eps = absr_norm * c_env_norm + 2.0 * a_t
     q_ratio = qcq_norm / c_env_norm if c_env_norm > 0.0 else 0.0
     t_gamma = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    abs_r_rinv = np.abs(r) @ np.abs(dense.triangular_inverse(r, "upper"))
-    comp_ok = dense.spectral_norm(abs_r_rinv) * c_env_norm * epsilon < COMPARISON_GATE
+    abs_r_rinv = np.abs(r) @ np.abs(factors.r_inv)
+    comparison_gate = dense.spectral_norm(abs_r_rinv) * c_env_norm
     prod_row, eta_dr = _comparison_product(r, abs_r_rinv, heuristic_scaling(r, "rows"),
                                            c_env_norm)
     t_gamma_dr = time.perf_counter() - t1
 
     t2 = time.perf_counter()
-    prod_eq, eta_de = _comparison_product(r, abs_r_rinv, scaling_d_e(r), c_env_norm)
+    prod_eq, eta_de = _comparison_product(r, abs_r_rinv, scaling_d_e(factors), c_env_norm)
     t_gamma_de = time.perf_counter() - t2
 
-    return QrComponentwiseReport(
-        epsilon=epsilon,
-        a_t=a_t, b_t=b_t, c_t=c_t,
-        applicable=applicable,
-        strengthened_value=strengthened,
-        rigorous_dr=rigorous,
-        relaxed_dr=relaxed,
-        simple_dr=simple,
-        first_order_dr=a_t * epsilon,
-        comparison_dr_row=prod_row * epsilon,
-        comparison_dr_eq=prod_eq * epsilon,
-        comparison_applicable=comp_ok,
-        q_ratio=q_ratio,
-        gamma_r=gamma_r,
-        gamma_r_dr=prod_row / r_norm,
-        gamma_r_de=prod_eq / r_norm,
-        eta_dr=eta_dr,
-        eta_de=eta_de,
-        t_gamma=t_gamma,
-        t_gamma_dr=t_gamma_dr,
-        t_gamma_de=t_gamma_de,
-    )
+    def report(epsilon: float) -> QrComponentwiseReport:
+        applicable, rigorous, relaxed = majorant(a_t * epsilon + b_t * epsilon * epsilon,
+                                                 1.0, c_t)
+        return QrComponentwiseReport(
+            epsilon=epsilon,
+            a_t=a_t, b_t=b_t, c_t=c_t,
+            applicable=applicable,
+            strengthened_value=c_t * simple_per_eps * epsilon,
+            rigorous_dr=rigorous,
+            relaxed_dr=relaxed,
+            simple_dr=simple_per_eps * epsilon if applicable else None,
+            first_order_dr=a_t * epsilon,
+            comparison_dr_row=prod_row * epsilon,
+            comparison_dr_eq=prod_eq * epsilon,
+            comparison_applicable=comparison_gate * epsilon < COMPARISON_GATE,
+            q_ratio=q_ratio,
+            gamma_r=simple_per_eps / r_norm,
+            gamma_r_dr=prod_row / r_norm,
+            gamma_r_de=prod_eq / r_norm,
+            eta_dr=eta_dr,
+            eta_de=eta_de,
+            t_gamma=t_gamma,
+            t_gamma_dr=t_gamma_dr,
+            t_gamma_de=t_gamma_de,
+        )
+
+    return report
 
 
 def _comparison_product(r, abs_r_rinv, d: ScalingMatrix, c_env_norm: float):

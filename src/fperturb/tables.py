@@ -18,7 +18,7 @@ are irreproducible in the original experiments, so a seed sweep reporting
 per-column medians is the stable way to compare magnitudes.
 
 A row whose matrix cannot be factorized (a numerically singular leading
-minor, rank deficiency or a zero diagonal) keeps its key columns and reports
+minor or factor, rank deficiency, a zero row to scale by) keeps its key columns and reports
 ``None`` in the others, with the reason in the table's notes; the rest of the
 table is unaffected.
 """
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
-from .errors import RankDeficient, SingularDiagonal, SingularLeadingMinor
+from .errors import RankDeficient, SingularDiagonal, SingularLeadingMinor, ZeroVector
 from .matgen import graded_random, kahan, random_c_matrix, rng_stream
 
 TABLE1_COLUMNS = ("d1", "d2", "gamma_L", "gamma_L_DL", "eta_DL",
@@ -49,7 +49,7 @@ TIMING_COLUMNS = frozenset({"t_gamma", "t_gamma_D", "t_gamma_R",
 #: columns that identify a row; they survive a row whose matrix fails to factorize
 KEY_COLUMNS = frozenset({"d1", "d2", "n"})
 #: factorization failures that leave one row without values
-ROW_FAILURES = (SingularLeadingMinor, RankDeficient, SingularDiagonal)
+ROW_FAILURES = (SingularLeadingMinor, RankDeficient, SingularDiagonal, ZeroVector)
 
 
 @dataclass(frozen=True)

@@ -26,14 +26,13 @@ of trials.
 
 :data:`EXPERIMENTS` is the table of the four theorems under test. Each entry
 names its perturbation model, the model field that holds the perturbation
-size, the work that does not depend on the size (done once per matrix, also
-across the levels of :func:`delta_halving`), and the evaluation that
-computes the bounds at one size and measures blocks of trials.
+size, the factorizations and the bound builder of the library (run once per
+matrix, also across the levels of :func:`delta_halving`), and the evaluation
+that reads the bounds at one size and measures blocks of trials.
 """
 
 from __future__ import annotations
 
-import math
 import time
 from dataclasses import dataclass, field, replace
 from typing import Callable
@@ -158,20 +157,22 @@ def infer_experiment(spec: PerturbationSpec, experiment: str | None) -> str:
 
 
 class _SharedMatrix:
-    """A matrix that does each experiment's size-free work at most once.
+    """A matrix that prepares each experiment at most once.
 
     :func:`delta_halving` passes one to :func:`verify_bounds` for all its
-    levels, so the factorizations and the size-free bound quantities are
-    built once per matrix.
+    levels, which differ only in the size, so the factorizations and the
+    size-free bound quantities are built once per matrix.
     """
 
     def __init__(self, a):
         self.matrix = np.asarray(a, dtype=float)
         self._bases = {}
 
-    def base(self, experiment: str):
+    def base(self, experiment: str, model):
         if experiment not in self._bases:
-            self._bases[experiment] = EXPERIMENTS[experiment].prepare(self.matrix)
+            exp = EXPERIMENTS[experiment]
+            factors, measured = exp.factor(self.matrix)
+            self._bases[experiment] = factors, exp.bounds(factors, model), measured
         return self._bases[experiment]
 
 
@@ -198,7 +199,8 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
         spec = PerturbationSpec(model=spec.model, seed=seed)
 
     t0 = time.perf_counter()
-    measure, report = EXPERIMENTS[experiment].evaluate(a, shared.base(experiment), spec)
+    measure, report = EXPERIMENTS[experiment].evaluate(
+        a, shared.base(experiment, spec.model), spec)
     t_bounds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -231,14 +233,17 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     )
 
 
-def _lu_prepare(a):
+def _lu_factors(a):
     return dense.lu_factor(a), dense.lu_factor(a.astype(_MEASURE_DTYPE))
 
 
+def _qr_factors(a):
+    return dense.qr_factor(a), _qr_measure_r(a.astype(_MEASURE_DTYPE))
+
+
 def _lu_normwise(a, base, spec):
-    factors, base_hp = base
-    model = spec.model
-    report = lu_bounds.lu_normwise_bounds(factors, model.delta)
+    _, bounds_at, base_hp = base
+    report = bounds_at(spec.model.delta)
     if not report.applicable:
         raise BoundNotApplicable(
             f"condition value {report.condition_value:.3e} is not below 1/4")
@@ -257,12 +262,6 @@ def _lu_normwise(a, base, spec):
         return [c if isinstance(c, str) else outcome(*c) for c in changes]
 
     return measure, report
-
-
-def _lu_componentwise_prepare(a):
-    tilde = dense.lu_factor(a)
-    return (tilde, lu_bounds._lu_componentwise_evaluator(tilde),
-            dense.lu_factor(a.astype(_MEASURE_DTYPE)))
 
 
 def _lu_componentwise(a, base, spec):
@@ -286,27 +285,20 @@ def _lu_componentwise(a, base, spec):
     return measure, report
 
 
-def _qr_prepare(a):
-    return dense.qr_factor(a), _qr_measure_r(a.astype(_MEASURE_DTYPE))
-
-
 def _qr_normwise(a, base, spec):
-    factors, base_r = base
-    model = spec.model
-    report = qr_bounds.qr_normwise_bounds(factors, model.delta, model.delta)
+    factors, bounds_at, base_r = base
+    d2 = spec.model.delta
+    report = bounds_at(d2, d2)
     if not report.applicable:
         raise BoundNotApplicable(
             f"condition value {report.condition_value:.3e} is not below 1/4")
-    lin, quad = report.linear_op_norm, report.quadratic_op_norm
     a_hp = a.astype(_MEASURE_DTYPE)
 
     def outcome(dr, da):
-        d2 = model.delta
-        d1 = min(float(np.linalg.norm(factors.q.T @ da)), d2)
-        core = lin * d1 + quad * d2 * d2
-        rigorous = 2.0 * core / (1.0 + math.sqrt(1.0 - 4.0 * quad * core))
-        fo = lin * d1
-        return _ratio(dr, rigorous), _ratio(dr, fo), dr > rigorous
+        # the bounds at the trial's own ||Q^T dA||_F
+        trial = bounds_at(min(float(np.linalg.norm(factors.q.T @ da)), d2), d2)
+        return (_ratio(dr, trial.rigorous_dr), _ratio(dr, trial.first_order_dr),
+                dr > trial.rigorous_dr)
 
     def measure(indices):
         da = _draws(spec, indices, matrix=a)
@@ -317,9 +309,8 @@ def _qr_normwise(a, base, spec):
 
 
 def _qr_componentwise(a, base, spec):
-    factors, base_r = base
-    model = spec.model
-    report = qr_bounds.qr_componentwise_bounds(factors, model.c, model.epsilon)
+    _, bounds_at, base_r = base
+    report = bounds_at(spec.model.epsilon)
     if not report.applicable:
         raise BoundNotApplicable("componentwise applicability condition fails")
     a_hp = a.astype(_MEASURE_DTYPE)
@@ -342,26 +333,32 @@ class Experiment:
 
     ``model`` is the perturbation model class it takes, and ``size`` the
     field of that model holding the perturbation size (``"delta"`` or
-    ``"epsilon"``). ``prepare(a)`` does the work that does not depend on the
-    size: the factorizations and the size-free bound quantities.
-    ``evaluate(a, base, spec)`` takes its result and returns
-    ``(measure, bound_report)``, where ``measure(indices)`` refactorizes the
-    trials ``indices`` as one stack and returns each trial's ratios, or the
-    reason it was skipped.
+    ``"epsilon"``). Once per matrix, ``factor(a)`` returns the factors and
+    the measurement base (refactorized in the measurement precision), and
+    ``bounds(factors, model)`` builds the report as a function of the size.
+    ``evaluate(a, (factors, bounds_at, base), spec)`` returns ``(measure,
+    bound_report)``, where ``measure(indices)`` refactorizes the trials
+    ``indices`` as one stack and returns each trial's ratios, or the reason
+    it was skipped.
     """
 
     model: type
     size: str
-    prepare: Callable
+    factor: Callable
     evaluate: Callable
+    bounds: Callable
 
 
 EXPERIMENTS = {
-    "lu-normwise": Experiment(Normwise, "delta", _lu_prepare, _lu_normwise),
-    "lu-componentwise": Experiment(ComponentwiseLU, "epsilon",
-                                   _lu_componentwise_prepare, _lu_componentwise),
-    "qr-normwise": Experiment(Normwise, "delta", _qr_prepare, _qr_normwise),
-    "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_prepare, _qr_componentwise),
+    "lu-normwise": Experiment(Normwise, "delta", _lu_factors, _lu_normwise,
+                              lambda f, _: lu_bounds._lu_normwise_evaluator(f)),
+    "lu-componentwise": Experiment(ComponentwiseLU, "epsilon", _lu_factors, _lu_componentwise,
+                                   lambda f, _: lu_bounds._lu_componentwise_evaluator(f)),
+    "qr-normwise": Experiment(Normwise, "delta", _qr_factors, _qr_normwise,
+                              lambda f, _: qr_bounds._qr_normwise_evaluator(f)),
+    "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_factors, _qr_componentwise,
+                                   lambda f, model: qr_bounds._qr_componentwise_evaluator(
+                                       f, model.c)),
 }
 
 

@@ -1,7 +1,12 @@
+import math
 from enum import Enum
 
 import numpy as np
 import pytest
+
+from fperturb import dense
+from fperturb.dense import QrFactors
+from fperturb.qr_bounds import COMPARISON_GATE, SQRT6_PLUS_SQRT3, zeta
 
 
 def seeded_rng(*key):
@@ -30,6 +35,38 @@ def random_upper(n, seed, shift=None):
     rng = seeded_rng(9, n, seed)
     t = np.triu(rng.standard_normal((n, n)))
     return t + (n if shift is None else shift) * np.eye(n)
+
+
+def r_factors(r):
+    """QR factors around a given triangular R, with Q = I.
+
+    The R maps, the scalings of R and the normwise comparison bound depend on
+    R alone.
+    """
+    r = np.asarray(r, dtype=float)
+    return QrFactors(q=np.eye(r.shape[0]), r=r)
+
+
+def chang_stehle_qr_componentwise(r, eps, d, c, q):
+    """Componentwise scaled-condition-number comparison bound for dR.
+
+    Returns ``(bound, applicable)``: the bound is (sqrt6 + sqrt3)
+    sqrt(1 + zeta^2) ||D^-1 R||_2 || |R||R^-1| D ||_2 ||C|Q|||_F eps, and the
+    gate is || |R||R^-1| ||_2 ||C|Q|||_F eps < sqrt(3/2) - 1. The oracle of
+    the comparison quantities of the componentwise QR report.
+    """
+    r = np.asarray(r, dtype=float)
+    rinv = dense.triangular_inverse(r, "upper")
+    z = zeta(d)
+    factor = SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
+    c_env_norm = float(np.linalg.norm(np.asarray(c, dtype=float) @ np.abs(q)))
+    bound = (factor
+             * dense.spectral_norm(r / d.diagonal[:, None])
+             * dense.spectral_norm(np.abs(r) @ np.abs(rinv) * d.diagonal[None, :])
+             * c_env_norm * eps)
+    applicable = (dense.spectral_norm(np.abs(r) @ np.abs(rinv))
+                  * c_env_norm * eps < COMPARISON_GATE)
+    return bound, applicable
 
 
 class SelectionKind(Enum):
@@ -86,6 +123,24 @@ def selection_matrix(kind, n):
 def vec_permutation(n):
     """Dense n^2-by-n^2 permutation with vec(X^T) = P vec(X) for n-by-n X."""
     return np.eye(n * n)[np.arange(n * n).reshape((n, n)).reshape(-1, order="F")]
+
+
+def count_calls(monkeypatch, name, *modules):
+    """Count the calls of the function ``name`` made through any of ``modules``.
+
+    Every module's attribute becomes one counting wrapper around the first
+    module's function. Returns the list that gains one entry per call.
+    """
+    calls = []
+    original = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return original(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 @pytest.fixture

@@ -115,10 +115,10 @@ def test_criterion_2_matrix_free_matches_dense_oracle():
             a = rng.standard_normal((n, n)) + 0.5 * n * np.eye(n)
             fl = lu_factor(a)
             fq = qr_factor(rng.standard_normal((n + 1, n)))
-            ops = (lower_factor_operator(fl.l, fl.u),
-                   upper_factor_operator(fl.l, fl.u),
-                   r_factor_operator(fq.r),
-                   r_quadratic_operator(fq.r))
+            ops = (lower_factor_operator(fl),
+                   upper_factor_operator(fl),
+                   r_factor_operator(fq),
+                   r_quadratic_operator(fq))
             for op in ops:
                 ref = svd_spectral_norm(operator_materialize(op))
                 got = operator_spectral_norm(op)
@@ -134,8 +134,8 @@ def test_criterion_3_paper_inequalities():
         n = int(rng.integers(3, 8))
         a = rng.standard_normal((n, n)) + 0.5 * n * np.eye(n)
         f = lu_factor(a)
-        nl = operator_spectral_norm(lower_factor_operator(f.l, f.u))
-        nu = operator_spectral_norm(upper_factor_operator(f.l, f.u))
+        nl = operator_spectral_norm(lower_factor_operator(f))
+        nu = operator_spectral_norm(upper_factor_operator(f))
         un1_inv = svd_spectral_norm(
             dense.triangular_inverse(f.u[: n - 1, : n - 1], "upper"))
         l_inv = svd_spectral_norm(dense.triangular_inverse(f.l, "lower"))
@@ -149,16 +149,17 @@ def test_criterion_3_paper_inequalities():
                       * l_inv) * (1 + rel)
 
         b = rng.standard_normal((n, n)) + 0.5 * n * np.eye(n)
-        r = qr_factor(b).r
-        lin = operator_spectral_norm(r_factor_operator(r))
-        quad = operator_spectral_norm(r_quadratic_operator(r))
+        fr = qr_factor(b)
+        r = fr.r
+        lin = operator_spectral_norm(r_factor_operator(fr))
+        quad = operator_spectral_norm(r_quadratic_operator(fr))
         rinv = dense.triangular_inverse(r, "upper")
         assert lin >= 1.0 - rel
         assert quad >= svd_spectral_norm(rinv) / 2.0 * (1 - rel)
         absr = np.abs(r)
-        lin_w, _, _ = componentwise_operator_norms(r)
+        lin_w, _, _ = componentwise_operator_norms(fr)
         assert dense.spectral_norm(absr) <= lin_w * (1 + rel)
-        for d in (heuristic_scaling(r, "rows"), scaling_d_e(r), ScalingMatrix(np.ones(n))):
+        for d in (heuristic_scaling(r, "rows"), scaling_d_e(fr), ScalingMatrix(np.ones(n))):
             z = zeta(d)
             cap = math.sqrt(1 + z * z) * dense.kappa2_triangular(
                 r / d.diagonal[:, None], "upper")
@@ -340,8 +341,8 @@ def test_criterion_6_bound_orderings_and_tightness():
         if repq.applicable:
             assert repq.rigorous_dr <= repq.relaxed_dr * (1 + 1e-12)
             assert repq.relaxed_dr < repq.simple_dr
-            for d in (heuristic_scaling(fq.r, "rows"), scaling_d_e(fq.r)):
-                comp, _ = chang_stehle_qr(fq.r, 1e-3, "normwise", d)
+            for d in (heuristic_scaling(fq.r, "rows"), scaling_d_e(fq)):
+                comp, _ = chang_stehle_qr(fq, 1e-3, d)
                 assert repq.simple_dr <= comp * (1 + 1e-10)
         c = random_c_matrix(n, seed)
         repqc = qr_componentwise_bounds(fq, c, 1e-9)
@@ -383,8 +384,8 @@ def test_criterion_8_closed_form_spot_values():
     assert rep.rigorous_dl == pytest.approx(0.25, abs=1e-12)
     assert rep.rigorous_du == pytest.approx(0.25, abs=1e-12)
     for n in (2, 5):
-        assert operator_spectral_norm(r_factor_operator(np.eye(n))) == pytest.approx(
+        assert operator_spectral_norm(r_factor_operator(qr_factor(np.eye(n)))) == pytest.approx(
             math.sqrt(2.0), abs=1e-10)
-        assert operator_spectral_norm(r_quadratic_operator(np.eye(n))) == pytest.approx(
+        assert operator_spectral_norm(r_quadratic_operator(qr_factor(np.eye(n)))) == pytest.approx(
             1.0, abs=1e-10)
     _report(8, "identity closed forms: 0.25 bound, sqrt(2) and 1 norms", t0, 10.0)

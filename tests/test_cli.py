@@ -75,7 +75,13 @@ class TestExitCodes:
 PROBE_MATRICES = {
     "nan": np.array([[1.0, np.nan], [0.0, 1.0]]),
     "wide": np.ones((2, 3)),
+    # finite, but the reciprocal of its subnormal pivot overflows
+    "subnormal": np.diag([1.0, 1e-320]),
+    # rank one: U has a zero last row and pivot, and QR rejects the rank
+    "ones": np.ones((2, 2)),
 }
+SUBNORMAL = ["--matrix", "{subnormal}"]
+ONES = ["--matrix", "{ones}"]
 KAHAN = ["--kahan", "4,0.5"]
 #: probes run with the Krylov step cap lowered, so that a norm estimate that
 #: converges in more steps reaches the NoConvergence exit
@@ -107,6 +113,16 @@ PROBES = [
     ("non-integer-graded-order", ["qr-normwise", "--graded", "3.5,1,1", "--delta", "0.1"], 1),
     # numpy refuses the 8e18-byte array at once, so nothing is allocated
     ("kahan-order-too-large", ["lu-normwise", "--kahan", "1e9,0.3", "--delta", "0.1"], 1),
+    ("subnormal-pivot-lu-normwise", ["lu-normwise", *SUBNORMAL, "--delta", "1e-8"], 3),
+    ("subnormal-pivot-lu-componentwise", ["lu-componentwise", *SUBNORMAL, "--epsilon", "ge"], 3),
+    ("subnormal-pivot-qr-normwise", ["qr-normwise", *SUBNORMAL, "--delta", "1e-8"], 3),
+    ("subnormal-pivot-qr-componentwise", ["qr-componentwise", *SUBNORMAL, "--epsilon", "ge"], 3),
+    ("subnormal-pivot-verify", ["verify", "--experiment", "qr-normwise", *SUBNORMAL,
+                                "--delta", "1e-8", "--trials", "5"], 3),
+    ("singular-lu-normwise", ["lu-normwise", *ONES, "--delta", "1e-8"], 3),
+    ("singular-lu-componentwise", ["lu-componentwise", *ONES, "--epsilon", "ge"], 3),
+    ("singular-qr-normwise", ["qr-normwise", *ONES, "--delta", "1e-8"], 3),
+    ("singular-qr-componentwise", ["qr-componentwise", *ONES, "--epsilon", "ge"], 3),
 ]
 
 

@@ -229,9 +229,9 @@ class TestNorms:
 
 def _factor_maps(a):
     f = lu_factor(a)
-    r = qr_factor(a).r
-    return (lower_factor_operator(f.l, f.u), upper_factor_operator(f.l, f.u),
-            r_factor_operator(r), r_quadratic_operator(r))
+    fq = qr_factor(a)
+    return (lower_factor_operator(f), upper_factor_operator(f),
+            r_factor_operator(fq), r_quadratic_operator(fq))
 
 
 class TestKrylovEstimator:
@@ -308,3 +308,16 @@ class TestTriangularInverse:
         with pytest.raises(SingularDiagonal) as exc:
             triangular_inverse(t, "upper")
         assert exc.value.k == 2
+
+    @pytest.mark.parametrize("shape", ["lower", "upper"])
+    def test_overflowing_inverse_is_singular(self, shape):
+        # the reciprocal of a subnormal diagonal entry overflows; RuntimeWarnings
+        # are errors in this suite, so none may escape either
+        with pytest.raises(SingularDiagonal) as exc:
+            triangular_inverse(np.diag([1.0, 1e-320, 1.0]), shape)
+        assert exc.value.k == 2
+        # no tiny reciprocal, but the substitution grows past the largest double
+        t = np.array([[1e-200, 1.0], [0.0, 1e-200]])
+        with pytest.raises(SingularDiagonal) as exc:
+            triangular_inverse(t if shape == "upper" else t.T, shape)
+        assert exc.value.k == (1 if shape == "upper" else 2)

@@ -1,7 +1,11 @@
 """LU perturbation bounds: operators, rigorous/first-order/comparison values."""
 
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from fperturb import dense
 from fperturb.dense import lu_factor
@@ -14,6 +18,7 @@ from fperturb.lu_bounds import (
     lower_factor_operator,
     lu_componentwise_bounds,
     lu_normwise_bounds,
+    majorant,
     upper_factor_operator,
     worst_case_m_norm_perturbation,
 )
@@ -25,6 +30,7 @@ from fperturb.structured import (
 
 from conftest import (
     SelectionKind,
+    count_calls,
     extract,
     random_square,
     seeded_rng,
@@ -37,10 +43,61 @@ def factor(seed, n=5, shift=None):
     return lu_factor(random_square(n, seed, shift=n if shift is None else shift))
 
 
+class TestMajorant:
+    @given(a=st.floats(0.0, 1e100), b=st.floats(0.0, 1e100, exclude_min=True),
+           c=st.floats(0.0, 1e100))
+    def test_root_lies_between_its_relaxations(self, a, b, c):
+        applicable, rigorous, relaxed = majorant(a, b, c)
+        assert applicable == (b * b > 4.0 * a * c)
+        if not applicable:
+            assert rigorous is None and relaxed is None
+            return
+        # the checks below ask for the precision of normal numbers: b^2 and the
+        # root must not underflow
+        assume(b * b >= sys.float_info.min and (a == 0.0 or a / b >= sys.float_info.min))
+        assert a / b <= rigorous <= relaxed == 2.0 * a / b
+        assert abs(c * rigorous * rigorous - b * rigorous + a) <= 1e-12 * (b * rigorous + a)
+
+    def test_needs_positive_b(self):
+        for b in (0.0, -1.0):
+            assert majorant(0.1, b, 0.0) == (False, None, None)
+
+    def test_double_root_is_not_applicable(self):
+        # rho^2 - 2 rho + 1 has its double root at 1; the argument needs b^2 > 4ac
+        assert majorant(1.0, 2.0, 1.0) == (False, None, None)
+        applicable, rigorous, relaxed = majorant(0.75, 2.0, 1.0)
+        assert applicable and rigorous == 0.5 and relaxed == 0.75
+
+
+class TestFactorContext:
+    """A factorization inverts each factor once, whichever bounds it feeds."""
+
+    @pytest.mark.parametrize("report, inverses", [
+        (lambda f: lu_normwise_bounds(f, 1e-8), 5),   # 3 factors, 2 scaled in kappa2
+        (lambda f: lu_componentwise_bounds(f, 1e-12), 3),
+    ], ids=["normwise", "componentwise"])
+    def test_triangular_inverses_per_report(self, report, inverses, monkeypatch):
+        calls = count_calls(monkeypatch, "triangular_inverse", dense)
+        report(factor(3, n=10))
+        assert len(calls) == inverses
+
+    def test_normwise_report_estimates_each_inverse_norm_once(self, monkeypatch):
+        # ||L^-1||, ||U^-1||, ||U_{n-1}^-1|| and the two norms of each kappa2
+        calls = count_calls(monkeypatch, "spectral_norm", dense)
+        lu_normwise_bounds(factor(3, n=10), 1e-8)
+        assert len(calls) == 7
+
+    def test_inverses_are_kept_on_the_factors(self):
+        f = factor(4, n=6)
+        assert f.l_inv is f.l_inv and f.u_inv is f.u_inv
+        assert np.allclose(f.l_inv @ f.l, np.eye(6))
+        assert np.allclose(f.u_lead_inv @ f.u[:5, :5], np.eye(5))
+
+
 class TestFactorOperators:
     def test_identity_norms_are_one(self):
         f = lu_factor(np.eye(5))
-        for op in (lower_factor_operator(f.l, f.u), upper_factor_operator(f.l, f.u)):
+        for op in (lower_factor_operator(f), upper_factor_operator(f)):
             m = operator_materialize(op)
             assert svd_spectral_norm(m) == pytest.approx(1.0, abs=1e-12)
             assert operator_spectral_norm(op) == pytest.approx(1.0, abs=1e-11)
@@ -57,15 +114,15 @@ class TestFactorOperators:
         da = seeded_rng(30).standard_normal((n, n))
         ref_l = extract(l @ extract(linv @ da @ pad, SelectionKind.SLT), SelectionKind.SLVEC)
         ref_u = extract(extract(linv @ da @ uinv, SelectionKind.UT) @ u, SelectionKind.UVEC)
-        assert np.allclose(lower_factor_operator(l, u).apply(vec(da)), ref_l, atol=1e-12)
-        assert np.allclose(upper_factor_operator(l, u).apply(vec(da)), ref_u, atol=1e-12)
+        assert np.allclose(lower_factor_operator(f).apply(vec(da)), ref_l, atol=1e-12)
+        assert np.allclose(upper_factor_operator(f).apply(vec(da)), ref_u, atol=1e-12)
 
     def test_lower_bounds_on_operator_norms(self):
         for seed in range(50):
             f = factor(seed, n=int(seeded_rng(31, seed).integers(3, 7)))
             n = f.l.shape[0]
-            nl = operator_spectral_norm(lower_factor_operator(f.l, f.u))
-            nu = operator_spectral_norm(upper_factor_operator(f.l, f.u))
+            nl = operator_spectral_norm(lower_factor_operator(f))
+            nu = operator_spectral_norm(upper_factor_operator(f))
             un1 = svd_spectral_norm(
                 dense.triangular_inverse(f.u[: n - 1, : n - 1], "upper"))
             li = svd_spectral_norm(dense.triangular_inverse(f.l, "lower"))
@@ -79,7 +136,7 @@ class TestFactorOperators:
         linv = dense.triangular_inverse(f.l, "lower")
         pad = np.zeros((n, n))
         pad[: n - 1, : n - 1] = dense.triangular_inverse(f.u[: n - 1, : n - 1], "upper")
-        full = lower_factor_operator(f.l, f.u)
+        full = lower_factor_operator(f)
         bare = (np.kron(np.eye(n), f.l) @ selection_matrix(SelectionKind.SLT, n)
                 @ np.kron(pad.T, linv))
         assert svd_spectral_norm(bare) == pytest.approx(
@@ -103,7 +160,7 @@ class TestNormwiseBounds:
         # the top singular values of the lower map differ by about eps relative
         f = lu_factor(np.diag([1.0, 1.0 - eps, 1.0]))
         rep = lu_normwise_bounds(f, 1e-6)
-        ref = svd_spectral_norm(operator_materialize(lower_factor_operator(f.l, f.u)))
+        ref = svd_spectral_norm(operator_materialize(lower_factor_operator(f)))
         assert rep.l_op_norm == pytest.approx(ref, rel=1e-12)
 
     def test_inapplicable_reports_absent(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fperturb import dense
-from fperturb.dense import lu_factor
+from fperturb.dense import LuFactors, lu_factor, qr_factor
 from fperturb.errors import AbsOperatorTooLarge, DimensionMismatch
 from fperturb.lu_bounds import (
     lower_factor_operator,
@@ -29,6 +29,7 @@ from conftest import (
     SelectionKind,
     extract,
     mask,
+    r_factors,
     random_unit_lower,
     random_upper,
     seeded_rng,
@@ -254,7 +255,7 @@ class TestStructuredOperator:
         # the QR maps are gated at n^3 > EXPLICIT_THRESHOLD^2 (n > 256) before
         # their stacks are allocated; the LU maps materialize, with the same gate
         with pytest.raises(AbsOperatorTooLarge):
-            componentwise_operator_norms(np.eye(300))
+            componentwise_operator_norms(qr_factor(np.eye(300)))
         with pytest.raises(AbsOperatorTooLarge):
             worst_case_m_norm_perturbation(lu_factor(np.eye(65)), 1e-9, "L")
 
@@ -295,14 +296,14 @@ class TestFactorMaps:
             mslt, mut, mup = (selection_matrix(k, n) for k in
                               (SelectionKind.SLT, SelectionKind.UT, SelectionKind.UP))
             oracles = (
-                (lower_factor_operator(l, u),
+                (lower_factor_operator(LuFactors(l=l, u=u)),
                  sl @ np.kron(eye, l) @ mslt @ np.kron(pad.T, linv)),
-                (upper_factor_operator(l, u),
+                (upper_factor_operator(LuFactors(l=l, u=u)),
                  su @ np.kron(u.T, eye) @ mut @ np.kron(uinv.T, linv)),
-                (r_factor_operator(r),
+                (r_factor_operator(r_factors(r)),
                  su @ np.kron(r.T, eye) @ mup
                  @ (np.kron(rinv.T, eye) + np.kron(eye, rinv.T) @ perm)),
-                (r_quadratic_operator(r),
+                (r_quadratic_operator(r_factors(r)),
                  su @ np.kron(r.T, eye) @ mup @ np.kron(rinv.T, rinv.T)),
             )
             for op, ref in oracles:

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from fperturb import dense, structured
 from fperturb import verify as verify_mod
 from fperturb.errors import BoundNotApplicable
 from fperturb.matgen import (
@@ -16,7 +17,7 @@ from fperturb.matgen import (
 )
 from fperturb.verify import delta_halving, infer_experiment, verify_bounds
 
-from conftest import random_square
+from conftest import count_calls, random_square
 
 
 class TestInference:
@@ -181,6 +182,21 @@ class TestDeltaHalving:
             alone = verify_bounds(a, PerturbationSpec(ComponentwiseLU(1e-8 * 0.5 ** level),
                                                       seed=3), 10)
             assert _untimed(rep) == _untimed(alone)
+
+    @pytest.mark.parametrize("experiment, model", [
+        ("lu-normwise", Normwise(1e-8)),
+        ("lu-componentwise", ComponentwiseLU(1e-10)),
+        ("qr-normwise", Normwise(1e-8)),
+        ("qr-componentwise", ComponentwiseQR(1e-10, random_c_matrix(6, 0))),
+    ])
+    def test_levels_share_every_norm_estimate(self, experiment, model, monkeypatch):
+        a = random_square(6, 7, shift=6.0)
+        counts = []
+        for levels in (0, 3):
+            calls = count_calls(monkeypatch, "_krylov_spectral_norm", dense, structured)
+            delta_halving(a, PerturbationSpec(model, seed=3), 5, levels, experiment=experiment)
+            counts.append(len(calls))
+        assert counts[0] == counts[1] > 0
 
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
