@@ -38,7 +38,7 @@ RECONSTRUCT_TOL = 1e-11    # relative reconstruction accuracy contract
 SPECTRAL_TOL = 1e-12       # relative residual tolerance of the Krylov norm estimate
 KRYLOV_MAX_STEPS = 1_000   # bidiagonalization steps before NoConvergence
 KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an SVD of B_k each)
-EXPLICIT_THRESHOLD = 4096  # largest vec-dimension that may be materialized
+EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 materialized, one column of X at a time
 
 
 @dataclass(frozen=True)

@@ -235,9 +235,9 @@ class LuComponentwiseReport:
     first_order_du_m: float
     first_order_dl_s: float
     first_order_du_s: float
-    gamma_l: float
+    gamma_l: float | None           # None where 1 - c eps is 0
     gamma_l_d: float
-    gamma_u: float
+    gamma_u: float | None           # None where 1 + c eps is 0
     gamma_u_d: float
     eta_dl: float
     eta_du: float
@@ -331,9 +331,9 @@ def _lu_componentwise_evaluator(tilde_factors: LuFactors):
             first_order_du_m=max_u * epsilon,
             first_order_dl_s=sum_l * epsilon,
             first_order_du_s=sum_u * epsilon,
-            gamma_l=(a / (1.0 - ce)) / lt_fro,
+            gamma_l=(a / (1.0 - ce)) / lt_fro if 1.0 - ce != 0.0 else None,
             gamma_l_d=gamma_l_d,
-            gamma_u=(b / (1.0 + ce)) / ut_fro,
+            gamma_u=(b / (1.0 + ce)) / ut_fro if 1.0 + ce != 0.0 else None,
             gamma_u_d=gamma_u_d,
             eta_dl=eta_dl,
             eta_du=eta_du,

@@ -15,12 +15,17 @@ with entries in {0, 1/2, 1} and two outer factors. Its output is the part of
 the result on the support of W, read column by column, so the upper maps
 return uvec(dU) and the lower map slvec(dL). :func:`sandwich` forms each
 product through vec(a X b) = (b^T kron a) vec(X) without the Kronecker
-product, so an n^2-dimensional map costs a few n-by-n matrix products.
+product: an n^2-by-k block is viewed, without a copy, as the stack of the k
+matrices X^T, and (a X b)^T = b^T X^T a^T is one batched ``np.matmul`` per
+factor. Each matrix of a stack is multiplied on its own, so a column has the
+same bits whether it is pushed alone or in a block.
 
 Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as an oracle
 and as the route to the entrywise absolute values of the LU maps (the
 absolute value of a composition is not the composition of absolute values).
-The QR maps have a matrix-free absolute form, ``qr_bounds.absolute_r_maps``.
+It pushes the basis one column of X at a time into a preallocated result, so
+its peak memory stays near the size of that result. The QR maps have a
+matrix-free absolute form, ``qr_bounds.absolute_r_maps``.
 """
 
 from __future__ import annotations
@@ -39,29 +44,20 @@ def vec(a) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
-def _vec_transpose(v: np.ndarray) -> np.ndarray:
-    """vec(X^T) for every column vec(X) of an n^2-by-k block."""
-    n = math.isqrt(v.shape[0])
-    return v.reshape((n, n, -1), order="F").transpose(1, 0, 2).reshape(v.shape, order="F")
-
-
 def sandwich(a, b, v: np.ndarray, transpose: bool = False) -> np.ndarray:
-    """vec(a X b) for every column vec(X) of the n^2-by-k block ``v``.
+    """vec(a X b) for every column vec(X) of the n^2-by-k block ``v``, as a new block.
 
     ``None`` stands for the identity; with ``transpose`` X^T takes the place
     of X.
     """
-    if transpose:
-        v = _vec_transpose(v)
     n = math.isqrt(v.shape[0])
-    k = v.shape[1]
-    x = v.reshape((n, n, k), order="F")
-    # a copy, not a view, keeps the memory layout, and so the rounding, of
-    # the product with the identity it stands for
-    t = x.copy() if a is None else np.tensordot(a, x, axes=([1], [0]))    # (n, n, k)
-    if b is not None:
-        t = np.moveaxis(np.tensordot(t, b, axes=([1], [0])), 2, 1)      # (n, k, n) -> (n, n, k)
-    return t.reshape((n * n, k), order="F")
+    y = v.T.reshape(v.shape[1], n, n)            # y[j] = X_j^T
+    if transpose:
+        y = y.swapaxes(1, 2)
+    t = y if a is None else np.matmul(y, a.T)    # (a X)^T
+    t = t if b is None else np.matmul(b.T, t)    # (a X b)^T
+    # the identity alone returns a copy, so callers may update the block in place
+    return (t.copy() if t is y else t).reshape(v.shape[1], n * n).T
 
 
 def _transposed(m):
@@ -113,19 +109,14 @@ class StructuredOperator:
         return s
 
     def applyt2(self, v: np.ndarray) -> np.ndarray:
-        full = np.zeros((self.in_dim,) + v.shape[1:])
-        full[self._support] = v
-        s = sandwich(_transposed(self.left), _transposed(self.right),
-                     full.reshape(self.in_dim, -1))
+        block = v.reshape(v.shape[0], -1)
+        full = np.zeros((block.shape[1], self.in_dim)).T     # columns contiguous, a stack view
+        full[self._support] = block
+        s = sandwich(_transposed(self.left), _transposed(self.right), full)
         s *= self._w
-        out = None
-        for a, b, transpose in self.terms:
-            y = sandwich(_transposed(a), _transposed(b), s)
-            y = _vec_transpose(y) if transpose else y
-            if out is None:
-                out = y
-            else:
-                out += y
+        # the adjoint of X -> a X^T b is S -> b S^T a
+        out = sum(sandwich(b, a, s, True) if transpose else
+                  sandwich(_transposed(a), _transposed(b), s) for a, b, transpose in self.terms)
         return out[:, 0] if v.ndim == 1 else out
 
     def apply(self, x) -> np.ndarray:
@@ -146,12 +137,19 @@ def operator_materialize(op: StructuredOperator) -> np.ndarray:
 
     Raises AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``: the entrywise
     absolute values of the LU maps, which the componentwise LU bounds need,
-    are taken of this dense form.
+    are taken of this dense form. Column c of X goes in as one block of n basis
+    vectors, so no n^2-square identity is formed.
     """
     if op.in_dim > EXPLICIT_THRESHOLD:
         raise AbsOperatorTooLarge(
             f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}")
-    return op.apply2(np.eye(op.in_dim))
+    n = math.isqrt(op.in_dim)
+    out = np.empty((op.out_dim, op.in_dim))
+    for c in range(n):
+        stack = np.zeros((n, n, n))
+        stack[range(n), c, range(n)] = 1.0               # stack[r] = E_rc^T
+        out[:, c * n:(c + 1) * n] = op.apply2(stack.reshape(n, n * n).T)
+    return out
 
 
 def operator_spectral_norm(op: StructuredOperator) -> float:

@@ -141,6 +141,17 @@ def test_probe_exits_with_documented_code(probe, argv, code, tmp_path, capsys, m
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def test_componentwise_lu_one_ulp_above_gate(capsys):
+    # c eps rounds to exactly 1 here, so 1 - c eps leaves gamma_L without a value
+    code, out, err = run(["lu-componentwise", "--kahan", "10,0.5",
+                          "--epsilon", "1.0004269363180316e-05", "--no-timings"], capsys)
+    assert code == 0
+    assert "Traceback" not in err
+    values = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    assert values["applicable"] == "false"
+    assert values["gamma_l"] == "n/a"
+
+
 class TestBoundCommands:
     def test_lu_normwise_csv(self, tmp_path, capsys):
         path = tmp_path / "id.csv"

@@ -1,7 +1,11 @@
 """Vectorization, the sandwich kernel, and the masked factor-map operator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fperturb import dense
 from fperturb.dense import LuFactors, lu_factor, qr_factor
@@ -166,6 +170,59 @@ class TestKronecker:
             op.apply(np.ones(5))
         with pytest.raises(DimensionMismatch):
             op.apply_transpose(np.ones(5))
+
+
+class TestStackedKernel:
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(1, 8), k=st.integers(1, 4), transpose=st.booleans(),
+           a_none=st.booleans(), b_none=st.booleans(), seed=st.integers(0, 2 ** 16))
+    def test_matches_kron(self, n, k, transpose, a_none, b_none, seed):
+        rng = seeded_rng(40, seed)
+        a, b = rng.standard_normal((2, n, n))
+        v = rng.standard_normal((n * n, k))
+        kept = v.copy()
+        out = sandwich(None if a_none else a, None if b_none else b, v, transpose)
+        ref = (np.kron(np.eye(n) if b_none else b.T, np.eye(n) if a_none else a)
+               @ (vec_permutation(n) @ v if transpose else v))
+        assert out.shape == (n * n, k)
+        assert np.allclose(out, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max()))
+        # a new block, even for the identity, and the input untouched
+        assert not np.shares_memory(out, v)
+        assert np.array_equal(v, kept)
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_block_columns_match_single_pushes(self, n):
+        op = _random_operator(n, 0)
+        rng = seeded_rng(41, n)
+        a, b = rng.standard_normal((2, n, n))
+        x = rng.standard_normal((op.in_dim, 4))
+        y = rng.standard_normal((op.out_dim, 4))
+        for transpose in (False, True):
+            block = sandwich(a, b, x, transpose)
+            for j in range(4):
+                assert np.array_equal(block[:, j], sandwich(a, b, x[:, j:j + 1], transpose)[:, 0])
+        forward, adjoint = op.apply2(x), op.applyt2(y)
+        for j in range(4):
+            assert np.array_equal(forward[:, j], op.apply(x[:, j]))
+            assert np.array_equal(adjoint[:, j], op.apply_transpose(y[:, j]))
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_blocked_materialize_matches_identity_push(self, n):
+        f = LuFactors(l=random_unit_lower(n, 2), u=random_upper(n, 2))
+        qr = r_factors(random_upper(n, 3))
+        for op in (lower_factor_operator(f), upper_factor_operator(f),
+                   r_factor_operator(qr), r_quadratic_operator(qr)):
+            assert np.array_equal(operator_materialize(op), op.apply2(np.eye(n * n)))
+
+    def test_materialize_peak_near_result_size(self):
+        op = upper_factor_operator(LuFactors(l=random_unit_lower(40, 4), u=random_upper(40, 4)))
+        tracemalloc.start()
+        try:
+            m = operator_materialize(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * m.nbytes
 
 
 def _random_operator(n, seed):
