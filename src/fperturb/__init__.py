@@ -15,6 +15,7 @@ from .errors import (
     DimensionMismatch,
     FperturbError,
     NoConvergence,
+    NormOverflow,
     RankDeficient,
     SingularDiagonal,
     SingularLeadingMinor,
@@ -23,15 +24,14 @@ from .errors import (
 from .lu_bounds import (
     LuComponentwiseReport,
     LuNormwiseReport,
-    ScalingMatrix,
-    chang_stehle_lu,
     gaussian_elimination_epsilon,
     heuristic_scaling,
     lower_factor_operator,
     lu_componentwise_bounds,
+    lu_componentwise_evaluator,
     lu_normwise_bounds,
+    lu_normwise_evaluator,
     upper_factor_operator,
-    worst_case_m_norm_perturbation,
 )
 from .matgen import (
     ComponentwiseLU,
@@ -47,9 +47,10 @@ from .matgen import (
 from .qr_bounds import (
     QrComponentwiseReport,
     QrNormwiseReport,
-    chang_stehle_qr,
     qr_componentwise_bounds,
+    qr_componentwise_evaluator,
     qr_normwise_bounds,
+    qr_normwise_evaluator,
     r_factor_operator,
     r_quadratic_operator,
     scaling_d_e,

@@ -1,9 +1,9 @@
 """Command-line harness for bound reports, verification runs, and tables.
 
-Exit codes: 1 invalid configuration, 2 matrix parse failure, 3 factorization
-failure (also a singular factor, or a zero row to scale by), 4 bound
-inapplicable in a mode that demands applicability, 5 norm estimation did not
-converge.
+Exit codes: 1 invalid configuration, 2 matrix parse failure (also a norm
+outside the float64 range), 3 factorization failure (also a singular factor,
+a norm that overflows on one, or a zero row to scale by), 4 bound inapplicable
+in a mode that demands applicability, 5 norm estimation did not converge.
 
 Matrix files are plain CSV: one row per line, no header, decimal floats.
 Output is deterministic for a fixed (configuration, seed) pair except for the
@@ -23,15 +23,12 @@ import numpy as np
 
 from . import dense, lu_bounds, qr_bounds, tables
 from .errors import (
+    FACTORIZATION_FAILURES,
     AbsOperatorTooLarge,
     BoundNotApplicable,
     DimensionMismatch,
     FperturbError,
     NoConvergence,
-    RankDeficient,
-    SingularDiagonal,
-    SingularLeadingMinor,
-    ZeroVector,
 )
 from .matgen import (
     ComponentwiseQR,
@@ -52,7 +49,7 @@ EXIT_NO_CONVERGENCE = 5
 #: rejected argument, such as a negative or NaN size
 _ERROR_EXITS = (
     (DimensionMismatch, EXIT_BAD_MATRIX),
-    ((SingularLeadingMinor, RankDeficient, SingularDiagonal, ZeroVector), EXIT_FACTORIZATION),
+    (FACTORIZATION_FAILURES, EXIT_FACTORIZATION),
     (BoundNotApplicable, EXIT_INAPPLICABLE),
     (NoConvergence, EXIT_NO_CONVERGENCE),
     ((AbsOperatorTooLarge, ValueError), EXIT_BAD_CONFIG),
@@ -170,6 +167,10 @@ def load_matrix_csv(path: str) -> np.ndarray:
         m = np.asarray(rows, dtype=float)
         if not np.isfinite(m).all():
             raise ValueError("non-finite entry")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(m)
+        if not math.isfinite(norm) or (norm == 0.0 and m.any()):
+            raise ValueError("Frobenius norm outside the float64 range")
         return m
     except OSError as exc:
         raise CliError(EXIT_BAD_MATRIX, f"cannot read matrix file: {exc}") from exc

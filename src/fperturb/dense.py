@@ -26,6 +26,7 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     NoConvergence,
+    NormOverflow,
     RankDeficient,
     SingularDiagonal,
     SingularLeadingMinor,
@@ -34,7 +35,6 @@ from .errors import (
 # Tolerances, chosen with double-precision headroom over machine epsilon.
 PIVOT_TOL = 1e-13          # relative pivot threshold for pivot-free LU
 RANK_TOL = 1e-12           # relative smallest-singular-value threshold for QR
-RECONSTRUCT_TOL = 1e-11    # relative reconstruction accuracy contract
 SPECTRAL_TOL = 1e-12       # relative residual tolerance of the Krylov norm estimate
 KRYLOV_MAX_STEPS = 1_000   # bidiagonalization steps before NoConvergence
 KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an SVD of B_k each)
@@ -200,7 +200,8 @@ def triangular_inverse(t, shape: str) -> np.ndarray:
     return np.triu(x) if upper else np.tril(x)
 
 
-def _krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
+@np.errstate(over="ignore", invalid="ignore")
+def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
     """Largest singular value of a linear map given by matvec/rmatvec.
 
     Golub-Kahan-Lanczos bidiagonalization from the normalized all-ones
@@ -210,7 +211,9 @@ def _krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
     singular vector, and is returned once that is below ``SPECTRAL_TOL``
     times its value. A tiny alpha means the Krylov space is exhausted; the
     norm is then exactly that of the k-by-(k+1) bidiagonal [B_k, beta_k e_k].
-    Both are norms of compressions of the map, so lower estimates.
+    Both are norms of compressions of the map, so lower estimates. A map
+    that overflows on a numerically singular factor gives a non-finite alpha
+    or beta; the step that meets it raises :class:`NormOverflow`.
     """
     if dim_in == 0:
         return 0.0
@@ -220,7 +223,7 @@ def _krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
         if u.size == 0:
             return 0.0
         alpha = float(np.linalg.norm(u))
-        if alpha > 0.0:
+        if alpha != 0.0:             # also a nan, which the first step rejects
             break
         # The start vector happens to lie in the null space; probe basis
         # directions deterministically before concluding the map is zero.
@@ -235,6 +238,8 @@ def _krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
         w = rmatvec(u)
         w -= alpha * v
         beta = float(np.linalg.norm(w))
+        if not math.isfinite(alpha + beta):
+            raise NormOverflow("norm estimate overflows: a factor is numerically singular")
         betas.append(beta)
         exhausted = beta <= SPECTRAL_TOL * scale
         if exhausted or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
@@ -260,9 +265,4 @@ def spectral_norm(a) -> float:
     a = _as_matrix(a)
     if a.size == 0:
         return 0.0
-    return _krylov_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
-
-
-def kappa2_triangular(t, shape: str) -> float:
-    """Spectral condition number of a nonsingular triangular matrix."""
-    return spectral_norm(t) * spectral_norm(triangular_inverse(t, shape))
+    return krylov_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])

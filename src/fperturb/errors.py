@@ -42,6 +42,10 @@ class NoConvergence(FperturbError):
         super().__init__(f"Krylov norm estimate did not converge in {steps} steps")
 
 
+class NormOverflow(FperturbError):
+    """A norm estimate overflows: the map has a numerically singular factor."""
+
+
 class DimensionMismatch(FperturbError):
     """Operands have incompatible shapes."""
 
@@ -65,3 +69,8 @@ class ZeroVector(FperturbError):
 
 class BoundNotApplicable(FperturbError):
     """A rigorous bound was requested but its applicability condition fails."""
+
+
+#: a matrix that does not factorize, or whose factors are numerically singular
+FACTORIZATION_FAILURES = (SingularLeadingMinor, RankDeficient, SingularDiagonal,
+                          NormOverflow, ZeroVector)

@@ -16,10 +16,11 @@ smaller root of a Lyapunov majorant that :func:`majorant` solves for the whole
 package; the normwise ones hold while the product of the two norms times delta
 stays below 1/4. Componentwise perturbations within the backward-error envelope
 eps * |L~| |U~| of Gaussian elimination go through the entrywise absolute
-values of the materialized maps. Each report is built once per factorization,
-from the factors and their cached inverses, as a function of the size.
-Comparison bounds in the style of Chang and Stehle, at the column-norm scaling
-of L and the row-norm scaling of U, measure the tightness of the bounds.
+values of the materialized maps. Each report's evaluator builds its size-free
+part once per factorization, from the factors and their cached inverses, and
+returns the report as a function of the size. Comparison bounds in the style
+of Chang and Stehle (SIMAX 2010), at the column-norm scaling of L and the
+row-norm scaling of U, measure the tightness of the bounds.
 """
 
 from __future__ import annotations
@@ -49,32 +50,18 @@ def gaussian_elimination_epsilon(n: int, u: float = UNIT_ROUNDOFF) -> float:
     return n * u / (1.0 - n * u)
 
 
-@dataclass(frozen=True)
-class ScalingMatrix:
-    """Positive diagonal scaling, stored as its diagonal."""
+def heuristic_scaling(m, mode: str) -> np.ndarray:
+    """Column (or row) 2-norms, the positive diagonal scaling of the experiments.
 
-    diagonal: np.ndarray
-
-    def __post_init__(self):
-        d = np.asarray(self.diagonal, dtype=float)
-        if d.ndim != 1 or d.size == 0 or not np.all(d > 0.0):
-            raise ValueError("scaling diagonal must be a 1-D positive vector")
-        object.__setattr__(self, "diagonal", d)
-
-
-def heuristic_scaling(m, mode: str) -> ScalingMatrix:
-    """Diagonal of column (or row) 2-norms, the scaling used in the experiments."""
-    m = np.asarray(m, dtype=float)
-    if mode == "columns":
-        norms = np.linalg.norm(m, axis=0)
-    elif mode == "rows":
-        norms = np.linalg.norm(m, axis=1)
-    else:
+    Raises :class:`ZeroVector` with the 1-based index of a zero column (row).
+    """
+    if mode not in ("columns", "rows"):
         raise ValueError(f"mode must be 'columns' or 'rows', got {mode!r}")
+    norms = np.linalg.norm(np.asarray(m, dtype=float), axis=0 if mode == "columns" else 1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]) + 1)
-    return ScalingMatrix(diagonal=norms)
+    return norms
 
 
 def majorant(a: float, b: float, c: float):
@@ -95,8 +82,7 @@ def majorant(a: float, b: float, c: float):
 def lower_factor_operator(factors: LuFactors) -> StructuredOperator:
     """Map from vec(dA) to slvec(dL), the first-order change of the unit lower factor."""
     n = factors.l.shape[0]
-    pad = np.zeros((n, n))
-    pad[: n - 1, : n - 1] = factors.u_lead_inv
+    pad = np.pad(factors.u_lead_inv, (0, 1))         # [U_{n-1}^{-1} 0; 0 0]
     return StructuredOperator(terms=((factors.l_inv, pad, False),),
                               weights=np.tril(np.ones((n, n)), -1), left=factors.l)
 
@@ -136,47 +122,33 @@ class LuNormwiseReport:
     comparison_applicable: bool     # fo_condition_value < 1/4
 
 
-def chang_stehle_lu(factors: LuFactors, delta: float,
-                    d_l: ScalingMatrix, d_u: ScalingMatrix):
-    """Normwise comparison bounds built from scaled condition numbers.
-
-    Returns ``(bound_dl, bound_du, applicable)`` where the bounds are
-    2 * kappa2(L D_l^-1) * ||U_{n-1}^-1||_2 * delta and
-    2 * kappa2(D_u^-1 U) * ||L^-1||_2 * delta, and the applicability gate is
-    ||L^-1||_2 ||U^-1||_2 delta < 1/4. The infimum over all positive diagonal
-    scalings is approximated by the supplied ones, as in the experiments.
-    """
-    dl_per_delta, du_per_delta, inverse_norms = _chang_stehle_lu_constants(factors, d_l, d_u)
-    return dl_per_delta * delta, du_per_delta * delta, inverse_norms * delta < 0.25
-
-
-def _chang_stehle_lu_constants(factors: LuFactors, d_l: ScalingMatrix, d_u: ScalingMatrix):
-    """:func:`chang_stehle_lu` per unit delta, and ||L^-1||_2 ||U^-1||_2."""
-    linv_norm = dense.spectral_norm(factors.l_inv)
-    uinv_norm = dense.spectral_norm(factors.u_inv)
-    un1_inv_norm = dense.spectral_norm(factors.u_lead_inv)
-    kappa_l = dense.kappa2_triangular(factors.l / d_l.diagonal[None, :], "lower")
-    kappa_u = dense.kappa2_triangular(factors.u / d_u.diagonal[:, None], "upper")
-    return 2.0 * kappa_l * un1_inv_norm, 2.0 * kappa_u * linv_norm, linv_norm * uinv_norm
-
-
 def lu_normwise_bounds(factors: LuFactors, delta: float) -> LuNormwiseReport:
-    """Evaluate the normwise LU bounds for a perturbation of Frobenius size delta.
-
-    The comparison bounds use the column-norm scaling of L and the row-norm
-    scaling of U.
-    """
+    """Evaluate the normwise LU bounds for a perturbation of Frobenius size delta."""
     check_size(delta, "delta")
-    return _lu_normwise_evaluator(factors)(delta)
+    return lu_normwise_evaluator(factors)(delta)
 
 
-def _lu_normwise_evaluator(factors: LuFactors):
-    """Build the delta-free part of :func:`lu_normwise_bounds` and return the
-    function that evaluates the report at one delta."""
+def lu_normwise_evaluator(factors: LuFactors):
+    """Build the delta-free part of the normwise LU report and return the
+    function that evaluates the report at one delta.
+
+    The comparison bounds are 2 kappa2(L D_l^-1) ||U_{n-1}^-1||_2 delta and
+    2 kappa2(D_u^-1 U) ||L^-1||_2 delta, with D_l the column norms of L and
+    D_u the row norms of U; (L D_l^-1)^-1 = D_l L^-1 and (D_u^-1 U)^-1 =
+    U^-1 D_u. Their gate is ||L^-1||_2 ||U^-1||_2 delta < 1/4.
+    """
     nl = operator_spectral_norm(lower_factor_operator(factors))
     nu = operator_spectral_norm(upper_factor_operator(factors))
-    comparison_dl, comparison_du, inverse_norms = _chang_stehle_lu_constants(
-        factors, heuristic_scaling(factors.l, "columns"), heuristic_scaling(factors.u, "rows"))
+    d_l = heuristic_scaling(factors.l, "columns")
+    d_u = heuristic_scaling(factors.u, "rows")
+    linv_norm = dense.spectral_norm(factors.l_inv)
+    inverse_norms = linv_norm * dense.spectral_norm(factors.u_inv)
+    kappa_l = (dense.spectral_norm(factors.l / d_l[None, :])
+               * dense.spectral_norm(d_l[:, None] * factors.l_inv))
+    kappa_u = (dense.spectral_norm(factors.u / d_u[:, None])
+               * dense.spectral_norm(factors.u_inv * d_u[None, :]))
+    comparison_dl = 2.0 * kappa_l * dense.spectral_norm(factors.u_lead_inv)
+    comparison_du = 2.0 * kappa_u * linv_norm
 
     def report(delta: float) -> LuNormwiseReport:
         condition = nl * nu * delta
@@ -256,17 +228,17 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuCompo
     analysis: the computed factors), and the perturbation model is
     |dA| <= epsilon * |L~| |U~|. Needs the absolute value of the two factor
     maps, hence dense materialization; raises AbsOperatorTooLarge above
-    ``EXPLICIT_THRESHOLD``. The comparison quantities use the column-norm
-    scaling of L~ and the row-norm scaling of U~.
+    ``EXPLICIT_THRESHOLD``.
     """
     check_size(epsilon, "epsilon")
-    return _lu_componentwise_evaluator(tilde_factors)(epsilon)
+    return lu_componentwise_evaluator(tilde_factors)(epsilon)
 
 
-def _lu_componentwise_evaluator(tilde_factors: LuFactors):
-    """Build the epsilon-free part of :func:`lu_componentwise_bounds`: the
+def lu_componentwise_evaluator(tilde_factors: LuFactors):
+    """Build the epsilon-free part of the componentwise LU report: the
     materialized maps, their images of the envelope, and the comparison
-    norms. Returns the function that evaluates the report at one epsilon."""
+    norms at the column-norm scaling of L~ and the row-norm scaling of U~.
+    Returns the function that evaluates the report at one epsilon."""
     lt, ut = tilde_factors.l, tilde_factors.u
 
     t0 = time.perf_counter()
@@ -295,18 +267,16 @@ def _lu_componentwise_evaluator(tilde_factors: LuFactors):
     abs_u_uinv = np.abs(ut) @ np.abs(tilde_factors.u_inv)
     abs_un1_fro = float(np.linalg.norm(np.abs(ut[:-1, :-1]) @ np.abs(tilde_factors.u_lead_inv)))
 
-    l_scaled = lt / d_l.diagonal[None, :]
-    u_scaled = ut / d_u.diagonal[:, None]
-    l_scaled_norm = dense.spectral_norm(l_scaled)
-    u_scaled_norm = dense.spectral_norm(u_scaled)
+    l_scaled_norm = dense.spectral_norm(lt / d_l[None, :])
+    u_scaled_norm = dense.spectral_norm(ut / d_u[:, None])
     gamma_l_d = (l_scaled_norm
-                 * dense.spectral_norm(d_l.diagonal[:, None] * abs_linv_l)
+                 * dense.spectral_norm(d_l[:, None] * abs_linv_l)
                  * abs_un1_fro) / lt_fro
     gamma_u_d = (u_scaled_norm
-                 * dense.spectral_norm(abs_u_uinv * d_u.diagonal[None, :])
+                 * dense.spectral_norm(abs_u_uinv * d_u[None, :])
                  * float(np.linalg.norm(abs_linv_l))) / ut_fro
-    eta_dl = dense.spectral_norm(np.abs(lt) / d_l.diagonal[None, :]) / l_scaled_norm
-    eta_du = dense.spectral_norm(np.abs(ut) / d_u.diagonal[:, None]) / u_scaled_norm
+    eta_dl = dense.spectral_norm(np.abs(lt) / d_l[None, :]) / l_scaled_norm
+    eta_du = dense.spectral_norm(np.abs(ut) / d_u[:, None]) / u_scaled_norm
     comparison_norms = dense.spectral_norm(abs_linv_l) * dense.spectral_norm(abs_u_uinv)
     t_gamma_d = time.perf_counter() - t1
 
@@ -346,35 +316,3 @@ def _lu_componentwise_evaluator(tilde_factors: LuFactors):
         )
 
     return report
-
-
-def worst_case_m_norm_perturbation(tilde_factors: LuFactors, epsilon: float,
-                                   target: str) -> np.ndarray:
-    """Perturbation attaining the first-order max-entry bound for one factor.
-
-    The extremal dA has vec(dA) = eps * sign(row_k) * vec(|L~||U~|) entrywise,
-    where row_k is the row of the factor map whose absolute image of the
-    envelope is largest. ``target`` is ``"L"`` or ``"U"``. The map is
-    materialized, so this raises AbsOperatorTooLarge above
-    ``EXPLICIT_THRESHOLD``.
-    """
-    check_size(epsilon, "epsilon")
-    lt, ut = tilde_factors.l, tilde_factors.u
-    n = lt.shape[0]
-    if target == "L":
-        op = lower_factor_operator(tilde_factors)
-    elif target == "U":
-        op = upper_factor_operator(tilde_factors)
-    else:
-        raise ValueError(f"target must be 'L' or 'U', got {target!r}")
-    rows = operator_materialize(op)
-    venv = vec(np.abs(lt) @ np.abs(ut))
-    image = np.abs(rows) @ venv
-    if rows.shape[0] == 0:
-        return np.zeros((n, n))
-    k = int(np.argmax(image))
-    # Entries where the extremal row vanishes do not affect attainment; give
-    # them sign +1 so the perturbation saturates the whole envelope.
-    signs = np.where(rows[k] >= 0.0, 1.0, -1.0)
-    delta_vec = epsilon * signs * venv
-    return delta_vec.reshape((n, n), order="F")

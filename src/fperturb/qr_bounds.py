@@ -11,8 +11,9 @@ quadratic map up(R^{-T} X R^{-1}) R, with the same mask and outer factor,
 absorbs the second-order terms dA^T dA - dR^T dR. A fixed-point argument then
 yields rigorous bounds whenever ||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4,
 where d2 = ||dA||_F: the root of ``lu_bounds.majorant`` at (||lin|| d1 +
-||quad|| d2^2, 1, ||quad||), with d1 = ||Q^T dA||_F <= d2. Each report is
-built once per factorization, whose R^{-1} is cached, as a function of the size.
+||quad|| d2^2, 1, ||quad||), with d1 = ||Q^T dA||_F <= d2. Each report has a
+public evaluator, which builds its size-free part once per factorization,
+whose R^{-1} is cached, and returns the report as a function of the size.
 
 Componentwise perturbations |dA| <= eps C |A| route through the entrywise
 absolute values of the two maps weighted by Kronecker factors of |R|.
@@ -21,9 +22,9 @@ row, or a product of such an entry with an entry of R^{-1} or R, so its
 absolute value is taken entry by entry; :func:`absolute_r_maps` applies the
 absolute maps matrix-free from two n^3 stacks of those blocks, at O(n^3)
 per product with a map or its transpose. The scaled comparison bounds of
-Chang and Stehle measure tightness at the two scalings of the experiments: row 2-norms
-(``heuristic_scaling(r, "rows")``) and the recursive equilibration built from
-row 1-norms.
+Chang and Stehle (SIMAX 2010) measure tightness at the two scalings of the
+experiments: row 2-norms (``heuristic_scaling(r, "rows")``) and the recursive
+equilibration built from row 1-norms, each a positive diagonal.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ import numpy as np
 from . import dense
 from .dense import EXPLICIT_THRESHOLD, QrFactors
 from .errors import AbsOperatorTooLarge, check_size
-from .lu_bounds import ScalingMatrix, heuristic_scaling, majorant
+from .lu_bounds import heuristic_scaling, majorant
 from .structured import StructuredOperator, operator_spectral_norm, vec
 
 SQRT6_PLUS_SQRT3 = math.sqrt(6.0) + math.sqrt(3.0)
@@ -64,16 +65,14 @@ def r_quadratic_operator(factors: QrFactors) -> StructuredOperator:
                               weights=_up_mask(r.shape[0]), right=r)
 
 
-def zeta(d: ScalingMatrix) -> float:
-    """max over i < j of d_j / d_i; below 1 for a decreasing diagonal."""
-    diag = d.diagonal
-    if diag.size < 2:
+def zeta(d: np.ndarray) -> float:
+    """max over i < j of d_j / d_i for the diagonal d; below 1 when it decreases."""
+    if d.size < 2:
         return 0.0
-    running_min = np.minimum.accumulate(diag)[:-1]
-    return float(np.max(diag[1:] / running_min))
+    return float(np.max(d[1:] / np.minimum.accumulate(d)[:-1]))
 
 
-def scaling_d_e(factors: QrFactors) -> ScalingMatrix:
+def scaling_d_e(factors: QrFactors) -> np.ndarray:
     """Recursive equilibration scaling of R built from row 1-norms.
 
     With M = diag(row 1-norms) @ inv(R), the j-th diagonal entry is the
@@ -88,30 +87,8 @@ def scaling_d_e(factors: QrFactors) -> ScalingMatrix:
     out = np.empty(n)
     out[0] = 1.0 / col_norms[0]
     for j in range(1, n):
-        if col_norms[j] >= col_norms[j - 1]:
-            out[j] = 1.0 / col_norms[j]
-        else:
-            out[j] = out[j - 1]
-    return ScalingMatrix(diagonal=out)
-
-
-def chang_stehle_qr(factors: QrFactors, delta: float, d: ScalingMatrix):
-    """Normwise scaled-condition-number comparison bound for dR.
-
-    Returns ``(bound, applicable)``: the bound is
-    (sqrt6 + sqrt3) sqrt(1 + zeta^2) kappa2(D^-1 R) delta, and the gate is
-    ||R^-1||_2 ||dA||_F < sqrt(3/2) - 1.
-    """
-    per_delta, rinv_norm = _chang_stehle_qr_constants(factors, d)
-    return per_delta * delta, rinv_norm * delta < COMPARISON_GATE
-
-
-def _chang_stehle_qr_constants(factors: QrFactors, d: ScalingMatrix):
-    """The bound of :func:`chang_stehle_qr` per unit delta, and ||R^-1||_2."""
-    z = zeta(d)
-    kappa = dense.kappa2_triangular(factors.r / d.diagonal[:, None], "upper")
-    return (SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z) * kappa,
-            dense.spectral_norm(factors.r_inv))
+        out[j] = 1.0 / col_norms[j] if col_norms[j] >= col_norms[j - 1] else out[j - 1]
+    return out
 
 
 @dataclass(frozen=True)
@@ -139,23 +116,30 @@ def qr_normwise_bounds(factors: QrFactors, delta1: float, delta2: float) -> QrNo
 
     ``delta1`` may exceed ``delta2`` only by rounding noise; it is clamped,
     since ||Q^T dA||_F <= ||dA||_F holds exactly for orthonormal columns.
-    The comparison bound uses the row-norm scaling of R.
     """
     check_size(delta1, "delta1")
     check_size(delta2, "delta2")
     if delta1 > delta2 * (1.0 + 1e-12):
         raise ValueError("delta1 cannot exceed delta2")
-    return _qr_normwise_evaluator(factors)(min(delta1, delta2), delta2)
+    return qr_normwise_evaluator(factors)(min(delta1, delta2), delta2)
 
 
-def _qr_normwise_evaluator(factors: QrFactors):
-    """Build the size-free part of :func:`qr_normwise_bounds` and return the
-    function that evaluates the report at (delta1, delta2), delta1 <= delta2."""
+def qr_normwise_evaluator(factors: QrFactors):
+    """Build the size-free part of the normwise QR report and return the
+    function that evaluates the report at (delta1, delta2), delta1 <= delta2.
+
+    The comparison bound is (sqrt6 + sqrt3) sqrt(1 + zeta^2) kappa2(D^-1 R)
+    delta2, with D the row norms of R and (D^-1 R)^-1 = R^-1 D. Its gate is
+    ||R^-1||_2 delta2 < sqrt(3/2) - 1.
+    """
     lin = operator_spectral_norm(r_factor_operator(factors))
     quad = operator_spectral_norm(r_quadratic_operator(factors))
     d = heuristic_scaling(factors.r, "rows")
-    comparison, rinv_norm = _chang_stehle_qr_constants(factors, d)
     zeta_d = zeta(d)
+    kappa = (dense.spectral_norm(factors.r / d[:, None])
+             * dense.spectral_norm(factors.r_inv * d[None, :]))
+    comparison = SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + zeta_d * zeta_d) * kappa
+    rinv_norm = dense.spectral_norm(factors.r_inv)
 
     def report(delta1: float, delta2: float) -> QrNormwiseReport:
         condition = quad * (lin * delta2 + quad * delta2 * delta2)
@@ -291,7 +275,7 @@ def componentwise_operator_norms(factors: QrFactors):
     """
     maps = absolute_r_maps(factors)
     dim_in = factors.r.shape[0] ** 2
-    return tuple(dense._krylov_spectral_norm(*maps[name], dim_in)
+    return tuple(dense.krylov_spectral_norm(*maps[name], dim_in)
                  for name in ("lin_weighted", "quad_weighted", "quad"))
 
 
@@ -303,11 +287,11 @@ def qr_componentwise_bounds(factors: QrFactors, c, epsilon: float) -> QrComponen
     scalings of R.
     """
     check_size(epsilon, "epsilon")
-    return _qr_componentwise_evaluator(factors, c)(epsilon)
+    return qr_componentwise_evaluator(factors, c)(epsilon)
 
 
-def _qr_componentwise_evaluator(factors: QrFactors, c):
-    """Build the epsilon-free part of :func:`qr_componentwise_bounds` for the
+def qr_componentwise_evaluator(factors: QrFactors, c):
+    """Build the epsilon-free part of the componentwise QR report for the
     envelope ``c`` and return the function that evaluates the report at one
     epsilon."""
     c = np.asarray(c, dtype=float)
@@ -372,20 +356,19 @@ def _qr_componentwise_evaluator(factors: QrFactors, c):
     return report
 
 
-def _comparison_product(r, abs_r_rinv, d: ScalingMatrix, c_env_norm: float):
-    """Componentwise comparison bound per unit epsilon at scaling ``d``, and eta.
+def _comparison_product(r, abs_r_rinv, d: np.ndarray, c_env_norm: float):
+    """Componentwise comparison bound per unit epsilon at the diagonal ``d``, and eta.
 
     The product is (sqrt6 + sqrt3) sqrt(1 + zeta^2) ||D^-1 R||_2
-    || |R||R^-1| D ||_2 ||C|Q|||_F, the componentwise bound of
-    :func:`chang_stehle_qr` without its epsilon; eta is
-    ||D^-1 |R|||_2 / ||D^-1 R||_2, at least 1 for any positive diagonal D.
-    Each spectral norm is computed once.
+    || |R||R^-1| D ||_2 ||C|Q|||_F, the componentwise bound of Chang and
+    Stehle without its epsilon; eta is ||D^-1 |R|||_2 / ||D^-1 R||_2, at
+    least 1 for any positive diagonal D. Each spectral norm is computed once.
     """
     z = zeta(d)
-    scaled_norm = dense.spectral_norm(r / d.diagonal[:, None])
+    scaled_norm = dense.spectral_norm(r / d[:, None])
     product = (SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
                * scaled_norm
-               * dense.spectral_norm(abs_r_rinv * d.diagonal[None, :])
+               * dense.spectral_norm(abs_r_rinv * d[None, :])
                * c_env_norm)
-    eta = dense.spectral_norm(np.abs(r) / d.diagonal[:, None]) / scaled_norm
+    eta = dense.spectral_norm(np.abs(r) / d[:, None]) / scaled_norm
     return product, eta

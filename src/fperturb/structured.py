@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import EXPLICIT_THRESHOLD, _krylov_spectral_norm
+from .dense import EXPLICIT_THRESHOLD, krylov_spectral_norm
 from .errors import AbsOperatorTooLarge, DimensionMismatch
 
 
@@ -156,4 +156,4 @@ def operator_spectral_norm(op: StructuredOperator) -> float:
     """Largest singular value of a structured operator via the Krylov estimator."""
     if op.in_dim == 0 or op.out_dim == 0:
         return 0.0
-    return _krylov_spectral_norm(op.apply, op.apply_transpose, op.in_dim)
+    return krylov_spectral_norm(op.apply, op.apply_transpose, op.in_dim)

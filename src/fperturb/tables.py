@@ -18,9 +18,9 @@ are irreproducible in the original experiments, so a seed sweep reporting
 per-column medians is the stable way to compare magnitudes.
 
 A row whose matrix cannot be factorized (a numerically singular leading
-minor or factor, rank deficiency, a zero row to scale by) keeps its key columns and reports
-``None`` in the others, with the reason in the table's notes; the rest of the
-table is unaffected.
+minor or factor, a norm that overflows on one, rank deficiency, a zero row to
+scale by) keeps its key columns and reports ``None`` in the others, with the
+reason in the table's notes; the rest of the table is unaffected.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
-from .errors import RankDeficient, SingularDiagonal, SingularLeadingMinor, ZeroVector
+from .errors import FACTORIZATION_FAILURES
 from .matgen import graded_random, kahan, random_c_matrix, rng_stream
 
 TABLE1_COLUMNS = ("d1", "d2", "gamma_L", "gamma_L_DL", "eta_DL",
@@ -48,8 +48,6 @@ TIMING_COLUMNS = frozenset({"t_gamma", "t_gamma_D", "t_gamma_R",
                             "t_gamma_R_Dr", "t_gamma_R_De"})
 #: columns that identify a row; they survive a row whose matrix fails to factorize
 KEY_COLUMNS = frozenset({"d1", "d2", "n"})
-#: factorization failures that leave one row without values
-ROW_FAILURES = (SingularLeadingMinor, RankDeficient, SingularDiagonal, ZeroVector)
 
 
 @dataclass(frozen=True)
@@ -75,7 +73,7 @@ class _Rows:
         """
         try:
             values = compute()
-        except ROW_FAILURES as exc:
+        except FACTORIZATION_FAILURES as exc:
             where = ", ".join(f"{k}={v}" for k, v in keys.items())
             self.notes.append(f"{self.name} seed {self.seed}, {where}: "
                               f"{type(exc).__name__}: {exc}")

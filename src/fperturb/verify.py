@@ -26,7 +26,7 @@ of trials.
 
 :data:`EXPERIMENTS` is the table of the four theorems under test. Each entry
 names its perturbation model, the model field that holds the perturbation
-size, the factorizations and the bound builder of the library (run once per
+size, the factorizations and the evaluator of the library (run once per
 matrix, also across the levels of :func:`delta_halving`), and the evaluation
 that reads the bounds at one size and measures blocks of trials.
 """
@@ -34,7 +34,7 @@ that reads the bounds at one size and measures blocks of trials.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -58,14 +58,6 @@ _MEASURE_DTYPE = (np.longdouble
 _BLOCK_ENTRIES = 1 << 16
 
 _ZERO_COLUMN = "zero column during refactorization"
-
-
-def _qr_measure_r(a) -> np.ndarray:
-    """Triangular QR factor (positive diagonal) in the measurement precision."""
-    r, zero_column = _qr_measure_r_stack(np.asarray(a)[None])
-    if zero_column[0]:
-        raise RankDeficient(_ZERO_COLUMN)
-    return r[0]
 
 
 def _qr_measure_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
@@ -172,7 +164,8 @@ class _SharedMatrix:
         if experiment not in self._bases:
             exp = EXPERIMENTS[experiment]
             factors, measured = exp.factor(self.matrix)
-            self._bases[experiment] = factors, exp.bounds(factors, model), measured
+            envelope = [getattr(model, f.name) for f in fields(model) if f.name != exp.size]
+            self._bases[experiment] = factors, exp.bounds(factors, *envelope), measured
         return self._bases[experiment]
 
 
@@ -238,7 +231,11 @@ def _lu_factors(a):
 
 
 def _qr_factors(a):
-    return dense.qr_factor(a), _qr_measure_r(a.astype(_MEASURE_DTYPE))
+    factors = dense.qr_factor(a)
+    r, zero_column = _qr_measure_r_stack(a.astype(_MEASURE_DTYPE)[None])
+    if zero_column[0]:
+        raise RankDeficient(_ZERO_COLUMN)
+    return factors, r[0]
 
 
 def _lu_normwise(a, base, spec):
@@ -335,7 +332,9 @@ class Experiment:
     field of that model holding the perturbation size (``"delta"`` or
     ``"epsilon"``). Once per matrix, ``factor(a)`` returns the factors and
     the measurement base (refactorized in the measurement precision), and
-    ``bounds(factors, model)`` builds the report as a function of the size.
+    ``bounds``, the evaluator of the library, takes the factors and the
+    model's fields other than the size and returns the report as a function
+    of the size.
     ``evaluate(a, (factors, bounds_at, base), spec)`` returns ``(measure,
     bound_report)``, where ``measure(indices)`` refactorizes the trials
     ``indices`` as one stack and returns each trial's ratios, or the reason
@@ -351,14 +350,13 @@ class Experiment:
 
 EXPERIMENTS = {
     "lu-normwise": Experiment(Normwise, "delta", _lu_factors, _lu_normwise,
-                              lambda f, _: lu_bounds._lu_normwise_evaluator(f)),
+                              lu_bounds.lu_normwise_evaluator),
     "lu-componentwise": Experiment(ComponentwiseLU, "epsilon", _lu_factors, _lu_componentwise,
-                                   lambda f, _: lu_bounds._lu_componentwise_evaluator(f)),
+                                   lu_bounds.lu_componentwise_evaluator),
     "qr-normwise": Experiment(Normwise, "delta", _qr_factors, _qr_normwise,
-                              lambda f, _: qr_bounds._qr_normwise_evaluator(f)),
+                              qr_bounds.qr_normwise_evaluator),
     "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_factors, _qr_componentwise,
-                                   lambda f, model: qr_bounds._qr_componentwise_evaluator(
-                                       f, model.c)),
+                                   qr_bounds.qr_componentwise_evaluator),
 }
 
 

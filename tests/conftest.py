@@ -6,7 +6,11 @@ import pytest
 
 from fperturb import dense
 from fperturb.dense import QrFactors
+from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
+from fperturb.matgen import graded_random, kahan
 from fperturb.qr_bounds import COMPARISON_GATE, SQRT6_PLUS_SQRT3, zeta
+from fperturb.structured import operator_materialize, vec
+from fperturb.verify import _qr_measure_r_stack
 
 
 def seeded_rng(*key):
@@ -47,6 +51,96 @@ def r_factors(r):
     return QrFactors(q=np.eye(r.shape[0]), r=r)
 
 
+def acceptance_families():
+    """The five matrix families of order 10 that the acceptance suite runs on."""
+    return {
+        "identity": np.eye(10),
+        "kahan": kahan(10, math.pi / 8),
+        "graded_0.2": graded_random(10, 0.2, 0.2, 2),
+        "graded_1": graded_random(10, 1.0, 1.0, 1),
+        "graded_2": graded_random(10, 2.0, 2.0, 8),
+    }
+
+
+def comparison_cases():
+    """The acceptance families, and kahan(n, 1.2) up to n = 200, whose scaled
+    triangles stay ill-conditioned (kappa2 near 1e18 at n = 200)."""
+    return {**acceptance_families(),
+            **{f"kahan{n}": kahan(n, 1.2) for n in (10, 50, 100, 200)}}
+
+
+def measure_r(a):
+    """R factor of one matrix, with positive diagonal, in the measurement precision."""
+    r, zero_column = _qr_measure_r_stack(np.asarray(a)[None])
+    assert not zero_column[0]
+    return r[0]
+
+
+def kappa2_triangular(t, shape):
+    """Spectral condition number of a triangular matrix, its inverse formed afresh.
+
+    The oracle of the comparison bounds, which rescale the cached inverses of
+    the factors instead.
+    """
+    return dense.spectral_norm(t) * dense.spectral_norm(dense.triangular_inverse(t, shape))
+
+
+def chang_stehle_lu(factors, delta, d_l, d_u):
+    """Normwise comparison bounds of Chang and Stehle for dL and dU.
+
+    Returns ``(bound_dl, bound_du, applicable)``: the bounds are
+    2 kappa2(L D_l^-1) ||U_{n-1}^-1||_2 delta and
+    2 kappa2(D_u^-1 U) ||L^-1||_2 delta for the positive diagonals d_l and
+    d_u, and the gate is ||L^-1||_2 ||U^-1||_2 delta < 1/4.
+    """
+    l, u = factors.l, factors.u
+    linv_norm = dense.spectral_norm(dense.triangular_inverse(l, "lower"))
+    uinv_norm = dense.spectral_norm(dense.triangular_inverse(u, "upper"))
+    un1_inv_norm = dense.spectral_norm(dense.triangular_inverse(u[:-1, :-1], "upper"))
+    kappa_l = kappa2_triangular(l / d_l[None, :], "lower")
+    kappa_u = kappa2_triangular(u / d_u[:, None], "upper")
+    return (2.0 * kappa_l * un1_inv_norm * delta, 2.0 * kappa_u * linv_norm * delta,
+            linv_norm * uinv_norm * delta < 0.25)
+
+
+def chang_stehle_qr(factors, delta, d):
+    """Normwise comparison bound of Chang and Stehle for dR.
+
+    Returns ``(bound, applicable)``: the bound is
+    (sqrt6 + sqrt3) sqrt(1 + zeta^2) kappa2(D^-1 R) delta for the positive
+    diagonal d, and the gate is ||R^-1||_2 delta < sqrt(3/2) - 1.
+    """
+    r = factors.r
+    z = zeta(d)
+    bound = SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z) * kappa2_triangular(
+        r / d[:, None], "upper") * delta
+    rinv_norm = dense.spectral_norm(dense.triangular_inverse(r, "upper"))
+    return bound, rinv_norm * delta < COMPARISON_GATE
+
+
+def worst_case_m_norm_perturbation(tilde_factors, epsilon, target):
+    """Perturbation attaining the first-order max-entry bound for one LU factor.
+
+    The extremal dA has vec(dA) = eps * sign(row_k) * vec(|L~||U~|) entrywise,
+    where row_k is the row of the factor map whose absolute image of the
+    envelope is largest. ``target`` is ``"L"`` or ``"U"``. The map is
+    materialized, so this raises AbsOperatorTooLarge above
+    ``EXPLICIT_THRESHOLD``.
+    """
+    lt, ut = tilde_factors.l, tilde_factors.u
+    n = lt.shape[0]
+    op = {"L": lower_factor_operator, "U": upper_factor_operator}[target](tilde_factors)
+    rows = operator_materialize(op)
+    venv = vec(np.abs(lt) @ np.abs(ut))
+    if rows.shape[0] == 0:
+        return np.zeros((n, n))
+    k = int(np.argmax(np.abs(rows) @ venv))
+    # Entries where the extremal row vanishes do not affect attainment; give
+    # them sign +1 so the perturbation saturates the whole envelope.
+    signs = np.where(rows[k] >= 0.0, 1.0, -1.0)
+    return (epsilon * signs * venv).reshape((n, n), order="F")
+
+
 def chang_stehle_qr_componentwise(r, eps, d, c, q):
     """Componentwise scaled-condition-number comparison bound for dR.
 
@@ -61,8 +155,8 @@ def chang_stehle_qr_componentwise(r, eps, d, c, q):
     factor = SQRT6_PLUS_SQRT3 * math.sqrt(1.0 + z * z)
     c_env_norm = float(np.linalg.norm(np.asarray(c, dtype=float) @ np.abs(q)))
     bound = (factor
-             * dense.spectral_norm(r / d.diagonal[:, None])
-             * dense.spectral_norm(np.abs(r) @ np.abs(rinv) * d.diagonal[None, :])
+             * dense.spectral_norm(r / d[:, None])
+             * dense.spectral_norm(np.abs(r) @ np.abs(rinv) * d[None, :])
              * c_env_norm * eps)
     applicable = (dense.spectral_norm(np.abs(r) @ np.abs(rinv))
                   * c_env_norm * eps < COMPARISON_GATE)

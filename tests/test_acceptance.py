@@ -14,13 +14,11 @@ import pytest
 from fperturb import cli, dense, lu_bounds, qr_bounds
 from fperturb.dense import lu_factor, qr_factor
 from fperturb.lu_bounds import (
-    ScalingMatrix,
     heuristic_scaling,
     lower_factor_operator,
     lu_componentwise_bounds,
     lu_normwise_bounds,
     upper_factor_operator,
-    worst_case_m_norm_perturbation,
 )
 from fperturb.matgen import (
     ComponentwiseLU,
@@ -28,11 +26,9 @@ from fperturb.matgen import (
     Normwise,
     PerturbationSpec,
     graded_random,
-    kahan,
     random_c_matrix,
 )
 from fperturb.qr_bounds import (
-    chang_stehle_qr,
     componentwise_operator_norms,
     qr_componentwise_bounds,
     qr_normwise_bounds,
@@ -47,9 +43,18 @@ from fperturb.structured import (
     sandwich,
     vec,
 )
-from fperturb.verify import _qr_measure_r, verify_bounds
+from fperturb.verify import verify_bounds
 
-from conftest import SelectionKind, selection_matrix, svd_spectral_norm
+from conftest import (
+    SelectionKind,
+    acceptance_families,
+    chang_stehle_qr,
+    kappa2_triangular,
+    measure_r,
+    selection_matrix,
+    svd_spectral_norm,
+    worst_case_m_norm_perturbation,
+)
 
 
 def _lu_measure(a):
@@ -143,10 +148,8 @@ def test_criterion_3_paper_inequalities():
         assert nu >= l_inv * (1 - rel)
         d_l = heuristic_scaling(f.l, "columns")
         d_u = heuristic_scaling(f.u, "rows")
-        assert nl <= (dense.kappa2_triangular(f.l / d_l.diagonal[None, :], "lower")
-                      * un1_inv) * (1 + rel)
-        assert nu <= (dense.kappa2_triangular(f.u / d_u.diagonal[:, None], "upper")
-                      * l_inv) * (1 + rel)
+        assert nl <= kappa2_triangular(f.l / d_l[None, :], "lower") * un1_inv * (1 + rel)
+        assert nu <= kappa2_triangular(f.u / d_u[:, None], "upper") * l_inv * (1 + rel)
 
         b = rng.standard_normal((n, n)) + 0.5 * n * np.eye(n)
         fr = qr_factor(b)
@@ -159,28 +162,16 @@ def test_criterion_3_paper_inequalities():
         absr = np.abs(r)
         lin_w, _, _ = componentwise_operator_norms(fr)
         assert dense.spectral_norm(absr) <= lin_w * (1 + rel)
-        for d in (heuristic_scaling(r, "rows"), scaling_d_e(fr), ScalingMatrix(np.ones(n))):
+        for d in (heuristic_scaling(r, "rows"), scaling_d_e(fr), np.ones(n)):
             z = zeta(d)
-            cap = math.sqrt(1 + z * z) * dense.kappa2_triangular(
-                r / d.diagonal[:, None], "upper")
+            cap = math.sqrt(1 + z * z) * kappa2_triangular(r / d[:, None], "upper")
             assert lin <= cap * (1 + rel)
-            if d.diagonal.size == n:
+            if d.size == n:
                 cap_abs = (math.sqrt(1 + z * z)
-                           * dense.spectral_norm(absr / d.diagonal[:, None])
-                           * dense.spectral_norm(absr @ np.abs(rinv)
-                                                 * d.diagonal[None, :]))
+                           * dense.spectral_norm(absr / d[:, None])
+                           * dense.spectral_norm(absr @ np.abs(rinv) * d[None, :]))
                 assert lin_w <= cap_abs * (1 + rel)
     _report(3, "operator-norm inequality suite, 50 matrices", t0, 60.0)
-
-
-def _families():
-    return {
-        "identity": np.eye(10),
-        "kahan": kahan(10, math.pi / 8),
-        "graded_0.2": graded_random(10, 0.2, 0.2, 2),
-        "graded_1": graded_random(10, 1.0, 1.0, 1),
-        "graded_2": graded_random(10, 2.0, 2.0, 8),
-    }
 
 
 def _lu_norm_delta(rep, target=0.1):
@@ -213,7 +204,7 @@ def _qr_comp_epsilon(rep, target=0.1):
 def test_criterion_4_rigorous_bounds_hold():
     t0 = time.time()
     trials = 250  # 5 families x 250 = 1250 trials per theorem
-    for name, a in _families().items():
+    for name, a in acceptance_families().items():
         fl = lu_factor(a)
         fq = qr_factor(a)
         d_lu = _lu_norm_delta(lu_normwise_bounds(fl, 0.0))
@@ -284,11 +275,11 @@ def test_criterion_5_first_order_asymptotics():
     repq = qr_normwise_bounds(fq, 0.0, 0.0)
     g, h = repq.linear_op_norm, repq.quadratic_op_norm
     dq0 = (-g + math.sqrt(g * g + 0.2)) / (2.0 * h)
-    base_r = _qr_measure_r(a_hp)
+    base_r = measure_r(a_hp)
     sizes_q = [dq0 / 2 ** k for k in range(4)]
     rq = []
     for d in sizes_q:
-        pr = _qr_measure_r(a_hp + d * direction)
+        pr = measure_r(a_hp + d * direction)
         d1 = float(np.linalg.norm(fq.q.T @ (d * direction)))
         rq.append(float(np.linalg.norm(pr - base_r)) / (g * d1))
     check_sequence(rq, sizes_q, "triangular factor, normwise")
@@ -301,7 +292,7 @@ def test_criterion_5_first_order_asymptotics():
     sizes_qc = [eq0 / 2 ** k for k in range(4)]
     rqc = []
     for e in sizes_qc:
-        pr = _qr_measure_r(a_hp + e * env_q * fractions)
+        pr = measure_r(a_hp + e * env_q * fractions)
         rqc.append(float(np.linalg.norm(pr - base_r)) / (repqc.a_t * e))
     check_sequence(rqc, sizes_qc, "triangular factor, componentwise")
 

@@ -62,6 +62,19 @@ class TestExitCodes:
         assert code == 3
         assert "singular" in err
 
+    @pytest.mark.parametrize("name, argv", [
+        ("huge", ["lu-normwise", "--delta", "1e-8"]),        # PIVOT_TOL ||A||_F is inf
+        ("huge", ["qr-componentwise", "--epsilon", "ge"]),   # the row scaling overflows
+        ("tiny", ["lu-normwise", "--delta", "1e-8"]),
+    ])
+    def test_norm_outside_float64_range(self, name, argv, tmp_path, capsys):
+        path = tmp_path / f"{name}.csv"
+        write_matrix(path, PROBE_MATRICES[name])
+        code, out, err = run([*argv, "--matrix", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err == "fperturb: error: cannot parse matrix file: " \
+                      "Frobenius norm outside the float64 range\n"
+
     def test_verify_demands_applicability(self, tmp_path, capsys):
         path = tmp_path / "id.csv"
         write_matrix(path, np.eye(4))
@@ -79,6 +92,11 @@ PROBE_MATRICES = {
     "subnormal": np.diag([1.0, 1e-320]),
     # rank one: U has a zero last row and pivot, and QR rejects the rank
     "ones": np.ones((2, 2)),
+    # R^-1 holds 1e300, so the norm of the quadratic R map overflows
+    "tiny-pivot": np.diag([1.0, 1e-300]),
+    # finite entries, but a Frobenius norm that overflows or underflows to 0
+    "huge": 1e160 * np.array([[1.0, 2.0], [3.0, 1.0]]),
+    "tiny": 1e-170 * np.array([[1.0, 2.0], [3.0, 1.0]]),
 }
 SUBNORMAL = ["--matrix", "{subnormal}"]
 ONES = ["--matrix", "{ones}"]
@@ -123,6 +141,10 @@ PROBES = [
     ("singular-lu-componentwise", ["lu-componentwise", *ONES, "--epsilon", "ge"], 3),
     ("singular-qr-normwise", ["qr-normwise", *ONES, "--delta", "1e-8"], 3),
     ("singular-qr-componentwise", ["qr-componentwise", *ONES, "--epsilon", "ge"], 3),
+    ("overflowing-norm-qr-normwise", ["qr-normwise", "--matrix", "{tiny-pivot}",
+                                      "--delta", "1e-8"], 3),
+    ("overflowing-norm-verify", ["verify", "--experiment", "qr-normwise", "--matrix",
+                                 "{tiny-pivot}", "--delta", "1e-8", "--trials", "5"], 3),
 ]
 
 

@@ -8,6 +8,7 @@ from fperturb.dense import lu_factor, qr_factor, triangular_inverse
 from fperturb.errors import (
     DimensionMismatch,
     NoConvergence,
+    NormOverflow,
     RankDeficient,
     SingularDiagonal,
     SingularLeadingMinor,
@@ -16,9 +17,10 @@ from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.matgen import graded_random, kahan
 from fperturb.qr_bounds import r_factor_operator, r_quadratic_operator
 from fperturb.structured import operator_materialize, operator_spectral_norm
-from fperturb.verify import _qr_measure_r, _qr_measure_r_stack
+from fperturb.verify import _qr_measure_r_stack
 
 from conftest import (
+    measure_r,
     random_square,
     random_unit_lower,
     random_upper,
@@ -143,7 +145,7 @@ class TestStackedKernels:
                 assert zero_column[j] == (ref is None)
                 if ref is not None:
                     assert np.array_equal(r[j], ref)
-                    assert np.array_equal(r[j], _qr_measure_r(a))
+                    assert np.array_equal(r[j], measure_r(a))
 
     def test_failed_slices_leave_the_others_alone(self):
         a = random_square(5, 2, shift=5.0).astype(np.longdouble)
@@ -160,7 +162,7 @@ class TestStackedKernels:
         r, zero_column = _qr_measure_r_stack(zero_stack)
         assert list(zero_column) == [False, True, False]
         for j in (0, 2):
-            assert np.array_equal(r[j], _qr_measure_r(a))
+            assert np.array_equal(r[j], measure_r(a))
 
     def test_bad_stack_rejected(self):
         with pytest.raises(DimensionMismatch):
@@ -264,10 +266,22 @@ class TestKrylovEstimator:
                 calls.append(1)
                 return op.apply(v)
 
-            got = dense._krylov_spectral_norm(matvec, op.apply_transpose, op.in_dim)
+            got = dense.krylov_spectral_norm(matvec, op.apply_transpose, op.in_dim)
             ref = svd_spectral_norm(operator_materialize(op))
             assert got == pytest.approx(ref, rel=1e-11)
             assert len(calls) <= 100
+
+
+    @pytest.mark.parametrize("a", [np.diag([1.0, 1e-300]),
+                                   1e-170 * np.array([[1.0, 2.0], [3.0, 1.0]])])
+    def test_overflowing_map_norm_is_typed(self, a):
+        # R^-1 reaches 1e300 (1e170), so the quadratic map of R overflows; the
+        # estimate stops there, before the SVD of a non-finite bidiagonal
+        op = r_quadratic_operator(qr_factor(a))
+        with pytest.raises(NormOverflow):
+            operator_spectral_norm(op)
+        with pytest.raises(NormOverflow):
+            dense.spectral_norm(np.full((2, 2), 1e200))
 
 
 class TestSmallestSingularValue:

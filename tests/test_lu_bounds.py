@@ -11,8 +11,6 @@ from fperturb import dense
 from fperturb.dense import lu_factor
 from fperturb.errors import AbsOperatorTooLarge, ZeroVector
 from fperturb.lu_bounds import (
-    ScalingMatrix,
-    chang_stehle_lu,
     gaussian_elimination_epsilon,
     heuristic_scaling,
     lower_factor_operator,
@@ -20,7 +18,6 @@ from fperturb.lu_bounds import (
     lu_normwise_bounds,
     majorant,
     upper_factor_operator,
-    worst_case_m_norm_perturbation,
 )
 from fperturb.structured import (
     operator_materialize,
@@ -30,12 +27,15 @@ from fperturb.structured import (
 
 from conftest import (
     SelectionKind,
+    chang_stehle_lu,
+    comparison_cases,
     count_calls,
     extract,
     random_square,
     seeded_rng,
     selection_matrix,
     svd_spectral_norm,
+    worst_case_m_norm_perturbation,
 )
 
 
@@ -73,7 +73,7 @@ class TestFactorContext:
     """A factorization inverts each factor once, whichever bounds it feeds."""
 
     @pytest.mark.parametrize("report, inverses", [
-        (lambda f: lu_normwise_bounds(f, 1e-8), 5),   # 3 factors, 2 scaled in kappa2
+        (lambda f: lu_normwise_bounds(f, 1e-8), 3),   # L, U and U_{n-1}; kappa2 rescales them
         (lambda f: lu_componentwise_bounds(f, 1e-12), 3),
     ], ids=["normwise", "componentwise"])
     def test_triangular_inverses_per_report(self, report, inverses, monkeypatch):
@@ -191,19 +191,31 @@ class TestNormwiseBounds:
 class TestChangStehleLu:
     def test_identity_arithmetic(self):
         f = lu_factor(np.eye(3))
-        d = ScalingMatrix(np.ones(3))
+        d = np.ones(3)
         bdl, bdu, ok = chang_stehle_lu(f, 0.1, d, d)
         assert ok
         assert bdl == pytest.approx(0.2, abs=1e-12)
         assert bdu == pytest.approx(0.2, abs=1e-12)
 
     def test_heuristic_scaling_values(self):
-        assert np.allclose(heuristic_scaling(np.eye(4), "columns").diagonal, np.ones(4))
+        assert np.allclose(heuristic_scaling(np.eye(4), "columns"), np.ones(4))
         out = heuristic_scaling(np.array([[1.0, 0.0], [1.0, 1.0]]), "columns")
-        assert np.allclose(out.diagonal, [np.sqrt(2.0), 1.0])
+        assert np.allclose(out, [np.sqrt(2.0), 1.0])
         with pytest.raises(ZeroVector) as exc:
             heuristic_scaling(np.array([[3.0, 0.0], [4.0, 0.0]]), "columns")
         assert exc.value.k == 2
+
+    @pytest.mark.parametrize("name", list(comparison_cases()))
+    def test_report_matches_reinverting_oracle(self, name):
+        # the report rescales the cached inverses; the oracle inverts the
+        # scaled factors afresh
+        f = lu_factor(comparison_cases()[name])
+        rep = lu_normwise_bounds(f, 1e-9)
+        dl, du, ok = chang_stehle_lu(f, 1e-9, heuristic_scaling(f.l, "columns"),
+                                     heuristic_scaling(f.u, "rows"))
+        assert rep.comparison_dl == pytest.approx(dl, rel=1e-12)
+        assert rep.comparison_du == pytest.approx(du, rel=1e-12)
+        assert rep.comparison_applicable == ok
 
 
 class TestComponentwiseBounds:

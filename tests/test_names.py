@@ -1,0 +1,51 @@
+"""Names across modules: private names stay private, and the benchmark's hooks resolve."""
+
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "fperturb"
+MODULES = sorted(PACKAGE.glob("*.py"))
+SIBLINGS = {path.stem for path in MODULES} - {"__init__"}
+
+#: tracer targets whose functions were deleted or merged; their metrics read 0
+GONE_TARGETS = {"abs_operator", "abs_scaling_ratio", "scaling_d_r",
+                "chang_stehle_lu", "chang_stehle_qr"}
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
+def test_no_private_name_crosses_modules(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    crossings = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level > 0 or (node.module or "").startswith("fperturb")):
+            crossings += [alias.name for alias in node.names if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+              and node.value.id in SIBLINGS and _private(node.attr)):
+            crossings.append(f"{node.value.id}.{node.attr}")
+    assert crossings == []
+
+
+def test_tracer_targets_resolve():
+    # the benchmark's tracer wraps functions by name, and a name it cannot
+    # find is skipped silently, so a rename would zero its metrics
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    missing = set()
+    for _span, module_name, attr in tracer.TARGETS:
+        owner = importlib.import_module(f"fperturb.{module_name}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.add(attr)
+    assert missing <= GONE_TARGETS

@@ -8,12 +8,11 @@ import pytest
 from fperturb import dense
 from fperturb.dense import QrFactors, qr_factor
 from fperturb.errors import SingularDiagonal
-from fperturb.lu_bounds import ScalingMatrix, heuristic_scaling
+from fperturb.lu_bounds import heuristic_scaling
 from fperturb.matgen import graded_random, kahan, random_c_matrix
 from fperturb.qr_bounds import (
     SQRT6_PLUS_SQRT3,
     absolute_r_maps,
-    chang_stehle_qr,
     componentwise_operator_norms,
     qr_componentwise_bounds,
     qr_normwise_bounds,
@@ -31,9 +30,12 @@ from fperturb.structured import (
 
 from conftest import (
     SelectionKind,
+    chang_stehle_qr,
     chang_stehle_qr_componentwise,
+    comparison_cases,
     count_calls,
     extract,
+    kappa2_triangular,
     r_factors,
     random_upper,
     seeded_rng,
@@ -75,11 +77,9 @@ class TestROperators:
         for seed in range(20):
             r = random_upper(5, seed)
             lin = operator_spectral_norm(r_factor_operator(r_factors(r)))
-            for d in (heuristic_scaling(r, "rows"), scaling_d_e(r_factors(r)),
-                      ScalingMatrix(np.ones(5))):
+            for d in (heuristic_scaling(r, "rows"), scaling_d_e(r_factors(r)), np.ones(5)):
                 z = zeta(d)
-                upper = (math.sqrt(1 + z * z)
-                         * dense.kappa2_triangular(r / d.diagonal[:, None], "upper"))
+                upper = math.sqrt(1 + z * z) * kappa2_triangular(r / d[:, None], "upper")
                 assert lin <= upper * (1 + 1e-10)
 
 
@@ -173,7 +173,7 @@ class TestNormwiseReport:
 
 class TestFactorContext:
     @pytest.mark.parametrize("report, inverses", [
-        (lambda f: qr_normwise_bounds(f, 1e-8, 1e-8), 2),   # R, and D^-1 R in kappa2
+        (lambda f: qr_normwise_bounds(f, 1e-8, 1e-8), 1),   # R; kappa2 rescales it
         (lambda f: qr_componentwise_bounds(f, random_c_matrix(10, 0), 1e-12), 1),
     ], ids=["normwise", "componentwise"])
     def test_triangular_inverses_per_report(self, report, inverses, monkeypatch):
@@ -185,33 +185,42 @@ class TestFactorContext:
 
 class TestChangStehleQr:
     def test_identity_arithmetic(self):
-        bound, ok = chang_stehle_qr(r_factors(np.eye(4)), 0.01, ScalingMatrix(np.ones(4)))
+        bound, ok = chang_stehle_qr(r_factors(np.eye(4)), 0.01, np.ones(4))
         assert ok
         assert bound == pytest.approx(SQRT6_PLUS_SQRT3 * math.sqrt(2.0) * 0.01, abs=1e-12)
 
     def test_zeta_examples(self):
-        assert zeta(ScalingMatrix(np.array([1.0, 2.0, 4.0]))) == 4.0
-        assert zeta(ScalingMatrix(np.array([4.0, 2.0, 1.0]))) == 0.5
+        assert zeta(np.array([1.0, 2.0, 4.0])) == 4.0
+        assert zeta(np.array([4.0, 2.0, 1.0])) == 0.5
+
+    @pytest.mark.parametrize("name", list(comparison_cases()))
+    def test_report_matches_reinverting_oracle(self, name):
+        # the report rescales the cached inverse; the oracle inverts D^-1 R afresh
+        f = qr_factor(comparison_cases()[name])
+        rep = qr_normwise_bounds(f, 1e-9, 1e-9)
+        bound, ok = chang_stehle_qr(f, 1e-9, heuristic_scaling(f.r, "rows"))
+        assert rep.comparison_dr == pytest.approx(bound, rel=1e-12)
+        assert rep.comparison_applicable == ok
 
 
 class TestScalings:
     def test_identity(self):
-        assert np.allclose(heuristic_scaling(np.eye(4), "rows").diagonal, np.ones(4))
-        assert np.allclose(scaling_d_e(r_factors(np.eye(4))).diagonal, np.ones(4))
+        assert np.allclose(heuristic_scaling(np.eye(4), "rows"), np.ones(4))
+        assert np.allclose(scaling_d_e(r_factors(np.eye(4))), np.ones(4))
 
     def test_diagonal_example(self):
         r = np.diag([2.0, 8.0])
-        assert np.allclose(heuristic_scaling(r, "rows").diagonal, [2.0, 8.0])
+        assert np.allclose(heuristic_scaling(r, "rows"), [2.0, 8.0])
         # row 1-norm scaling makes the scaled inverse the identity, so the
         # recursion keeps every entry at one
-        assert np.allclose(scaling_d_e(r_factors(r)).diagonal, [1.0, 1.0])
+        assert np.allclose(scaling_d_e(r_factors(r)), [1.0, 1.0])
 
     def test_recursion_repeats_on_decrease(self):
         r = np.array([[1.0, 0.9], [0.0, 0.1]])
         dc = np.sum(np.abs(r), axis=1)
         m = dc[:, None] * dense.triangular_inverse(r, "upper")
         norms = np.linalg.norm(m, axis=0)
-        de = scaling_d_e(r_factors(r)).diagonal
+        de = scaling_d_e(r_factors(r))
         assert de[0] == pytest.approx(1.0 / norms[0])
         expected = 1.0 / norms[1] if norms[1] >= norms[0] else de[0]
         assert de[1] == pytest.approx(expected)
@@ -227,8 +236,8 @@ class TestScalings:
                                           random_c_matrix(5, seed), 1e-9)
             for eta, d in ((rep.eta_dr, heuristic_scaling(r, "rows")),
                            (rep.eta_de, scaling_d_e(r_factors(r)))):
-                assert eta == (dense.spectral_norm(np.abs(r) / d.diagonal[:, None])
-                               / dense.spectral_norm(r / d.diagonal[:, None]))
+                assert eta == (dense.spectral_norm(np.abs(r) / d[:, None])
+                               / dense.spectral_norm(r / d[:, None]))
                 assert eta >= 1.0 - 1e-12
 
 
@@ -266,8 +275,8 @@ class TestComponentwiseReport:
             for d in (heuristic_scaling(r, "rows"), scaling_d_e(r_factors(r))):
                 z = zeta(d)
                 upper = (math.sqrt(1 + z * z)
-                         * dense.spectral_norm(absr / d.diagonal[:, None])
-                         * dense.spectral_norm(absr @ np.abs(rinv) * d.diagonal[None, :]))
+                         * dense.spectral_norm(absr / d[:, None])
+                         * dense.spectral_norm(absr @ np.abs(rinv) * d[None, :]))
                 assert lin_w <= upper * (1 + 1e-10)
 
     def test_comparison_matches_chang_stehle(self):

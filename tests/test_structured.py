@@ -10,11 +10,7 @@ from hypothesis import strategies as st
 from fperturb import dense
 from fperturb.dense import LuFactors, lu_factor, qr_factor
 from fperturb.errors import AbsOperatorTooLarge, DimensionMismatch
-from fperturb.lu_bounds import (
-    lower_factor_operator,
-    upper_factor_operator,
-    worst_case_m_norm_perturbation,
-)
+from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.qr_bounds import (
     componentwise_operator_norms,
     r_factor_operator,
@@ -40,6 +36,7 @@ from conftest import (
     selection_matrix,
     svd_spectral_norm,
     vec_permutation,
+    worst_case_m_norm_perturbation,
 )
 
 

@@ -193,7 +193,7 @@ class TestDeltaHalving:
         a = random_square(6, 7, shift=6.0)
         counts = []
         for levels in (0, 3):
-            calls = count_calls(monkeypatch, "_krylov_spectral_norm", dense, structured)
+            calls = count_calls(monkeypatch, "krylov_spectral_norm", dense, structured)
             delta_halving(a, PerturbationSpec(model, seed=3), 5, levels, experiment=experiment)
             counts.append(len(calls))
         assert counts[0] == counts[1] > 0
