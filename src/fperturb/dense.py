@@ -1,7 +1,8 @@
 """Dense matrix kernels: factorizations, norms, and triangular inverses.
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` values; only the LU
-factorization also runs in longdouble, for extended-precision measurements.
+factorization and the stacked kernels also run in longdouble, for
+extended-precision measurements.
 Vectorized forms elsewhere in the package stack columns (Fortran order), so a
 matrix and its ``vec`` agree on column-major semantics.
 
@@ -12,7 +13,9 @@ strictly positive diagonal, which makes it unique for full-column-rank input.
 
 Every spectral norm in the package, of a dense matrix or of a matrix-free
 factor map, comes from one Krylov estimator, a Golub-Kahan bidiagonalization
-that needs only products with the map and its transpose.
+that needs only products with the map and its transpose. Its vector norms go
+through :func:`euclidean_norm`, which does not overflow or underflow on the
+way to a representable result.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ SPECTRAL_TOL = 1e-12       # relative residual tolerance of the Krylov norm esti
 KRYLOV_MAX_STEPS = 1_000   # bidiagonalization steps before NoConvergence
 KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an SVD of B_k each)
 EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 materialized, one column of X at a time
+SQRT_TINY = math.sqrt(np.finfo(float).tiny)    # a norm at or below it may lose digits to underflow
 
 
 @dataclass(frozen=True)
@@ -152,6 +156,36 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return l, np.triu(u), singular
 
 
+def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
+    """Householder R factors (positive diagonal) of every slice of a (k, m, n) stack.
+
+    Precision and per-slice operations as in :func:`lu_factor_stack`. Returns
+    ``(r, zero_column)``; a slice flagged in ``zero_column`` met a zero column
+    and its factor is meaningless. A reflection whose vector vanishes is skipped.
+    """
+    a = np.asarray(a)
+    r = np.array(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
+    if r.ndim != 3 or r.shape[1] < r.shape[2]:
+        raise DimensionMismatch(f"stack must have shape (k, m, n) with m >= n, got {r.shape}")
+    k, m, n = r.shape
+    zero_column = np.zeros(k, dtype=bool)
+    for c in range(n):
+        x = r[:, c:, c]
+        nx = np.sqrt(np.sum(x * x, axis=1))
+        zero_column |= nx == 0.0
+        v = x.copy()
+        v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
+        s = np.sum(v * v, axis=1)
+        reflect = s != 0.0
+        coef = np.divide(2.0, s, out=np.zeros_like(s), where=reflect)
+        w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
+        np.subtract(r[:, c:, c:], v[:, :, None] * w[:, None, :], out=r[:, c:, c:],
+                    where=reflect[:, None, None])
+    r = np.triu(r[:, :n, :n])
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    return r * signs[:, :, None], zero_column
+
+
 def qr_factor(a) -> QrFactors:
     """QR factorization with positive diagonal of the triangular factor.
 
@@ -200,6 +234,24 @@ def triangular_inverse(t, shape: str) -> np.ndarray:
     return np.triu(x) if upper else np.tril(x)
 
 
+def euclidean_norm(x) -> float:
+    """2-norm of an array's entries, also where their squares overflow or underflow.
+
+    ``np.linalg.norm`` is kept when its result lies in (sqrt(tiny), inf);
+    otherwise the entries are divided by the largest magnitude first. The
+    unscaled first try may overflow, so callers run under
+    ``np.errstate(over="ignore")``. A non-finite entry gives a non-finite norm.
+    """
+    norm = float(np.linalg.norm(x))
+    if SQRT_TINY < norm < math.inf:
+        return norm
+    scale = float(np.max(np.abs(x), initial=0.0))
+    if scale == 0.0 or not math.isfinite(scale):
+        return scale
+    with np.errstate(over="ignore"):
+        return scale * float(np.linalg.norm(np.asarray(x) / scale))
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
     """Largest singular value of a linear map given by matvec/rmatvec.
@@ -222,7 +274,7 @@ def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
         u = matvec(v)
         if u.size == 0:
             return 0.0
-        alpha = float(np.linalg.norm(u))
+        alpha = euclidean_norm(u)
         if alpha != 0.0:             # also a nan, which the first step rejects
             break
         # The start vector happens to lie in the null space; probe basis
@@ -237,7 +289,7 @@ def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
     for k in range(1, KRYLOV_MAX_STEPS + 1):
         w = rmatvec(u)
         w -= alpha * v
-        beta = float(np.linalg.norm(w))
+        beta = euclidean_norm(w)
         if not math.isfinite(alpha + beta):
             raise NormOverflow("norm estimate overflows: a factor is numerically singular")
         betas.append(beta)
@@ -249,7 +301,7 @@ def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
         v = w / beta
         p = matvec(v)
         p -= beta * u
-        alpha = float(np.linalg.norm(p))
+        alpha = euclidean_norm(p)
         scale = max(scale, beta)
         if alpha <= SPECTRAL_TOL * scale:
             # the last row of the (k+1)-square bidiagonal is zero; drop it

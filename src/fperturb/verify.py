@@ -1,34 +1,23 @@
 """Monte Carlo verification of the rigorous and first-order bounds.
 
-Each trial draws a perturbation from the configured model, refactorizes the
-perturbed matrix, and compares the measured factor changes against the
-reported bounds. Rigorous-bound violations are counted (a correct
-implementation sees none when the applicability condition holds), and the
-worst actual-to-bound ratios are recorded for both the rigorous and the
-first-order bounds.
+:func:`verify_bounds` is the one trial loop for the four theorems of
+:data:`EXPERIMENTS`, each an :class:`Experiment` that is data. Each trial
+draws a perturbation from the configured model, refactorizes the perturbed
+matrix, and compares each measured factor change with its rigorous and
+first-order bound from the report. Violations of a rigorous bound are
+counted (a correct implementation sees none while the applicability
+condition holds), and the largest ratios to both bounds are kept.
 
-The bounds under test are computed by the library in double precision, but
-the *measured* factor changes are obtained by refactorizing in extended
-precision when the platform provides a longdouble wider than float64. The
-theorems speak about exact factors; on hard graded matrices the applicability
-window can sit only a few orders of magnitude above the double-precision
-noise floor, and measuring there in double would compare rounding noise, not
-factor sensitivity. Platforms without a wider longdouble fall back to double.
+The bounds are computed in double precision, but the changes are measured
+by refactorizing in longdouble where it is wider than float64: near the
+applicability window of a hard graded matrix, double precision would
+measure rounding noise rather than factor sensitivity.
 
-Trials are independent: each derives its own random stream from
-(seed, trial_index), so results do not depend on execution order. They run
-in blocks: the draws of a block are stacked along a leading axis and
-refactorized by one stacked elimination (or Householder QR), whose
-floating-point operations on each slice are those of a single
-factorization. The streams and the results are those of one trial at a
-time, and a block's size is capped, so memory does not grow with the number
-of trials.
-
-:data:`EXPERIMENTS` is the table of the four theorems under test. Each entry
-names its perturbation model, the model field that holds the perturbation
-size, the factorizations and the evaluator of the library (run once per
-matrix, also across the levels of :func:`delta_halving`), and the evaluation
-that reads the bounds at one size and measures blocks of trials.
+Each trial draws from its own (seed, trial_index) stream. The draws of a
+block are stacked and refactorized at once by a kernel of :mod:`dense` that
+does on every slice the floating-point operations of a single factorization,
+so results do not depend on the block size, and the capped block keeps
+memory flat in the number of trials.
 """
 
 from __future__ import annotations
@@ -60,39 +49,6 @@ _BLOCK_ENTRIES = 1 << 16
 _ZERO_COLUMN = "zero column during refactorization"
 
 
-def _qr_measure_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
-    """Householder R factors (positive diagonal) of a (k, m, n) stack.
-
-    Runs in the measurement precision, with the floating-point operations of
-    a single factorization on every slice. Returns ``(r, zero_column)``;
-    the factor of a slice flagged in ``zero_column`` met a zero column and is
-    meaningless. A reflection whose vector vanishes is skipped.
-    """
-    r = np.array(a, dtype=_MEASURE_DTYPE)
-    k, m, n = r.shape
-    zero_column = np.zeros(k, dtype=bool)
-    for c in range(n):
-        x = r[:, c:, c]
-        nx = np.sqrt(np.sum(x * x, axis=1))
-        zero_column |= nx == 0.0
-        v = x.copy()
-        v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
-        s = np.sum(v * v, axis=1)
-        reflect = s != 0.0
-        coef = np.divide(2.0, s, out=np.zeros_like(s), where=reflect)
-        w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
-        np.subtract(r[:, c:, c:], v[:, :, None] * w[:, None, :], out=r[:, c:, c:],
-                    where=reflect[:, None, None])
-    r = np.triu(r[:, :n, :n])
-    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
-    return r * signs[:, :, None], zero_column
-
-
-def _draws(spec: PerturbationSpec, indices, **source) -> np.ndarray:
-    """The perturbations of trials ``indices``, each from its own stream, stacked."""
-    return np.stack([sample_perturbation(spec, trial_index=i, **source) for i in indices])
-
-
 def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> list:
     """(||dL||_F, ||dU||_F) of each refactorized slice, or why it failed."""
     l, u, singular = dense.lu_factor_stack(perturbed)
@@ -102,10 +58,10 @@ def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> list:
 
 
 def _r_changes(base_r: np.ndarray, perturbed: np.ndarray) -> list:
-    """||dR||_F of each refactorized slice, or why it failed."""
-    r, zero_column = _qr_measure_r_stack(perturbed)
+    """(||dR||_F,) of each refactorized slice, or why it failed."""
+    r, zero_column = dense.qr_r_stack(perturbed)
     return [f"factorization failed: {_ZERO_COLUMN}" if zero else
-            float(np.linalg.norm(r[j] - base_r))
+            (float(np.linalg.norm(r[j] - base_r)),)
             for j, zero in enumerate(zero_column)]
 
 
@@ -121,7 +77,10 @@ class VerificationReport:
     bound_report: object = None
 
 
-def _ratio(actual: float, bound: float) -> float:
+def _ratio(actual: float, bound: float | None) -> float:
+    """actual / bound; 0 for a first-order bound that does not apply (None)."""
+    if bound is None:
+        return 0.0
     if bound == 0.0:
         return 0.0 if actual == 0.0 else float("inf")
     return actual / bound
@@ -190,28 +149,46 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     experiment = infer_experiment(spec, experiment)
     if seed is not None:
         spec = PerturbationSpec(model=spec.model, seed=seed)
+    exp = EXPERIMENTS[experiment]
+    size = getattr(spec.model, exp.size)
 
     t0 = time.perf_counter()
-    measure, report = EXPERIMENTS[experiment].evaluate(
-        a, shared.base(experiment, spec.model), spec)
+    factors, bounds_at, base = shared.base(experiment, spec.model)
+    report = bounds_at(size, size) if exp.trial_d1 else bounds_at(size)
+    if not report.applicable:
+        raise BoundNotApplicable(exp.inapplicable.format(report))
+    bounds = exp.read_bounds(report)
     t_bounds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
+    a_hp = a.astype(_MEASURE_DTYPE)
+    source = {"lu": factors} if exp.lu_envelope else {"matrix": a}
     violations = 0
     skipped = []
-    max_rig = 0.0
-    max_fo = 0.0
+    max_rig = max_fo = 0.0
     block = max(1, _BLOCK_ENTRIES // max(a.size, 1))
     for start in range(0, trials, block):
         indices = range(start, min(start + block, trials))
-        for idx, outcome in zip(indices, measure(indices)):
-            if isinstance(outcome, str):
-                skipped.append((idx, outcome))
+        da = np.stack([sample_perturbation(spec, trial_index=i, **source) for i in indices])
+        changes = exp.changes(base, a_hp - da if exp.lu_envelope else a_hp + da)
+        for idx, change in zip(indices, changes):
+            if isinstance(change, str):
+                skipped.append((idx, change))
                 continue
-            rig, fo, violated = outcome
-            violations += int(violated)
-            max_rig = max(max_rig, rig)
-            max_fo = max(max_fo, fo)
+            if exp.trial_d1:       # the bounds at this trial's own ||Q^T dA||_F
+                d1 = float(np.linalg.norm(factors.q.T @ da[idx - start]))
+                bounds = exp.read_bounds(bounds_at(min(d1, size), size))
+            violated = False
+            for actual, (rigorous, first_order) in zip(change, bounds):
+                if actual > rigorous:
+                    violated = True
+                ratio = _ratio(actual, rigorous)
+                if ratio > max_rig:
+                    max_rig = ratio
+                ratio = _ratio(actual, first_order)
+                if ratio > max_fo:
+                    max_fo = ratio
+            violations += violated
     t_trials = time.perf_counter() - t1
 
     return VerificationReport(
@@ -232,131 +209,66 @@ def _lu_factors(a):
 
 def _qr_factors(a):
     factors = dense.qr_factor(a)
-    r, zero_column = _qr_measure_r_stack(a.astype(_MEASURE_DTYPE)[None])
+    r, zero_column = dense.qr_r_stack(a.astype(_MEASURE_DTYPE)[None])
     if zero_column[0]:
         raise RankDeficient(_ZERO_COLUMN)
     return factors, r[0]
 
 
-def _lu_normwise(a, base, spec):
-    _, bounds_at, base_hp = base
-    report = bounds_at(spec.model.delta)
-    if not report.applicable:
-        raise BoundNotApplicable(
-            f"condition value {report.condition_value:.3e} is not below 1/4")
-    a_hp = a.astype(_MEASURE_DTYPE)
-
-    def outcome(dl, du):
-        rig = max(_ratio(dl, report.rigorous_dl), _ratio(du, report.rigorous_du))
-        fo = 0.0
-        if report.fo_applicable:
-            fo = max(_ratio(dl, report.first_order_dl),
-                     _ratio(du, report.first_order_du))
-        return rig, fo, dl > report.rigorous_dl or du > report.rigorous_du
-
-    def measure(indices):
-        changes = _lu_changes(base_hp, a_hp + _draws(spec, indices, matrix=a))
-        return [c if isinstance(c, str) else outcome(*c) for c in changes]
-
-    return measure, report
-
-
-def _lu_componentwise(a, base, spec):
-    tilde, bounds_at, tilde_hp = base
-    report = bounds_at(spec.model.epsilon)
-    if not report.applicable:
-        raise BoundNotApplicable("componentwise applicability condition fails")
-    a_hp = a.astype(_MEASURE_DTYPE)
-
-    def outcome(dl, du):
-        rig = max(_ratio(dl, report.rigorous_dl), _ratio(du, report.rigorous_du))
-        fo = max(_ratio(dl, report.first_order_dl_f),
-                 _ratio(du, report.first_order_du_f))
-        return rig, fo, dl > report.rigorous_dl or du > report.rigorous_du
-
-    def measure(indices):
-        # the perturbed matrix sits below A~
-        changes = _lu_changes(tilde_hp, a_hp - _draws(spec, indices, lu=tilde))
-        return [c if isinstance(c, str) else outcome(*c) for c in changes]
-
-    return measure, report
-
-
-def _qr_normwise(a, base, spec):
-    factors, bounds_at, base_r = base
-    d2 = spec.model.delta
-    report = bounds_at(d2, d2)
-    if not report.applicable:
-        raise BoundNotApplicable(
-            f"condition value {report.condition_value:.3e} is not below 1/4")
-    a_hp = a.astype(_MEASURE_DTYPE)
-
-    def outcome(dr, da):
-        # the bounds at the trial's own ||Q^T dA||_F
-        trial = bounds_at(min(float(np.linalg.norm(factors.q.T @ da)), d2), d2)
-        return (_ratio(dr, trial.rigorous_dr), _ratio(dr, trial.first_order_dr),
-                dr > trial.rigorous_dr)
-
-    def measure(indices):
-        da = _draws(spec, indices, matrix=a)
-        changes = _r_changes(base_r, a_hp + da)
-        return [c if isinstance(c, str) else outcome(c, d) for c, d in zip(changes, da)]
-
-    return measure, report
-
-
-def _qr_componentwise(a, base, spec):
-    _, bounds_at, base_r = base
-    report = bounds_at(spec.model.epsilon)
-    if not report.applicable:
-        raise BoundNotApplicable("componentwise applicability condition fails")
-    a_hp = a.astype(_MEASURE_DTYPE)
-
-    def outcome(dr):
-        rig = _ratio(dr, report.rigorous_dr)
-        fo = _ratio(dr, report.first_order_dr)
-        return rig, fo, dr > report.rigorous_dr
-
-    def measure(indices):
-        changes = _r_changes(base_r, a_hp + _draws(spec, indices, matrix=a))
-        return [c if isinstance(c, str) else outcome(c) for c in changes]
-
-    return measure, report
-
-
 @dataclass(frozen=True)
 class Experiment:
-    """One theorem under test.
+    """One theorem under test: the data that the trial loop of :func:`verify_bounds` runs.
 
     ``model`` is the perturbation model class it takes, and ``size`` the
-    field of that model holding the perturbation size (``"delta"`` or
-    ``"epsilon"``). Once per matrix, ``factor(a)`` returns the factors and
-    the measurement base (refactorized in the measurement precision), and
+    field of that model holding the perturbation size. Once per matrix,
+    ``factor(a)`` returns the factors and the measurement base, and
     ``bounds``, the evaluator of the library, takes the factors and the
     model's fields other than the size and returns the report as a function
-    of the size.
-    ``evaluate(a, (factors, bounds_at, base), spec)`` returns ``(measure,
-    bound_report)``, where ``measure(indices)`` refactorizes the trials
-    ``indices`` as one stack and returns each trial's ratios, or the reason
-    it was skipped.
+    of the size. ``changes(base, stack)`` refactorizes a stack of perturbed
+    matrices and returns per slice the tuple of measured factor changes, or
+    why the slice was skipped; ``bound_fields`` names per change the report
+    fields of its (rigorous, first-order) bounds, and ``inapplicable`` formats
+    the report into the :class:`BoundNotApplicable` message. With ``trial_d1``
+    the evaluator takes (d1, d2) = (||Q^T dA||_F, ||dA||_F) and each trial is
+    held to the bounds at its own d1; with ``lu_envelope`` the trials draw
+    from |L~||U~| and measure A - dA.
     """
 
     model: type
     size: str
     factor: Callable
-    evaluate: Callable
     bounds: Callable
+    changes: Callable
+    bound_fields: tuple
+    inapplicable: str
+    trial_d1: bool = False
+    lu_envelope: bool = False
 
+    def read_bounds(self, report) -> tuple:
+        """The (rigorous, first-order) bound of each measured change."""
+        return tuple((getattr(report, rigorous), getattr(report, first_order))
+                     for rigorous, first_order in self.bound_fields)
+
+
+_NORMWISE_INAPPLICABLE = "condition value {0.condition_value:.3e} is not below 1/4"
+_COMPONENTWISE_INAPPLICABLE = "componentwise applicability condition fails"
 
 EXPERIMENTS = {
-    "lu-normwise": Experiment(Normwise, "delta", _lu_factors, _lu_normwise,
-                              lu_bounds.lu_normwise_evaluator),
-    "lu-componentwise": Experiment(ComponentwiseLU, "epsilon", _lu_factors, _lu_componentwise,
-                                   lu_bounds.lu_componentwise_evaluator),
-    "qr-normwise": Experiment(Normwise, "delta", _qr_factors, _qr_normwise,
-                              qr_bounds.qr_normwise_evaluator),
-    "qr-componentwise": Experiment(ComponentwiseQR, "epsilon", _qr_factors, _qr_componentwise,
-                                   qr_bounds.qr_componentwise_evaluator),
+    "lu-normwise": Experiment(
+        Normwise, "delta", _lu_factors, lu_bounds.lu_normwise_evaluator, _lu_changes,
+        (("rigorous_dl", "first_order_dl"), ("rigorous_du", "first_order_du")),
+        _NORMWISE_INAPPLICABLE),
+    "lu-componentwise": Experiment(
+        ComponentwiseLU, "epsilon", _lu_factors, lu_bounds.lu_componentwise_evaluator,
+        _lu_changes,
+        (("rigorous_dl", "first_order_dl_f"), ("rigorous_du", "first_order_du_f")),
+        _COMPONENTWISE_INAPPLICABLE, lu_envelope=True),
+    "qr-normwise": Experiment(
+        Normwise, "delta", _qr_factors, qr_bounds.qr_normwise_evaluator, _r_changes,
+        (("rigorous_dr", "first_order_dr"),), _NORMWISE_INAPPLICABLE, trial_d1=True),
+    "qr-componentwise": Experiment(
+        ComponentwiseQR, "epsilon", _qr_factors, qr_bounds.qr_componentwise_evaluator,
+        _r_changes, (("rigorous_dr", "first_order_dr"),), _COMPONENTWISE_INAPPLICABLE),
 }
 
 

@@ -10,7 +10,6 @@ from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.matgen import graded_random, kahan
 from fperturb.qr_bounds import COMPARISON_GATE, SQRT6_PLUS_SQRT3, zeta
 from fperturb.structured import operator_materialize, vec
-from fperturb.verify import _qr_measure_r_stack
 
 
 def seeded_rng(*key):
@@ -70,8 +69,9 @@ def comparison_cases():
 
 
 def measure_r(a):
-    """R factor of one matrix, with positive diagonal, in the measurement precision."""
-    r, zero_column = _qr_measure_r_stack(np.asarray(a)[None])
+    """R factor of one matrix, with positive diagonal, in its own precision
+    (longdouble stays longdouble, anything else is float64)."""
+    r, zero_column = dense.qr_r_stack(np.asarray(a)[None])
     assert not zero_column[0]
     return r[0]
 

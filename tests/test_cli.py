@@ -231,6 +231,32 @@ class TestBoundCommands:
         assert json.loads(out)["rows"][0]["applicable"] is True
 
 
+class TestTinyRows:
+    """A row of 1e-300 is not zero: its norm underflows when squared, not in value."""
+
+    @pytest.mark.parametrize("argv", [["lu-normwise", "--delta", "1e-8"],
+                                      ["lu-componentwise", "--epsilon", "1e-8"]])
+    def test_bound_commands_report(self, argv, tmp_path, capsys):
+        path = tmp_path / "tiny-pivot.csv"
+        write_matrix(path, PROBE_MATRICES["tiny-pivot"])
+        code, out, err = run([*argv, "--matrix", str(path), "--no-timings"], capsys)
+        assert (code, err) == (0, "")
+        values = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+        assert values["applicable"] == "true"
+        if argv[0] == "lu-normwise":
+            assert values["rigorous_dl"] == values["rigorous_du"] == "1.0000000100000004e-08"
+
+    def test_verify_runs_its_trials(self, tmp_path, capsys):
+        path = tmp_path / "tiny-pivot.csv"
+        write_matrix(path, PROBE_MATRICES["tiny-pivot"])
+        code, out, err = run(["verify", "--experiment", "lu-normwise", "--matrix", str(path),
+                              "--delta", "1e-8", "--trials", "5", "--output", "json"], capsys)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        assert payload["violations"] == 0
+        assert payload["rows"][0]["trials"] == 5
+
+
 class TestVerifyCommand:
     def test_identity_run(self, tmp_path, capsys):
         path = tmp_path / "id.csv"

@@ -17,7 +17,6 @@ from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.matgen import graded_random, kahan
 from fperturb.qr_bounds import r_factor_operator, r_quadratic_operator
 from fperturb.structured import operator_materialize, operator_spectral_norm
-from fperturb.verify import _qr_measure_r_stack
 
 from conftest import (
     measure_r,
@@ -138,7 +137,7 @@ class TestStackedKernels:
 
     def test_householder_stack_matches_the_loop_and_the_2d_routine(self):
         for n, stack in _longdouble_stacks():
-            r, zero_column = _qr_measure_r_stack(stack)
+            r, zero_column = dense.qr_r_stack(stack)
             assert r.dtype == np.longdouble
             for j, a in enumerate(stack):
                 ref = _loop_householder_r(a)
@@ -159,12 +158,24 @@ class TestStackedKernels:
 
         zero_stack = np.stack([a, a.copy(), a])
         zero_stack[1, :, 3] = 0.0
-        r, zero_column = _qr_measure_r_stack(zero_stack)
+        r, zero_column = dense.qr_r_stack(zero_stack)
         assert list(zero_column) == [False, True, False]
         for j in (0, 2):
             assert np.array_equal(r[j], measure_r(a))
 
+    def test_householder_stack_keeps_the_lu_precision_rule(self):
+        a = random_square(4, 1, shift=4.0)
+        for given, kept in ((a, np.float64), (a.astype(np.float32), np.float64),
+                            (a.astype(np.longdouble), np.longdouble)):
+            r, zero_column = dense.qr_r_stack(given[None])
+            assert r.dtype == kept and not zero_column[0]
+        assert np.allclose(dense.qr_r_stack(a[None])[0][0], qr_factor(a).r, rtol=1e-12)
+
     def test_bad_stack_rejected(self):
+        with pytest.raises(DimensionMismatch):
+            dense.qr_r_stack(np.ones((2, 2, 3)))
+        with pytest.raises(DimensionMismatch):
+            dense.qr_r_stack(np.ones((2, 3)))
         with pytest.raises(DimensionMismatch):
             dense.lu_factor_stack(np.ones((2, 2, 3)))
         with pytest.raises(ValueError):
@@ -221,6 +232,19 @@ class TestNorms:
             lhs = np.linalg.norm(x @ y @ z)
             rhs = svd_spectral_norm(x) * np.linalg.norm(y) * svd_spectral_norm(z)
             assert lhs <= rhs * (1 + 1e-12)
+
+    def test_euclidean_norm_outside_the_squaring_range(self):
+        x = np.array([3.0, 4.0])
+        assert dense.euclidean_norm(x) == np.linalg.norm(x)
+        assert dense.euclidean_norm(np.zeros(3)) == 0.0
+        assert dense.euclidean_norm(np.zeros(0)) == 0.0
+        # the unscaled first try overflows, as the docstring says
+        with np.errstate(over="ignore"):
+            for scale in (1e-300, 1e-170, 1e200, 1e300):
+                assert dense.euclidean_norm(scale * x) == pytest.approx(5.0 * scale, rel=1e-15)
+            assert dense.euclidean_norm(np.full(2, 1.5e308)) == np.inf
+            assert dense.euclidean_norm(np.array([1.0, np.inf])) == np.inf
+            assert np.isnan(dense.euclidean_norm(np.array([1.0, np.nan])))
 
     def test_no_convergence_budget(self, monkeypatch):
         a = seeded_rng(6, 0).standard_normal((12, 12))
@@ -280,8 +304,11 @@ class TestKrylovEstimator:
         op = r_quadratic_operator(qr_factor(a))
         with pytest.raises(NormOverflow):
             operator_spectral_norm(op)
+        # squaring 1e200 overflows, but the norm 2e200 is representable;
+        # 2e308 is not
+        assert dense.spectral_norm(np.full((2, 2), 1e200)) == pytest.approx(2e200, rel=1e-15)
         with pytest.raises(NormOverflow):
-            dense.spectral_norm(np.full((2, 2), 1e200))
+            dense.spectral_norm(np.full((2, 2), 1e308))
 
 
 class TestSmallestSingularValue:

@@ -205,6 +205,20 @@ class TestChangStehleLu:
             heuristic_scaling(np.array([[3.0, 0.0], [4.0, 0.0]]), "columns")
         assert exc.value.k == 2
 
+    def test_heuristic_scaling_outside_the_squaring_range(self):
+        # squaring 1e-300 underflows and squaring 1e200 overflows; both norms
+        # are representable, and the other entries keep the bits of numpy's
+        m = np.array([[1.0, 0.0, 3.0], [0.0, 1e-300, 0.0], [1e200, 1e200, 0.0]])
+        rows = heuristic_scaling(m, "rows")
+        assert rows[0] == np.linalg.norm(m[:2], axis=1)[0]
+        assert rows[1] == 1e-300
+        assert rows[2] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        assert list(heuristic_scaling(m[:2], "columns")) == [1.0, 1e-300, 3.0]
+        f = lu_factor(np.diag([1.0, 1e-300]))
+        assert list(heuristic_scaling(f.u, "rows")) == [1.0, 1e-300]
+        rep = lu_normwise_bounds(f, 1e-8)
+        assert rep.rigorous_dl == rep.rigorous_du == 1.0000000100000004e-08
+
     @pytest.mark.parametrize("name", list(comparison_cases()))
     def test_report_matches_reinverting_oracle(self, name):
         # the report rescales the cached inverses; the oracle inverts the

@@ -11,6 +11,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fperturb"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SIBLINGS = {path.stem for path in MODULES} - {"__init__"}
+TEST_MODULES = sorted((ROOT / "tests").rglob("*.py"))
 
 #: tracer targets whose functions were deleted or merged; their metrics read 0
 GONE_TARGETS = {"abs_operator", "abs_scaling_ratio", "scaling_d_r",
@@ -21,18 +22,31 @@ def _private(name: str) -> bool:
     return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
 
 
+def _private_imports(tree) -> list[str]:
+    """Underscored names that ``from fperturb... import`` (or a relative import) brings in."""
+    return [alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level > 0 or (node.module or "").startswith("fperturb"))
+            for alias in node.names if _private(alias.name)]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_no_private_name_crosses_modules(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
-    crossings = []
+    crossings = _private_imports(tree)
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (
-                node.level > 0 or (node.module or "").startswith("fperturb")):
-            crossings += [alias.name for alias in node.names if _private(alias.name)]
-        elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-              and node.value.id in SIBLINGS and _private(node.attr)):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in SIBLINGS and _private(node.attr)):
             crossings.append(f"{node.value.id}.{node.attr}")
     assert crossings == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES,
+                         ids=[str(path.relative_to(ROOT)) for path in TEST_MODULES])
+def test_tests_import_no_private_name(path):
+    # a test may read a private attribute to monkeypatch it, but what it
+    # imports is the public surface it relies on
+    assert _private_imports(ast.parse(path.read_text(encoding="utf-8"))) == []
 
 
 def test_tracer_targets_resolve():

@@ -14,7 +14,9 @@ from fperturb.matgen import (
     Normwise,
     PerturbationSpec,
     random_c_matrix,
+    sample_perturbation,
 )
+from fperturb.qr_bounds import qr_normwise_bounds
 from fperturb.verify import delta_halving, infer_experiment, verify_bounds
 
 from conftest import count_calls, random_square
@@ -73,6 +75,33 @@ class TestVerifyBounds:
             assert rep.violations == 0
             assert not rep.skipped
             assert 0.0 < rep.max_ratio_rigorous <= 1.0
+
+    def test_qr_normwise_bounds_at_each_trials_own_d1(self, monkeypatch):
+        # with m > n, Q^T dA drops part of dA, so d1 < d2 and each trial is
+        # held to the bounds at its own d1; the oracle rebuilds that from the
+        # public API, one trial at a time
+        a = np.random.default_rng(17).standard_normal((9, 6))
+        delta, trials = 1e-5, 12
+        spec = PerturbationSpec(Normwise(delta), seed=4)
+        f = dense.qr_factor(a)
+        a_hp = a.astype(np.longdouble)
+        base = dense.qr_r_stack(a_hp[None])[0][0]
+        rig = fo = 0.0
+        d1s = []
+        for i in range(trials):
+            da = sample_perturbation(spec, matrix=a, trial_index=i)
+            dr = float(np.linalg.norm(dense.qr_r_stack((a_hp + da)[None])[0][0] - base))
+            d1s.append(min(float(np.linalg.norm(f.q.T @ da)), delta))
+            rep = qr_normwise_bounds(f, d1s[-1], delta)
+            rig = max(rig, dr / rep.rigorous_dr)
+            fo = max(fo, dr / rep.first_order_dr)
+        assert max(d1s) < delta
+        for per_block in (None, 5):
+            if per_block:
+                monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", per_block * a.size)
+            rep = verify_bounds(a, spec, trials, experiment="qr-normwise")
+            assert rep.violations == 0 and not rep.skipped
+            assert (rep.max_ratio_rigorous, rep.max_ratio_first_order) == (rig, fo)
 
     def test_skipped_trials_are_reported(self, monkeypatch):
         # every fourth slice of a block of trials fails; the base matrix is
