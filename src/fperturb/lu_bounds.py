@@ -251,7 +251,7 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
     t0 = time.perf_counter()
     abs_lower = np.abs(operator_materialize(lower_factor_operator(tilde_factors)))
     abs_upper = np.abs(operator_materialize(upper_factor_operator(tilde_factors)))
-    venv = vec(np.abs(lt) @ np.abs(ut))
+    venv = vec(tilde_factors.envelope)
     lower_image = abs_lower @ venv
     upper_image = abs_upper @ venv
     a = float(np.linalg.norm(lower_image))

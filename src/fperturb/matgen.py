@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import LuFactors
+from .dense import LuFactors, euclidean_norm
 from .errors import check_size
 
 
@@ -109,6 +109,19 @@ def _signed_fractions(rng: np.random.Generator, shape) -> np.ndarray:
     return mags * signs
 
 
+def _draw_norm(da: np.ndarray, delta: float) -> float:
+    """||dA||_F of a normwise draw, whose sum of squares is delta^2 up to rounding.
+
+    Always the scaled :func:`euclidean_norm`, because squares that underflow
+    (delta below about 1e-154) would skew a plain norm by far more than the
+    ulp that each shrink step removes.
+    """
+    if 2.0 * delta * delta < math.inf:  # its unscaled first try cannot overflow
+        return euclidean_norm(da)
+    with np.errstate(over="ignore"):
+        return euclidean_norm(da)
+
+
 def sample_perturbation(spec: PerturbationSpec, *,
                         matrix: np.ndarray | None = None,
                         lu: LuFactors | None = None,
@@ -116,11 +129,12 @@ def sample_perturbation(spec: PerturbationSpec, *,
     """Draw one perturbation matrix for the given model.
 
     Normwise draws a standard normal direction and rescales it so that
-    ||dA||_F equals delta exactly. The componentwise models draw, per entry,
-    a uniform magnitude in [0, envelope] and an independent sign, so the
-    entrywise constraint holds exactly by construction. ``matrix`` supplies
-    the target shape (and |A| for the QR model); ``lu`` supplies the computed
-    factors whose product shapes the LU envelope.
+    ||dA||_F equals delta up to rounding and never exceeds it. The
+    componentwise models draw, per entry, a uniform magnitude in
+    [0, envelope] and an independent sign, so the entrywise constraint holds
+    exactly by construction. ``matrix`` supplies the target shape (and |A|
+    for the QR model); ``lu`` supplies the computed factors whose product
+    shapes the LU envelope.
     """
     rng = rng_stream(spec.seed, trial_index)
     model = spec.model
@@ -130,12 +144,16 @@ def sample_perturbation(spec: PerturbationSpec, *,
         g = rng.standard_normal(matrix.shape)
         if model.delta == 0.0:
             return np.zeros(matrix.shape)
-        return model.delta * g / np.linalg.norm(g)
+        da = model.delta * g / np.linalg.norm(g)
+        # rounding can leave ||dA||_F a few ulps above delta; move every entry
+        # one ulp toward zero until it is not (a draw that overflowed stays so)
+        while model.delta < _draw_norm(da, model.delta) < math.inf:
+            da = np.nextafter(da, 0.0)
+        return da
     if isinstance(model, ComponentwiseLU):
         if lu is None:
             raise ValueError("componentwise LU model needs the factors")
-        envelope = np.abs(lu.l) @ np.abs(lu.u)
-        return model.epsilon * envelope * _signed_fractions(rng, envelope.shape)
+        return model.epsilon * lu.envelope * _signed_fractions(rng, lu.envelope.shape)
     if isinstance(model, ComponentwiseQR):
         if matrix is None:
             raise ValueError("componentwise QR model needs the matrix")

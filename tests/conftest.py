@@ -17,7 +17,7 @@ def seeded_rng(*key):
 
 
 def svd_spectral_norm(a):
-    """Spectral norm through a full dense SVD; the oracle of the Krylov estimator."""
+    """Spectral norm through a full dense SVD; the oracle of both spectral_norm routes."""
     a = np.asarray(a, dtype=float)
     if a.size == 0:
         return 0.0

@@ -7,6 +7,8 @@ import pytest
 
 from fperturb import cli, dense, tables
 from fperturb.cli import main
+from fperturb.lu_bounds import lu_componentwise_bounds
+from fperturb.matgen import kahan
 from fperturb.tables import (
     KEY_COLUMNS,
     TABLE1_COLUMNS,
@@ -164,9 +166,13 @@ def test_probe_exits_with_documented_code(probe, argv, code, tmp_path, capsys, m
 
 
 def test_componentwise_lu_one_ulp_above_gate(capsys):
-    # c eps rounds to exactly 1 here, so 1 - c eps leaves gamma_L without a value
+    # c eps rounds to exactly 1 here, so 1 - c eps leaves gamma_L without a value;
+    # eps is the smallest double at which it does, so it moves whenever c does
+    eps = 1.0004269363180318e-05
+    c = lu_componentwise_bounds(dense.lu_factor(kahan(10, 0.5)), eps).c
+    assert c * eps == 1.0 and c * np.nextafter(eps, 0.0) < 1.0
     code, out, err = run(["lu-componentwise", "--kahan", "10,0.5",
-                          "--epsilon", "1.0004269363180316e-05", "--no-timings"], capsys)
+                          "--epsilon", repr(eps), "--no-timings"], capsys)
     assert code == 0
     assert "Traceback" not in err
     values = dict(zip(*(line.split(",") for line in out.strip().splitlines())))

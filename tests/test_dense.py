@@ -1,5 +1,7 @@
 """Dense kernels: factorizations, norms, triangular inverses."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from fperturb.qr_bounds import r_factor_operator, r_quadratic_operator
 from fperturb.structured import operator_materialize, operator_spectral_norm
 
 from conftest import (
+    count_calls,
     measure_r,
     random_square,
     random_unit_lower,
@@ -58,6 +61,27 @@ class TestLuFactor:
     def test_non_square_rejected(self):
         with pytest.raises(DimensionMismatch):
             lu_factor(np.ones((2, 3)))
+
+    def test_pivot_gate_where_the_squares_overflow_or_underflow(self):
+        # ||A||_F squares entries near 1e160 to inf and entries near 1e-160 to
+        # subnormals; the gate rescales such a slice instead of gating every pivot
+        for a in (np.array([[1.0, 2.0], [3.0, 1.0]]), random_square(6, 2, shift=3.0)):
+            base = lu_factor(a)
+            for scale in (2.0 ** 530, 2.0 ** -530):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    f = lu_factor(scale * a)
+                    _, _, singular = dense.lu_factor_stack(np.stack([a, scale * a]))
+                assert np.array_equal(f.l, base.l)
+                assert np.array_equal(f.u, scale * base.u)
+                assert not singular.any()
+        f = lu_factor(1e160 * np.array([[1.0, 2.0], [3.0, 1.0]]))
+        assert f.u[1, 1] == pytest.approx(-5e160, rel=1e-15)
+
+    def test_envelope_is_the_cached_product(self):
+        f = lu_factor(random_square(5, 3, shift=5.0))
+        assert np.array_equal(f.envelope, np.abs(f.l) @ np.abs(f.u))
+        assert f.envelope is f.envelope
 
     def test_longdouble_input_keeps_its_precision(self):
         a = random_square(6, 1, shift=3.0)
@@ -217,7 +241,58 @@ class TestQrFactor:
             qr_factor(np.ones((2, 3)))
 
 
+_K = dense.SVD_MAX_ORDER
+
+
+def _abs_lu_map(n, upper):
+    """|M| of an LU factor map: n(n+1)/2 (upper) or n(n-1)/2 (lower) by n^2."""
+    f = lu_factor(random_square(n, 0, shift=float(n)))
+    return np.abs(operator_materialize((upper_factor_operator if upper
+                                        else lower_factor_operator)(f)))
+
+
 class TestNorms:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda: seeded_rng(12, 0).standard_normal((_K, _K)), id="square-svd"),
+        pytest.param(lambda: seeded_rng(12, 1).standard_normal((_K + 1, _K + 1)),
+                     id="square-krylov"),
+        pytest.param(lambda: seeded_rng(12, 2).standard_normal((3 * _K, _K)), id="tall-svd"),
+        pytest.param(lambda: seeded_rng(12, 3).standard_normal((3 * _K, _K + 1)),
+                     id="tall-krylov"),
+        pytest.param(lambda: seeded_rng(12, 4).standard_normal((_K, 3 * _K)), id="wide-svd"),
+        pytest.param(lambda: seeded_rng(12, 5).standard_normal((_K + 1, 3 * _K)),
+                     id="wide-krylov"),
+        pytest.param(lambda: _abs_lu_map(10, upper=False), id="lu-lower-45x100-svd"),
+        pytest.param(lambda: _abs_lu_map(10, upper=True), id="lu-upper-55x100-svd"),
+        pytest.param(lambda: _abs_lu_map(12, upper=False), id="lu-lower-66x144-krylov"),
+        pytest.param(lambda: _abs_lu_map(12, upper=True), id="lu-upper-78x144-krylov"),
+        pytest.param(lambda: np.array([[-3.0]]), id="1x1"),
+        pytest.param(lambda: np.zeros((3, 4)), id="zero"),
+        pytest.param(lambda: np.zeros((0, 3)), id="empty"),
+        pytest.param(lambda: np.full((2, 2), 1e200), id="squares-overflow-svd"),
+        pytest.param(lambda: 1e200 * seeded_rng(12, 6).standard_normal((_K + 1, _K + 1)),
+                     id="squares-overflow-krylov"),
+    ])
+    def test_spectral_norm_routes(self, make, monkeypatch):
+        # the SVD route up to SVD_MAX_ORDER gives the oracle exactly; above it
+        # the Krylov estimate is within its tolerance of the oracle
+        a = make()
+        krylov = count_calls(monkeypatch, "krylov_spectral_norm", dense)
+        got = dense.spectral_norm(a)
+        ref = svd_spectral_norm(a)
+        if min(a.shape) <= _K:
+            assert not krylov
+            assert got == ref
+        else:
+            assert len(krylov) == 1
+            assert got == pytest.approx(ref, rel=1e-11)
+
+    @pytest.mark.parametrize("a", [np.full((2, 2), 1e308), np.full((_K + 1, _K + 1), 1e307)],
+                             ids=["svd", "krylov"])
+    def test_overflowing_norm_is_typed_on_both_routes(self, a):
+        with pytest.raises(NormOverflow):
+            dense.spectral_norm(a)
+
     def test_spectral_matches_svd_oracle(self):
         for seed in range(100):
             n = int(seeded_rng(2, seed).integers(2, 21))
@@ -247,10 +322,17 @@ class TestNorms:
             assert np.isnan(dense.euclidean_norm(np.array([1.0, np.nan])))
 
     def test_no_convergence_budget(self, monkeypatch):
-        a = seeded_rng(6, 0).standard_normal((12, 12))
+        # above the SVD route, where the Krylov estimator takes the norm
+        n = dense.SVD_MAX_ORDER + 1
+        a = seeded_rng(6, 0).standard_normal((n, n))
         monkeypatch.setattr(dense, "KRYLOV_MAX_STEPS", 1)
         with pytest.raises(NoConvergence):
             dense.spectral_norm(a)
+
+
+def _krylov(a):
+    """The Krylov estimate of a dense matrix, which ``spectral_norm`` skips at small orders."""
+    return dense.krylov_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
 
 
 def _factor_maps(a):
@@ -274,11 +356,13 @@ class TestKrylovEstimator:
 
     def test_zero_map(self):
         assert dense.spectral_norm(np.zeros((3, 4))) == 0.0
+        assert _krylov(np.zeros((3, 4))) == 0.0
 
     def test_start_vector_in_null_space_restarts(self):
         a = np.array([[1.0, -1.0, 0.0], [2.0, 0.0, -2.0]])
         assert not (a @ np.ones(3)).any()
         assert dense.spectral_norm(a) == pytest.approx(svd_spectral_norm(a), rel=1e-11)
+        assert _krylov(a) == pytest.approx(svd_spectral_norm(a), rel=1e-11)
 
     def test_clustered_spectrum_within_matvec_budget(self):
         # clustered top singular values: stopping on a small per-step change
@@ -314,7 +398,7 @@ class TestKrylovEstimator:
 class TestSmallestSingularValue:
     def test_inverse_norm_oracle(self):
         # 1/sigma_min equals the spectral norm of the explicit inverse,
-        # computed through the package's own Krylov estimator.
+        # computed through the package's own spectral_norm.
         for seed in range(10):
             a = random_square(5, seed, shift=4.0)
             smin = np.linalg.svd(a, compute_uv=False)[-1]

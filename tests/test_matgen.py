@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from fperturb.dense import lu_factor, qr_factor
+from fperturb.dense import euclidean_norm, lu_factor, qr_factor
 from fperturb.matgen import (
     ComponentwiseLU,
     ComponentwiseQR,
@@ -14,6 +14,7 @@ from fperturb.matgen import (
     graded_random,
     kahan,
     random_c_matrix,
+    rng_stream,
     sample_perturbation,
 )
 
@@ -78,6 +79,41 @@ class TestSamplePerturbation:
         spec = PerturbationSpec(model=Normwise(delta=0.37), seed=5)
         da = sample_perturbation(spec, matrix=np.zeros((4, 4)), trial_index=0)
         assert np.linalg.norm(da) == pytest.approx(0.37, rel=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 3, 10])
+    def test_normwise_draws_never_exceed_delta(self, n):
+        # a rescaled direction that rounds above delta is moved below it; one
+        # that does not is left bit for bit as it was
+        delta = 1e-8
+        spec = PerturbationSpec(model=Normwise(delta=delta), seed=0)
+        a = np.zeros((n, n))
+        for i in range(2000):
+            da = sample_perturbation(spec, matrix=a, trial_index=i)
+            assert np.linalg.norm(da) <= delta
+            g = rng_stream(0, i).standard_normal((n, n))
+            plain = delta * g / np.linalg.norm(g)
+            if np.linalg.norm(plain) <= delta:
+                assert np.array_equal(da, plain)
+            else:
+                assert np.allclose(da, plain, rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("n", [1, 10])
+    @pytest.mark.parametrize("delta", [1e-160, 1e-310])
+    def test_tiny_normwise_draws_return_within_delta(self, n, delta):
+        # the squares of these entries underflow, so only a scaled norm can
+        # see the few ulps by which a draw overshoots delta
+        spec = PerturbationSpec(model=Normwise(delta=delta), seed=0)
+        for i in range(50):
+            da = sample_perturbation(spec, matrix=np.zeros((n, n)), trial_index=i)
+            assert 0.0 < euclidean_norm(da) <= delta
+
+    def test_normwise_draw_that_overflows_returns(self):
+        # delta * g overflows here; shrinking an infinite entry by one ulp at a
+        # time would never bring the norm below delta
+        spec = PerturbationSpec(model=Normwise(delta=1.7e308), seed=0)
+        with np.errstate(over="ignore"):
+            da = sample_perturbation(spec, matrix=np.zeros((3, 3)), trial_index=1)
+        assert not np.isfinite(da).all()
 
     def test_normwise_zero(self):
         spec = PerturbationSpec(model=Normwise(delta=0.0), seed=5)
