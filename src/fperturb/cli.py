@@ -237,6 +237,8 @@ def _report_rows(report, no_timings: bool) -> list[dict]:
 
 def _run_command(args) -> tuple[list[dict], dict, int | None]:
     """Return (rows, timings, violations) for the parsed command."""
+    if args.seed < 0:
+        raise CliError(EXIT_BAD_CONFIG, f"--seed must be non-negative, got {args.seed}")
     t0 = time.perf_counter()
     try:
         if args.command in tables.TABLES:

@@ -152,12 +152,15 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     if not np.isfinite(a).all():
         raise ValueError("stack has non-finite entries")
     k, n, _ = a.shape
-    # one norm call per slice, as for a single matrix, so that no gate moves;
-    # only a slice whose squares overflow or underflow is rescaled
-    with np.errstate(over="ignore"):
-        norms = np.array([_scaled_norm(s) for s in a], dtype=a.dtype)
-    tol = PIVOT_TOL * norms
     u = a.copy()
+    # the norms of all slices at once, each bit for bit that of the C-ordered
+    # slice alone, so that no gate moves; only a slice whose squares overflow
+    # or underflow is rescaled
+    with np.errstate(over="ignore"):
+        norms = frobenius_norms(u)
+        for j in np.flatnonzero((norms <= SQRT_TINY) | (norms == math.inf)):
+            norms[j] = _scaled_norm(u[j])
+    tol = PIVOT_TOL * norms
     l = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
     singular = np.zeros(k, dtype=int)
     for c in range(n - 1):
@@ -263,6 +266,17 @@ def euclidean_norm(x) -> float:
     ``np.errstate(over="ignore")``. A non-finite entry gives a non-finite norm.
     """
     return float(_scaled_norm(np.asarray(x)))
+
+
+def frobenius_norms(x: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of every slice of a C-contiguous stack, bit for bit.
+
+    One stacked product of each flattened slice with itself, which adds the
+    squares in the order of numpy's ``dot`` that the plain norm uses, in the
+    precision of ``x``. Squares overflow and underflow as there.
+    """
+    flat = x.reshape(len(x), -1)
+    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
 def _scaled_norm(x: np.ndarray):

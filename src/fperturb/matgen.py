@@ -5,11 +5,24 @@ generator with documented constants). A draw is reproducible from its seed,
 and independent per-trial streams derive from the pair (seed, trial_index),
 so trials can run in any order or in parallel and still produce identical
 results.
+
+Trial stream (seed, i) is the stream of ``np.random.default_rng([seed, i])``:
+SeedSequence hashes the 32-bit words of the pair into four 64-bit words, and
+PCG64 seeds its 128-bit state and increment from them. numpy keeps both
+algorithms stable across releases (NEP 19), so draws do not depend on the
+numpy version. Building that generator costs more than most draws, so the
+trial states are derived here instead: the hash and mix of SeedSequence run
+as vectorized 32-bit arithmetic over an aligned chunk of ``STREAM_CHUNK``
+trial indices at once, PCG64's seeding finishes per index on Python ints,
+and each thread caches its last chunk. A draw sets its state on a generator
+that its thread reuses, and :func:`rng_stream` on a fresh one, so the two
+share one derivation.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,12 +30,117 @@ import numpy as np
 from .dense import LuFactors, euclidean_norm
 from .errors import check_size
 
+#: trial indices whose stream states are derived at once; it divides 2**32, so
+#: every index of an aligned chunk splits into the same number of 32-bit words
+STREAM_CHUNK = 1024
+
+# constants of SeedSequence (pool of 4 words) and of PCG64's 128-bit LCG
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_XSHIFT = np.uint32(16)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+#: per thread: the generator that draws reuse, and the last chunk of states
+_local = threading.local()
+
+
+def _nonnegative(value, name: str) -> int:
+    value = int(value)
+    if value < 0:
+        raise ValueError(f"{name} must be a non-negative integer, got {value}")
+    return value
+
+
+def _words(x: int) -> list[int]:
+    """The 32-bit words of x, least significant first, as SeedSequence splits it (0 is [0])."""
+    words = [x & _MASK32]
+    while x := x >> 32:
+        words.append(x & _MASK32)
+    return words
+
+
+def _chunk_seeds(seed: int, start: int) -> np.ndarray:
+    """Row j is ``SeedSequence([seed, start + j]).generate_state(4, np.uint64)``.
+
+    ``start`` is a multiple of ``STREAM_CHUNK``, so the indices of the chunk
+    share every word but the lowest, which runs over start's lowest word + j.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * np.uint32(hash_const)
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        result = _MIX_MULT_L * x - _MIX_MULT_R * y
+        return result ^ (result >> _XSHIFT)
+
+    def words(x):      # full rows: arithmetic on numpy integer scalars warns on wrap-around
+        return [np.full(STREAM_CHUNK, w, dtype=np.uint32) for w in _words(x)]
+
+    low, *high = words(start)
+    entropy = words(seed) + [low + np.arange(STREAM_CHUNK, dtype=np.uint32)] + high
+    entropy += words(0) * (_POOL_SIZE - len(entropy))
+    pool = [hashmix(value) for value in entropy[:_POOL_SIZE]]
+    for i_src in range(_POOL_SIZE):
+        for i_dst in range(_POOL_SIZE):
+            if i_src != i_dst:
+                pool[i_dst] = mix(pool[i_dst], hashmix(pool[i_src]))
+    for value in entropy[_POOL_SIZE:]:
+        for i_dst in range(_POOL_SIZE):
+            pool[i_dst] = mix(pool[i_dst], hashmix(value))
+
+    hash_const = _INIT_B
+    state = np.empty((STREAM_CHUNK, 2 * _POOL_SIZE), dtype=np.uint32)
+    for i_dst in range(2 * _POOL_SIZE):
+        value = pool[i_dst % _POOL_SIZE] ^ np.uint32(hash_const)
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * np.uint32(hash_const)
+        state[:, i_dst] = value ^ (value >> _XSHIFT)
+    return state.view(np.uint64)
+
+
+def _stream_state(seed: int, trial_index: int) -> dict:
+    """``bit_generator.state`` of ``np.random.default_rng([seed, trial_index])``."""
+    seed = _nonnegative(seed, "seed")
+    trial_index = _nonnegative(trial_index, "trial_index")
+    chunk, offset = divmod(trial_index, STREAM_CHUNK)
+    cached = getattr(_local, "chunk", None)
+    if cached is None or cached[0] != (seed, chunk):
+        cached = _local.chunk = (seed, chunk), _chunk_seeds(seed, chunk * STREAM_CHUNK)
+    s0, s1, s2, s3 = cached[1][offset].tolist()
+    # PCG64 seeding: state 0, inc = 2 initseq + 1, step, add initstate, step
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+            "has_uint32": 0, "uinteger": 0}
+
+
+def _trial_generator(seed: int, trial_index: int) -> np.random.Generator:
+    """This thread's reused generator, set to trial stream (seed, trial_index)."""
+    rng = getattr(_local, "rng", None)
+    if rng is None:
+        rng = _local.rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = _stream_state(seed, trial_index)
+    return rng
+
 
 def rng_stream(seed: int, trial_index: int | None = None) -> np.random.Generator:
-    """Deterministic generator for a seed, or for trial ``trial_index`` of a seed."""
+    """Deterministic generator for a seed, or for trial ``trial_index`` of a seed.
+
+    Raises ``ValueError`` when the seed or the trial index is negative.
+    """
     if trial_index is None:
-        return np.random.default_rng(int(seed))
-    return np.random.default_rng([int(seed), int(trial_index)])
+        return np.random.default_rng(_nonnegative(seed, "seed"))
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = _stream_state(seed, trial_index)
+    return rng
 
 
 @dataclass(frozen=True)
@@ -67,6 +185,9 @@ PerturbationModel = Normwise | ComponentwiseLU | ComponentwiseQR
 class PerturbationSpec:
     model: PerturbationModel
     seed: int = 0
+
+    def __post_init__(self):
+        _nonnegative(self.seed, "seed")
 
 
 def kahan(n: int, theta: float) -> np.ndarray:
@@ -122,9 +243,29 @@ def _draw_norm(da: np.ndarray, delta: float) -> float:
         return euclidean_norm(da)
 
 
+def componentwise_envelope(model: ComponentwiseLU | ComponentwiseQR, *,
+                           matrix: np.ndarray | None = None,
+                           lu: LuFactors | None = None) -> np.ndarray:
+    """The envelope E of a componentwise model, whose draws keep |dA| <= epsilon E.
+
+    |L~| |U~| of the computed factors ``lu`` for :class:`ComponentwiseLU`, and
+    C |A| of ``matrix`` for :class:`ComponentwiseQR`.
+    """
+    if isinstance(model, ComponentwiseLU):
+        if lu is None:
+            raise ValueError("componentwise LU model needs the factors")
+        return lu.envelope
+    if isinstance(model, ComponentwiseQR):
+        if matrix is None:
+            raise ValueError("componentwise QR model needs the matrix")
+        return model.c @ np.abs(matrix)
+    raise TypeError(f"unknown componentwise model {model!r}")
+
+
 def sample_perturbation(spec: PerturbationSpec, *,
                         matrix: np.ndarray | None = None,
                         lu: LuFactors | None = None,
+                        envelope: np.ndarray | None = None,
                         trial_index: int | None = None) -> np.ndarray:
     """Draw one perturbation matrix for the given model.
 
@@ -134,29 +275,32 @@ def sample_perturbation(spec: PerturbationSpec, *,
     [0, envelope] and an independent sign, so the entrywise constraint holds
     exactly by construction. ``matrix`` supplies the target shape (and |A|
     for the QR model); ``lu`` supplies the computed factors whose product
-    shapes the LU envelope.
+    shapes the LU envelope. A caller that draws many trials passes the
+    :func:`componentwise_envelope` as ``envelope`` instead, formed once.
     """
-    rng = rng_stream(spec.seed, trial_index)
     model = spec.model
+    rng = (rng_stream(spec.seed) if trial_index is None
+           else _trial_generator(spec.seed, trial_index))
     if isinstance(model, Normwise):
         if matrix is None:
             raise ValueError("normwise model needs the target matrix")
         g = rng.standard_normal(matrix.shape)
         if model.delta == 0.0:
             return np.zeros(matrix.shape)
-        da = model.delta * g / np.linalg.norm(g)
+        norm = float(np.linalg.norm(g))
+        # 2 delta ||g|| bounds every delta |g_ij| with room for its rounding
+        if (2.0 * model.delta * norm < math.inf
+                or model.delta * float(np.max(np.abs(g))) < math.inf):
+            da = model.delta * g / norm
+        else:           # delta * g would overflow; scale the unit direction
+            da = model.delta * (g / norm)
         # rounding can leave ||dA||_F a few ulps above delta; move every entry
         # one ulp toward zero until it is not (a draw that overflowed stays so)
         while model.delta < _draw_norm(da, model.delta) < math.inf:
             da = np.nextafter(da, 0.0)
         return da
-    if isinstance(model, ComponentwiseLU):
-        if lu is None:
-            raise ValueError("componentwise LU model needs the factors")
-        return model.epsilon * lu.envelope * _signed_fractions(rng, lu.envelope.shape)
-    if isinstance(model, ComponentwiseQR):
-        if matrix is None:
-            raise ValueError("componentwise QR model needs the matrix")
-        envelope = model.c @ np.abs(matrix)
-        return model.epsilon * envelope * _signed_fractions(rng, envelope.shape)
-    raise TypeError(f"unknown perturbation model {model!r}")
+    if not isinstance(model, (ComponentwiseLU, ComponentwiseQR)):
+        raise TypeError(f"unknown perturbation model {model!r}")
+    if envelope is None:
+        envelope = componentwise_envelope(model, matrix=matrix, lu=lu)
+    return model.epsilon * envelope * _signed_fractions(rng, envelope.shape)

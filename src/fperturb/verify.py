@@ -13,11 +13,15 @@ by refactorizing in longdouble where it is wider than float64: near the
 applicability window of a hard graded matrix, double precision would
 measure rounding noise rather than factor sensitivity.
 
-Each trial draws from its own (seed, trial_index) stream. The draws of a
-block are stacked and refactorized at once by a kernel of :mod:`dense` that
-does on every slice the floating-point operations of a single factorization,
-so results do not depend on the block size, and the capped block keeps
-memory flat in the number of trials.
+Each trial draws from its own (seed, trial_index) stream, in one call of
+:func:`sample_perturbation` per trial; :mod:`matgen` derives the stream
+states a chunk of trial indices at a time, and the envelope of a
+componentwise model is formed once per run. The draws of a block are
+stacked and refactorized at once by a kernel of :mod:`dense` that does on
+every slice the floating-point operations of a single factorization, and
+the factor changes of the block are normed at once, bit for bit as slice by
+slice. So results do not depend on the block size, and the capped block
+keeps memory flat in the number of trials.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .matgen import (
     ComponentwiseQR,
     Normwise,
     PerturbationSpec,
+    componentwise_envelope,
     sample_perturbation,
 )
 
@@ -52,16 +57,20 @@ _ZERO_COLUMN = "zero column during refactorization"
 def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> list:
     """(||dL||_F, ||dU||_F) of each refactorized slice, or why it failed."""
     l, u, singular = dense.lu_factor_stack(perturbed)
+    l -= base.l         # in place: the factors are not needed beyond their changes
+    u -= base.u
+    dl, du = dense.frobenius_norms(l), dense.frobenius_norms(u)
     return [f"factorization failed: {SingularLeadingMinor(int(pivot))}" if pivot else
-            (float(np.linalg.norm(l[j] - base.l)), float(np.linalg.norm(u[j] - base.u)))
+            (float(dl[j]), float(du[j]))
             for j, pivot in enumerate(singular)]
 
 
 def _r_changes(base_r: np.ndarray, perturbed: np.ndarray) -> list:
     """(||dR||_F,) of each refactorized slice, or why it failed."""
     r, zero_column = dense.qr_r_stack(perturbed)
-    return [f"factorization failed: {_ZERO_COLUMN}" if zero else
-            (float(np.linalg.norm(r[j] - base_r)),)
+    r -= base_r
+    dr = dense.frobenius_norms(r)
+    return [f"factorization failed: {_ZERO_COLUMN}" if zero else (float(dr[j]),)
             for j, zero in enumerate(zero_column)]
 
 
@@ -162,7 +171,10 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
 
     t1 = time.perf_counter()
     a_hp = a.astype(_MEASURE_DTYPE)
-    source = {"lu": factors} if exp.lu_envelope else {"matrix": a}
+    if exp.model is Normwise:
+        source = {"matrix": a}
+    else:       # formed once here rather than on every draw
+        source = {"envelope": componentwise_envelope(spec.model, matrix=a, lu=factors)}
     violations = 0
     skipped = []
     max_rig = max_fo = 0.0

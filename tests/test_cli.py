@@ -77,6 +77,17 @@ class TestExitCodes:
         assert err == "fperturb: error: cannot parse matrix file: " \
                       "Frobenius norm outside the float64 range\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--experiment", "lu-normwise", "--kahan", "4,0.5", "--delta", "1e-9"],
+        ["verify", "--experiment", "qr-componentwise", "--graded", "4,1,1",
+         "--epsilon", "1e-9"],
+        ["table2"],
+    ])
+    def test_negative_seed_is_config_error(self, argv, capsys):
+        code, out, err = run([*argv, "--seed", "-1"], capsys)
+        assert code == 1 and out == ""
+        assert err == "fperturb: error: --seed must be non-negative, got -1\n"
+
     def test_verify_demands_applicability(self, tmp_path, capsys):
         path = tmp_path / "id.csv"
         write_matrix(path, np.eye(4))

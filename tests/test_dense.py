@@ -308,6 +308,20 @@ class TestNorms:
             rhs = svd_spectral_norm(x) * np.linalg.norm(y) * svd_spectral_norm(z)
             assert lhs <= rhs * (1 + 1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.longdouble, np.float64])
+    @pytest.mark.parametrize("shape", [(1, 1, 1), (7, 3, 3), (655, 10, 10), (40, 40, 40),
+                                       (5, 2, 7), (3, 1, 5000)])
+    def test_frobenius_norms_are_the_plain_norms(self, dtype, shape):
+        # the change norms of a block of trials and the pivot gate of a stack
+        # must equal, bit for bit, np.linalg.norm of each slice alone
+        rng = seeded_rng(13, *shape)
+        for scale in (1.0, 1e-10, 1e-170, 1e150):
+            x = (scale * rng.standard_normal(shape)).astype(dtype)
+            x += (1e-12 * scale * rng.standard_normal(shape)).astype(dtype)
+            norms = dense.frobenius_norms(x)
+            assert norms.dtype == dtype
+            assert np.array_equal(norms, [np.linalg.norm(s) for s in x])
+
     def test_euclidean_norm_outside_the_squaring_range(self):
         x = np.array([3.0, 4.0])
         assert dense.euclidean_norm(x) == np.linalg.norm(x)

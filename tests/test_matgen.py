@@ -1,16 +1,20 @@
 """Test-matrix generators and perturbation sampling."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fperturb.dense import euclidean_norm, lu_factor, qr_factor
 from fperturb.matgen import (
+    STREAM_CHUNK,
     ComponentwiseLU,
     ComponentwiseQR,
     Normwise,
     PerturbationSpec,
+    componentwise_envelope,
     graded_random,
     kahan,
     random_c_matrix,
@@ -108,12 +112,13 @@ class TestSamplePerturbation:
             assert 0.0 < euclidean_norm(da) <= delta
 
     def test_normwise_draw_that_overflows_returns(self):
-        # delta * g overflows here; shrinking an infinite entry by one ulp at a
-        # time would never bring the norm below delta
+        # delta * g overflows here, so the unit direction is scaled instead;
+        # no overflow warning is raised on the way
         spec = PerturbationSpec(model=Normwise(delta=1.7e308), seed=0)
+        da = sample_perturbation(spec, matrix=np.zeros((3, 3)), trial_index=1)
+        assert np.isfinite(da).all()
         with np.errstate(over="ignore"):
-            da = sample_perturbation(spec, matrix=np.zeros((3, 3)), trial_index=1)
-        assert not np.isfinite(da).all()
+            assert euclidean_norm(da) <= 1.7e308
 
     def test_normwise_zero(self):
         spec = PerturbationSpec(model=Normwise(delta=0.0), seed=5)
@@ -155,3 +160,116 @@ class TestSamplePerturbation:
             ComponentwiseLU(epsilon=size)
         with pytest.raises(ValueError):
             ComponentwiseQR(epsilon=size, c=np.full((2, 2), 0.5))
+
+
+def _draws(rng):
+    return (rng.standard_normal((3, 4)), rng.random(5), rng.integers(0, 2, size=7))
+
+
+def _assert_same_draws(got, want):
+    for x, y in zip(got, want):
+        assert np.array_equal(x, y)
+
+
+class TestTrialStreams:
+    """Trial stream (seed, i) is bit for bit that of np.random.default_rng([seed, i])."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64 + 5])
+    # 2**32 - 1 and 2**32 split into one and two words, so a chunk must not mix them
+    @pytest.mark.parametrize("index", [0, 1, 1023, 1024, 2**32 - 1, 2**32, 2**32 + 3])
+    def test_streams_match_numpy_seeding(self, seed, index):
+        oracle = np.random.default_rng([seed, index])
+        _assert_same_draws(_draws(rng_stream(seed, index)), _draws(oracle))
+
+    def test_draws_match_the_oracle_streams(self):
+        # sample_perturbation draws on the reused generator of its thread
+        a = np.ones((3, 3))
+        spec = PerturbationSpec(ComponentwiseQR(0.5, np.ones((3, 3))), seed=2873465123)
+        for i in (0, 5, 1023, 1024, 3000):
+            da = sample_perturbation(spec, matrix=a, trial_index=i)
+            oracle = np.random.default_rng([spec.seed, i])
+            mags = oracle.random((3, 3))
+            signs = oracle.integers(0, 2, size=(3, 3)) * 2.0 - 1.0
+            assert np.array_equal(da, 0.5 * np.full((3, 3), 3.0) * (mags * signs))
+
+    def test_interleaved_streams_each_match(self):
+        a = np.zeros((4, 4))
+        specs = [PerturbationSpec(Normwise(1.0), seed=s) for s in (3, 2**40)]
+        for i in (0, 1, 2000, 1, 5000):
+            for spec in specs:
+                da = sample_perturbation(spec, matrix=a, trial_index=i)
+                g = np.random.default_rng([spec.seed, i]).standard_normal((4, 4))
+                assert np.allclose(da, g / np.linalg.norm(g), rtol=1e-15, atol=0.0)
+
+    def test_threads_drawing_at_once_each_match(self):
+        # each thread keeps its own generator and chunk of states; switching
+        # threads often interleaves their draws, chunk by chunk
+        threads_count = 4
+        errors = []
+        start = threading.Barrier(threads_count)
+
+        def work(t):
+            start.wait()
+            spec = PerturbationSpec(Normwise(1.0), seed=t)
+            for i in range(0, 3 * STREAM_CHUNK, 97):
+                da = sample_perturbation(spec, matrix=np.zeros((2, 2)), trial_index=i)
+                g = np.random.default_rng([t, i]).standard_normal((2, 2))
+                if not np.allclose(da, g / np.linalg.norm(g), rtol=1e-15, atol=0.0):
+                    errors.append((t, i))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(threads_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+
+    def test_rng_stream_returns_independent_generators(self):
+        first = rng_stream(9, 4)
+        second = rng_stream(9, 4)
+        assert second is not first and second.bit_generator is not first.bit_generator
+        oracle = np.random.default_rng([9, 4]).standard_normal(6)
+        assert np.array_equal(first.standard_normal(3), oracle[:3])
+        # other streams and draws in between leave a held generator as it was
+        sample_perturbation(PerturbationSpec(Normwise(1.0), seed=1), matrix=np.zeros((2, 2)),
+                            trial_index=5000)
+        rng_stream(9, 70000).standard_normal(8)
+        assert np.array_equal(first.standard_normal(3), oracle[3:])
+        assert np.array_equal(second.standard_normal(6), oracle)
+
+    def test_negative_seed_or_index_is_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            PerturbationSpec(Normwise(1.0), seed=-1)
+        with pytest.raises(ValueError, match="seed"):
+            rng_stream(-1)
+        with pytest.raises(ValueError, match="seed"):
+            rng_stream(-1, 3)
+        with pytest.raises(ValueError, match="trial_index"):
+            rng_stream(1, -3)
+
+
+class TestEnvelope:
+    def test_envelope_passed_once_gives_the_same_draws(self):
+        a = graded_random(5, 1, 1, 4)
+        f = lu_factor(a + 5 * np.eye(5))
+        c = random_c_matrix(5, 6)
+        for spec, source in ((PerturbationSpec(ComponentwiseLU(0.01), seed=8), {"lu": f}),
+                             (PerturbationSpec(ComponentwiseQR(0.2, c), seed=8), {"matrix": a})):
+            envelope = componentwise_envelope(spec.model, **source)
+            for i in range(5):
+                assert np.array_equal(
+                    sample_perturbation(spec, envelope=envelope, trial_index=i),
+                    sample_perturbation(spec, trial_index=i, **source))
+        assert componentwise_envelope(ComponentwiseLU(0.01), lu=f) is f.envelope
+        assert np.array_equal(componentwise_envelope(ComponentwiseQR(0.2, c), matrix=a),
+                              c @ np.abs(a))
+
+    def test_normwise_model_has_no_envelope(self):
+        with pytest.raises(TypeError):
+            componentwise_envelope(Normwise(1.0), matrix=np.eye(2))
