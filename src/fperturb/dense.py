@@ -11,6 +11,10 @@ bounds the factors of ``A`` itself, and row exchanges would change the object
 being bounded. The QR factorization normalizes the triangular factor to a
 strictly positive diagonal, which makes it unique for full-column-rank input.
 
+The stacked kernels refactorize many perturbed matrices at once, with the
+floating-point operations of one factorization on every slice; the
+longdouble elimination gets them through numpy's sequential matmul loop.
+
 The spectral norm of a dense matrix whose smaller dimension is at most
 ``SVD_MAX_ORDER`` is the largest singular value from the LAPACK SVD. Every
 other spectral norm, of a larger dense matrix or of a matrix-free factor
@@ -55,6 +59,8 @@ KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an SVD of B_k eac
 SVD_MAX_ORDER = 64
 EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 materialized, one column of X at a time
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)    # a norm at or below it may lose digits to underflow
+# longdouble carries more digits than float64, as it does not on every platform
+WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
 
 
 @dataclass(frozen=True)
@@ -144,30 +150,66 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     0 when slice j factorized, and otherwise the 1-based index of its first
     pivot at or below ``PIVOT_TOL * ||a[j]||_F``. The elimination of such a
     slice stops there, and its factors are meaningless.
+
+    Each entry of U, and of L before its division by the pivot, is the
+    entry of ``a`` minus the rounded products l_ik u_kj, subtracted one at a
+    time in order of k. A longdouble stack (where longdouble is wider than
+    float64) runs this in Doolittle order, one stacked ``np.matmul`` per row
+    of U and per column of L, whose longdouble loop adds the rounded
+    products in turn from zero (``tests/test_dense.py::TestMatmulPremise``
+    checks it where longdouble is IEEE extended or quad precision).
+    Other stacks keep the right-looking rank-1 updates: float64 matmul goes
+    to BLAS, which sums in another order. Both orders give the same bits up
+    to the sign of an exact zero; ROADMAP item 10 would drop the longdouble
+    branch.
     """
     a = np.asarray(a)
-    a = np.asarray(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
+    a = np.ascontiguousarray(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
     if a.ndim != 3 or a.shape[1] != a.shape[2]:
         raise DimensionMismatch(f"stack must have shape (k, n, n), got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("stack has non-finite entries")
-    k, n, _ = a.shape
-    u = a.copy()
+    tol = _pivot_tols(a)
+    if a.dtype == np.longdouble and WIDE_LONGDOUBLE:
+        return _doolittle(a, tol)
+    return _right_looking(a, tol)
+
+
+def _pivot_tols(a: np.ndarray) -> np.ndarray:
+    """``PIVOT_TOL`` times the Frobenius norm of each slice of a C-contiguous stack."""
     # the norms of all slices at once, each bit for bit that of the C-ordered
     # slice alone, so that no gate moves; only a slice whose squares overflow
     # or underflow is rescaled
     with np.errstate(over="ignore"):
-        norms = frobenius_norms(u)
+        norms = frobenius_norms(a)
         for j in np.flatnonzero((norms <= SQRT_TINY) | (norms == math.inf)):
-            norms[j] = _scaled_norm(u[j])
-    tol = PIVOT_TOL * norms
+            norms[j] = _scaled_norm(a[j])
+    return PIVOT_TOL * norms
+
+
+def _gate(piv: np.ndarray, tol: np.ndarray, singular: np.ndarray, step: int):
+    """The slices whose pivot of this 0-based step is newly gated, or None.
+
+    Each is flagged in ``singular`` with the 1-based index of the step.
+    """
+    small = np.abs(piv) <= tol
+    if not small.any():
+        return None
+    small &= singular == 0
+    singular[small] = step + 1
+    return small
+
+
+def _right_looking(a: np.ndarray, tol: np.ndarray):
+    """:func:`lu_factor_stack` by rank-1 updates of the trailing block."""
+    k, n, _ = a.shape
+    u = a.copy()
     l = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
     singular = np.zeros(k, dtype=int)
     for c in range(n - 1):
         piv = u[:, c, c]
-        small = (np.abs(piv) <= tol) & (singular == 0)
-        if small.any():
-            singular[small] = c + 1
+        small = _gate(piv, tol, singular, c)
+        if small is not None:
             u[small] = 0.0
         if singular.any():
             # a stopped slice is all zeros; dividing it by one keeps it so
@@ -179,12 +221,57 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return l, np.triu(u), singular
 
 
+def _doolittle(a: np.ndarray, tol: np.ndarray):
+    """:func:`lu_factor_stack` in Doolittle order, by stacked sequential matmuls.
+
+    Row 0 of ``ub`` and column 0 of ``nl`` are heads; rows 1.. of ``ub`` hold
+    U and columns 1.. of ``nl`` hold -L. Row j of U is [1, -l_j0, ..,
+    -l_j,j-1] times [a_j; u_0; ..; u_j-1], and the sum from zero takes
+    a_j + (-l_j0 u_0) + .. in turn, which rounds as a_j - l_j0 u_0 - ..
+    does. Column j of L is likewise [a_ij, -l_i0, ..] times [1; u_0j; ..],
+    divided by the pivot. A gated slice has its L zeroed, and so are the
+    heads it reads from ``a`` for L later, so its L stays zero and its later
+    rows of U are those of ``a``: meaningless, but finite.
+    """
+    k, n, _ = a.shape
+    ub = np.zeros((k, n + 1, n), dtype=a.dtype)
+    nl = np.full((k, n, n + 1), -0.0, dtype=a.dtype)
+    nl.reshape(k, -1)[:, 1 :: n + 2] = -1.0        # the unit diagonal of L
+    singular = np.zeros(k, dtype=int)
+    stopped = None
+    for j in range(n):
+        ub[:, 0, j:] = a[:, j, j:]
+        nl[:, j, 0] = 1.0
+        np.matmul(nl[:, j, None, : j + 1], ub[:, : j + 1, j:], out=ub[:, j + 1, None, j:])
+        if j == n - 1:
+            break
+        piv = ub[:, j + 1, j]
+        small = _gate(piv, tol, singular, j)
+        if small is not None:
+            nl[small] = 0.0
+            stopped = singular > 0
+        nl[:, j + 1 :, 0] = a[:, j + 1 :, j]
+        if stopped is not None:
+            nl[stopped, j + 1 :, 0] = 0.0
+            piv = np.where(stopped, 1.0, piv)
+        ub[:, 0, j] = 1.0
+        col = nl[:, j + 1 :, j + 1, None]
+        np.matmul(nl[:, j + 1 :, : j + 1], ub[:, : j + 1, j, None], out=col)
+        np.divide(col, -piv[:, None, None], out=col)
+    l = np.negative(nl[:, :, 1:])
+    del nl      # so that the copy of U below takes its place
+    return l, np.ascontiguousarray(ub[:, 1:]), singular
+
+
 def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
     """Householder R factors (positive diagonal) of every slice of a (k, m, n) stack.
 
     Precision and per-slice operations as in :func:`lu_factor_stack`. Returns
     ``(r, zero_column)``; a slice flagged in ``zero_column`` met a zero column
-    and its factor is meaningless. A reflection whose vector vanishes is skipped.
+    and its factor is meaningless. A reflection updates the diagonal entry
+    of its column and the columns to its right; the entries below the
+    diagonal, which no later stage reads, are left as they are and dropped
+    at the end.
     """
     a = np.asarray(a)
     r = np.array(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
@@ -202,8 +289,10 @@ def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
         reflect = s != 0.0
         coef = np.divide(2.0, s, out=np.zeros_like(s), where=reflect)
         w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
-        np.subtract(r[:, c:, c:], v[:, :, None] * w[:, None, :], out=r[:, c:, c:],
-                    where=reflect[:, None, None])
+        # a vector that vanishes (a zero column, so a flagged slice) has
+        # coef = 0 and so w = 0: its update subtracts zeros
+        r[:, c, c] -= v[:, 0] * w[:, 0]
+        r[:, c:, c + 1 :] -= v[:, :, None] * w[:, None, 1:]
     r = np.triu(r[:, :n, :n])
     signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
     return r * signs[:, :, None], zero_column

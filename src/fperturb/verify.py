@@ -18,10 +18,13 @@ Each trial draws from its own (seed, trial_index) stream, in one call of
 states a chunk of trial indices at a time, and the envelope of a
 componentwise model is formed once per run. The draws of a block are
 stacked and refactorized at once by a kernel of :mod:`dense` that does on
-every slice the floating-point operations of a single factorization, and
-the factor changes of the block are normed at once, bit for bit as slice by
-slice. So results do not depend on the block size, and the capped block
-keeps memory flat in the number of trials.
+every slice the floating-point operations of a single factorization (the
+LU kernel in Doolittle order through numpy's sequential longdouble matmul,
+the Householder kernel by rank-1 updates), and the factor changes of the
+block are normed at once, bit for bit as slice by slice. So results do not
+depend on the block size, and the capped block keeps memory flat in the
+number of trials. A report's timings split the trials into drawing
+(``draw_s``) and refactorizing with the change norms (``refactor_s``).
 """
 
 from __future__ import annotations
@@ -43,9 +46,7 @@ from .matgen import (
     sample_perturbation,
 )
 
-_MEASURE_DTYPE = (np.longdouble
-                  if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-                  else np.float64)
+_MEASURE_DTYPE = np.longdouble if dense.WIDE_LONGDOUBLE else np.float64
 
 #: entries of the perturbed matrices stacked in one block of trials; memory
 #: stays flat in the number of trials
@@ -82,6 +83,8 @@ class VerificationReport:
     skipped: tuple = ()                 # (trial_index, reason) pairs
     max_ratio_rigorous: float = 0.0
     max_ratio_first_order: float = 0.0
+    # seconds: bounds_s, trials_s, and within trials_s draw_s (sampling and
+    # stacking the draws) and refactor_s (refactorizing, norming the changes)
     timings: dict = field(default_factory=dict)
     bound_report: object = None
 
@@ -178,11 +181,16 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     violations = 0
     skipped = []
     max_rig = max_fo = 0.0
+    t_draw = t_refactor = 0.0
     block = max(1, _BLOCK_ENTRIES // max(a.size, 1))
     for start in range(0, trials, block):
         indices = range(start, min(start + block, trials))
+        t2 = time.perf_counter()
         da = np.stack([sample_perturbation(spec, trial_index=i, **source) for i in indices])
+        t3 = time.perf_counter()
         changes = exp.changes(base, a_hp - da if exp.lu_envelope else a_hp + da)
+        t_draw += t3 - t2
+        t_refactor += time.perf_counter() - t3
         for idx, change in zip(indices, changes):
             if isinstance(change, str):
                 skipped.append((idx, change))
@@ -210,7 +218,8 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
         skipped=tuple(skipped),
         max_ratio_rigorous=max_rig,
         max_ratio_first_order=max_fo,
-        timings={"bounds_s": t_bounds, "trials_s": t_trials},
+        timings={"bounds_s": t_bounds, "trials_s": t_trials,
+                 "draw_s": t_draw, "refactor_s": t_refactor},
         bound_report=report,
     )
 

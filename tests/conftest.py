@@ -76,6 +76,34 @@ def measure_r(a):
     return r[0]
 
 
+def householder_r_stack(a):
+    """Householder R (positive diagonal) of every slice of a (k, m, n) stack.
+
+    The oracle of ``dense.qr_r_stack``: each reflection updates the whole
+    trailing block, the column it zeroes included, and a slice whose
+    reflection vector vanishes skips it. Returns ``(r, zero_column)``.
+    """
+    a = np.asarray(a)
+    r = np.array(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
+    k, m, n = r.shape
+    zero_column = np.zeros(k, dtype=bool)
+    for c in range(n):
+        x = r[:, c:, c]
+        nx = np.sqrt(np.sum(x * x, axis=1))
+        zero_column |= nx == 0.0
+        v = x.copy()
+        v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
+        s = np.sum(v * v, axis=1)
+        reflect = s != 0.0
+        coef = np.divide(2.0, s, out=np.zeros_like(s), where=reflect)
+        w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
+        np.subtract(r[:, c:, c:], v[:, :, None] * w[:, None, :], out=r[:, c:, c:],
+                    where=reflect[:, None, None])
+    r = np.triu(r[:, :n, :n])
+    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+    return r * signs[:, :, None], zero_column
+
+
 def kappa2_triangular(t, shape):
     """Spectral condition number of a triangular matrix, its inverse formed afresh.
 

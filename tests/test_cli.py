@@ -311,6 +311,16 @@ class TestVerifyCommand:
         assert [r["level"] for r in rows] == [0, 1, 2, 3]
         assert rows[1]["size"] == pytest.approx(0.025)
 
+    def test_timings_split_the_trials(self, capsys):
+        code, out, _ = run(["verify", "--experiment", "lu-normwise", "--kahan", "6,0.5",
+                            "--delta", "1e-6", "--trials", "200", "--delta-halving", "1",
+                            "--output", "json"], capsys)
+        assert code == 0
+        timings = json.loads(out)["timings"]
+        assert {"bounds_s", "trials_s", "draw_s", "refactor_s"} <= set(timings)
+        # each sum over the levels is rounded to 3 decimals on its own
+        assert timings["draw_s"] + timings["refactor_s"] <= timings["trials_s"] + 0.0015
+
     def test_delta_halving_timings_sum_over_levels(self, monkeypatch, capsys):
         def fake_halving(a, spec, trials, levels, experiment=None):
             return [VerificationReport(experiment=experiment, trials=trials, violations=0,

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from fperturb import dense
 from fperturb.dense import lu_factor, qr_factor, triangular_inverse
@@ -22,6 +24,7 @@ from fperturb.structured import operator_materialize, operator_spectral_norm
 
 from conftest import (
     count_calls,
+    householder_r_stack,
     measure_r,
     random_square,
     random_unit_lower,
@@ -204,6 +207,90 @@ class TestStackedKernels:
             dense.lu_factor_stack(np.ones((2, 2, 3)))
         with pytest.raises(ValueError):
             dense.lu_factor_stack(np.full((1, 2, 2), np.inf))
+
+
+#: fraction bits of longdouble: 63 in the x87 extended format, 112 in IEEE quad
+_LONGDOUBLE_NMANT = np.finfo(np.longdouble).nmant
+
+
+class TestMatmulPremise:
+    """numpy's longdouble matmul starts from zero and adds each rounded product in turn.
+
+    The Doolittle branch of ``dense.lu_factor_stack`` is bit for bit the
+    right-looking elimination only while this holds. The constants assume a
+    binary format that rounds to nearest, which a double-double is not.
+    """
+
+    pytestmark = pytest.mark.skipif(
+        not dense.WIDE_LONGDOUBLE or _LONGDOUBLE_NMANT not in (63, 112),
+        reason="longdouble is not IEEE extended or quad precision")
+
+    def test_products_are_added_in_order(self):
+        # half an ulp of 1 rounds away (to even) when added to it; any pairwise
+        # or blocked order adds some of them first, up to 8 ulps
+        half_ulp = np.finfo(np.longdouble).eps / 2
+        row = np.array([1.0] + [half_ulp] * 16, dtype=np.longdouble)
+        ones = np.ones_like(row)
+        assert row[0] + row[1] * 16 != 1
+        assert np.matmul(row[None, :], ones[:, None])[0, 0] == 1
+        stacked = np.matmul(np.stack([row] * 3)[:, None, :], np.stack([ones] * 3)[:, :, None])
+        assert (stacked == 1).all()
+
+    def test_each_product_is_rounded_before_it_is_added(self):
+        # h^2 = a + 2^-2q, at most half an ulp of a, rounds to a (to even at a
+        # tie); a fused multiply-add keeps the 2^-2q
+        q = _LONGDOUBLE_NMANT // 2 + 1
+        h = np.longdouble(1) + np.longdouble(2) ** -q
+        a = np.longdouble(1) + np.longdouble(2) ** (1 - q)
+        assert a - h * h == 0
+        assert np.matmul(np.array([[a, h]]), np.array([[1], [-h]], dtype=np.longdouble)) == 0
+
+
+_SCALES = (1.0, 2.0**530, 2.0**-530, 1e160)
+
+
+class TestKernelsAgainstOracles:
+    """The stacked kernels against the right-looking and untrimmed oracles, bit for bit."""
+
+    @pytest.mark.skipif(not dense.WIDE_LONGDOUBLE, reason="longdouble is not wider than float64")
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 64), n=st.integers(1, 45), seed=st.integers(0, 2**32 - 1),
+           scale=st.sampled_from(_SCALES), broken=st.integers(0, 3))
+    def test_lu_stack(self, k, n, seed, scale, broken):
+        # the Doolittle order against the right-looking one, which float64
+        # stacks run and the other stack tests cover
+        rng = seeded_rng(12, seed)
+        a = scale * rng.standard_normal((k, n, n))
+        if n > 1:       # slices whose leading minor of order p is singular
+            for s in rng.choice(k, size=min(broken, k), replace=False):
+                p = int(rng.integers(1, n))
+                a[s, p - 1, :p] = 2.0 * a[s, 0, :p] if p > 1 else 0.0
+        a = a.astype(np.longdouble)
+        l, u, singular = dense.lu_factor_stack(a)
+        ref_l, ref_u, ref_singular = dense._right_looking(a, dense._pivot_tols(a))
+        assert l.dtype == u.dtype == np.longdouble
+        assert u.flags.c_contiguous
+        assert np.array_equal(singular, ref_singular)
+        done = singular == 0
+        assert np.array_equal(l[done], ref_l[done]) and np.array_equal(u[done], ref_u[done])
+
+    @settings(max_examples=30, deadline=None)
+    @given(k=st.integers(1, 64), n=st.integers(1, 45), extra=st.integers(0, 6),
+           seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(_SCALES),
+           wide=st.booleans(), broken=st.integers(0, 3))
+    def test_householder_stack(self, k, n, extra, seed, scale, wide, broken):
+        assume(wide or scale == 1.0)    # float64 squares overflow or underflow at the others
+        rng = seeded_rng(13, seed)
+        a = scale * rng.standard_normal((k, n + extra, n))
+        for s in rng.choice(k, size=min(broken, k), replace=False):
+            a[s, :, rng.integers(n)] = 0.0
+        a = a.astype(np.longdouble if wide else float)
+        r, zero_column = dense.qr_r_stack(a)
+        ref_r, ref_zero_column = householder_r_stack(a)
+        assert r.dtype == a.dtype
+        assert np.array_equal(zero_column, ref_zero_column)
+        done = ~zero_column
+        assert np.array_equal(r[done], ref_r[done])
 
 
 class TestQrFactor:
