@@ -178,13 +178,9 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _pivot_tols(a: np.ndarray) -> np.ndarray:
     """``PIVOT_TOL`` times the Frobenius norm of each slice of a C-contiguous stack."""
     # the norms of all slices at once, each bit for bit that of the C-ordered
-    # slice alone, so that no gate moves; only a slice whose squares overflow
-    # or underflow is rescaled
+    # slice alone, so that no gate moves
     with np.errstate(over="ignore"):
-        norms = frobenius_norms(a)
-        for j in np.flatnonzero((norms <= SQRT_TINY) | (norms == math.inf)):
-            norms[j] = _scaled_norm(a[j])
-    return PIVOT_TOL * norms
+        return PIVOT_TOL * _retaken(frobenius_norms(a), a, (1, 2))
 
 
 def _gate(piv: np.ndarray, tol: np.ndarray, singular: np.ndarray, step: int):
@@ -346,15 +342,31 @@ def triangular_inverse(t, shape: str) -> np.ndarray:
     return np.triu(x) if upper else np.tril(x)
 
 
-def euclidean_norm(x) -> float:
-    """2-norm of an array's entries, also where their squares overflow or underflow.
+def euclidean_norm(x, axis=None):
+    """2-norm of an array, or of each slice along ``axis``, also where squares over- or underflow.
 
-    ``np.linalg.norm`` is kept when its result lies in (sqrt(tiny), inf);
-    otherwise the entries are divided by the largest magnitude first. The
-    unscaled first try may overflow, so callers run under
-    ``np.errstate(over="ignore")``. A non-finite entry gives a non-finite norm.
+    ``np.linalg.norm(x, axis=axis)`` is kept where it lies in (sqrt(tiny), inf);
+    any other is taken again from its slice, divided by its largest magnitude if
+    its plain norm is out of range too. A non-finite entry gives a non-finite
+    norm. The result keeps the precision of ``x``, a float for float64 without
+    ``axis``. Callers run under ``np.errstate(over="ignore")`` for the first try.
     """
-    return float(_scaled_norm(np.asarray(x)))
+    x = np.asarray(x)
+    if axis is not None and np.size(axis) < x.ndim:     # else all of x is one slice
+        return _retaken(np.linalg.norm(x, axis=axis), x, axis)
+    norm = np.linalg.norm(x)
+    if not SQRT_TINY < norm < math.inf:
+        scale = np.max(np.abs(x), initial=0.0)
+        norm = scale * np.linalg.norm(x / scale) if 0.0 < scale < math.inf else scale
+    return float(norm) if type(norm) is np.float64 else norm    # a longdouble keeps its digits
+
+
+def _retaken(norms: np.ndarray, x: np.ndarray, axis) -> np.ndarray:
+    """``norms`` of the slices of ``x`` along ``axis``; each out of (sqrt(tiny), inf) re-taken."""
+    for j in zip(*np.nonzero(~((norms > SQRT_TINY) & (norms < math.inf)))):
+        slices = np.moveaxis(x, axis, range(-np.size(axis), 0))     # only on a re-take
+        norms[j] = euclidean_norm(slices[j])
+    return norms
 
 
 def frobenius_norms(x: np.ndarray) -> np.ndarray:
@@ -366,18 +378,6 @@ def frobenius_norms(x: np.ndarray) -> np.ndarray:
     """
     flat = x.reshape(len(x), -1)
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
-
-
-def _scaled_norm(x: np.ndarray):
-    """:func:`euclidean_norm` in the precision of ``x``."""
-    norm = np.linalg.norm(x)
-    if SQRT_TINY < norm < math.inf:
-        return norm
-    scale = np.max(np.abs(x), initial=0.0)
-    if scale == 0.0 or not np.isfinite(scale):
-        return scale
-    with np.errstate(over="ignore"):
-        return scale * np.linalg.norm(x / scale)
 
 
 @np.errstate(over="ignore", invalid="ignore")

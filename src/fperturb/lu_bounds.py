@@ -45,26 +45,23 @@ from .structured import (
 UNIT_ROUNDOFF = 2.0 ** -53
 
 
-def gaussian_elimination_epsilon(n: int, u: float = UNIT_ROUNDOFF) -> float:
-    """Backward-error constant n*u / (1 - n*u) of Gaussian elimination."""
-    return n * u / (1.0 - n * u)
+def gaussian_elimination_epsilon(n: int) -> float:
+    """Backward-error constant n*u / (1 - n*u) of Gaussian elimination, u = ``UNIT_ROUNDOFF``."""
+    return n * UNIT_ROUNDOFF / (1.0 - n * UNIT_ROUNDOFF)
 
 
 def heuristic_scaling(m, mode: str) -> np.ndarray:
     """Column (or row) 2-norms, the positive diagonal scaling of the experiments.
 
-    A norm outside (sqrt(tiny), inf), which squaring the entries may have
-    underflowed or overflowed, is taken again by :func:`dense.euclidean_norm`.
-    Raises :class:`ZeroVector` with the 1-based index of a zero column (row).
+    Taken by :func:`dense.euclidean_norm`, so a norm whose squares underflow
+    or overflow is still right. Raises :class:`ZeroVector` with the 1-based
+    index of a zero column (row).
     """
     if mode not in ("columns", "rows"):
         raise ValueError(f"mode must be 'columns' or 'rows', got {mode!r}")
     m = np.asarray(m, dtype=float)
-    axis = 0 if mode == "columns" else 1
     with np.errstate(over="ignore"):
-        norms = np.linalg.norm(m, axis=axis)
-        for j in np.flatnonzero(~((norms > dense.SQRT_TINY) & (norms < math.inf))):
-            norms[j] = dense.euclidean_norm(np.take(m, j, axis=1 - axis))
+        norms = dense.euclidean_norm(m, axis=0 if mode == "columns" else 1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]) + 1)

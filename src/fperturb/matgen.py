@@ -224,12 +224,6 @@ def random_c_matrix(m: int, seed: int) -> np.ndarray:
     return rng_stream(seed).random((m, m))
 
 
-def _signed_fractions(rng: np.random.Generator, shape) -> np.ndarray:
-    mags = rng.random(shape)
-    signs = rng.integers(0, 2, size=shape) * 2.0 - 1.0
-    return mags * signs
-
-
 def _draw_norm(da: np.ndarray, delta: float) -> float:
     """||dA||_F of a normwise draw, whose sum of squares is delta^2 up to rounding.
 
@@ -264,19 +258,17 @@ def componentwise_envelope(model: ComponentwiseLU | ComponentwiseQR, *,
 
 def sample_perturbation(spec: PerturbationSpec, *,
                         matrix: np.ndarray | None = None,
-                        lu: LuFactors | None = None,
                         envelope: np.ndarray | None = None,
                         trial_index: int | None = None) -> np.ndarray:
     """Draw one perturbation matrix for the given model.
 
-    Normwise draws a standard normal direction and rescales it so that
-    ||dA||_F equals delta up to rounding and never exceeds it. The
-    componentwise models draw, per entry, a uniform magnitude in
-    [0, envelope] and an independent sign, so the entrywise constraint holds
-    exactly by construction. ``matrix`` supplies the target shape (and |A|
-    for the QR model); ``lu`` supplies the computed factors whose product
-    shapes the LU envelope. A caller that draws many trials passes the
-    :func:`componentwise_envelope` as ``envelope`` instead, formed once.
+    Normwise draws a standard normal direction of the shape of ``matrix``
+    and rescales it so that ||dA||_F equals delta up to rounding and never
+    exceeds it. The componentwise models draw, per entry, a uniform
+    magnitude in [0, envelope] and an independent sign, so the entrywise
+    constraint holds exactly by construction. ``envelope`` is the model's
+    :func:`componentwise_envelope`, which the caller forms once for all its
+    draws; a componentwise draw without it raises ``ValueError``.
     """
     model = spec.model
     rng = (rng_stream(spec.seed) if trial_index is None
@@ -302,5 +294,7 @@ def sample_perturbation(spec: PerturbationSpec, *,
     if not isinstance(model, (ComponentwiseLU, ComponentwiseQR)):
         raise TypeError(f"unknown perturbation model {model!r}")
     if envelope is None:
-        envelope = componentwise_envelope(model, matrix=matrix, lu=lu)
-    return model.epsilon * envelope * _signed_fractions(rng, envelope.shape)
+        raise ValueError("componentwise model needs its envelope")
+    mags = rng.random(envelope.shape)
+    signs = rng.integers(0, 2, size=envelope.shape) * 2.0 - 1.0
+    return model.epsilon * envelope * (mags * signs)

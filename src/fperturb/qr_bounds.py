@@ -77,12 +77,14 @@ def scaling_d_e(factors: QrFactors) -> np.ndarray:
 
     With M = diag(row 1-norms) @ inv(R), the j-th diagonal entry is the
     reciprocal of the j-th column norm of M whenever those column norms are
-    nondecreasing, and repeats the previous entry otherwise.
+    nondecreasing, and repeats the previous entry otherwise. Column norms
+    whose squares overflow stay finite (:func:`dense.euclidean_norm`).
     """
     r = factors.r
     dc = np.sum(np.abs(r), axis=1)
     m = dc[:, None] * factors.r_inv
-    col_norms = np.linalg.norm(m, axis=0)
+    with np.errstate(over="ignore"):
+        col_norms = dense.euclidean_norm(m, axis=0)
     n = r.shape[0]
     out = np.empty(n)
     out[0] = 1.0 / col_norms[0]

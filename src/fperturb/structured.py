@@ -154,6 +154,4 @@ def operator_materialize(op: StructuredOperator) -> np.ndarray:
 
 def operator_spectral_norm(op: StructuredOperator) -> float:
     """Largest singular value of a structured operator via the Krylov estimator."""
-    if op.in_dim == 0 or op.out_dim == 0:
-        return 0.0
     return krylov_spectral_norm(op.apply, op.apply_transpose, op.in_dim)

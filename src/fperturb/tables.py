@@ -32,7 +32,7 @@ import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
 from .errors import FACTORIZATION_FAILURES
-from .matgen import graded_random, kahan, random_c_matrix, rng_stream
+from .matgen import graded_random, kahan, random_c_matrix
 
 TABLE1_COLUMNS = ("d1", "d2", "gamma_L", "gamma_L_DL", "eta_DL",
                   "gamma_U", "gamma_U_DU", "eta_DU", "t_gamma", "t_gamma_D", "tau")
@@ -85,21 +85,19 @@ class _Rows:
                            rows=tuple(self.rows), notes=tuple(self.notes))
 
 
-def table1(seed: int, n: int = 10, d_values=(0.2, 1.0, 2.0),
-           epsilon: float | None = None) -> TableResult:
-    """Componentwise LU comparison on graded random matrices.
+def table1(seed: int, epsilon: float | None = None) -> TableResult:
+    """Componentwise LU comparison on graded random matrices of order 10.
 
-    The same base random matrix is reused across all grading pairs, matching
-    the original protocol. ``epsilon`` defaults to the Gaussian-elimination
-    backward-error constant for order n.
+    Each grading pair from {0.2, 1, 2} grades the draw of ``seed``, as in the
+    original protocol; ``epsilon`` defaults to ``gaussian_elimination_epsilon(10)``.
     """
+    n, gradings = 10, (0.2, 1.0, 2.0)
     if epsilon is None:
         epsilon = lu_bounds.gaussian_elimination_epsilon(n)
-    b = rng_stream(seed).standard_normal((n, n))
     rows = _Rows("table1", TABLE1_COLUMNS, seed)
-    for d1 in d_values:
-        for d2 in d_values:
-            a = (d1 ** np.arange(n))[:, None] * b * (d2 ** np.arange(n))[None, :]
+    for d1 in gradings:
+        for d2 in gradings:
+            a = graded_random(n, d1, d2, seed)
             rows.add({"d1": d1, "d2": d2}, lambda: _lu_table_row(a, epsilon))
     return rows.result()
 
@@ -131,37 +129,38 @@ def _qr_table_row(a: np.ndarray, c: np.ndarray, epsilon: float,
     return row
 
 
-def table2(seed: int, sizes=(5, 10, 15, 20, 25),
-           theta: float = math.pi / 8.0) -> TableResult:
-    """Componentwise QR comparison on graded triangular test matrices."""
+def table2(seed: int, sizes=(5, 10, 15, 20, 25)) -> TableResult:
+    """Componentwise QR comparison on Kahan matrices (theta = pi/8) of the orders ``sizes``."""
     rows = _Rows("table2", TABLE2_COLUMNS, seed)
     for idx, n in enumerate(sizes):
-        a = kahan(n, theta)
+        a = kahan(n, math.pi / 8.0)
         c = random_c_matrix(n, seed=_derived_seed(seed, idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
         rows.add({"n": n}, lambda: _qr_table_row(a, c, eps, include_q=False))
     return rows.result()
 
 
-def table3(seed: int, n: int = 20, d_values=(0.8, 1.0, 2.0)) -> TableResult:
-    """Componentwise QR comparison on graded random matrices, fixed order."""
-    b = rng_stream(seed).standard_normal((n, n))
+def table3(seed: int, n: int = 20) -> TableResult:
+    """Componentwise QR comparison on graded random matrices of order ``n``.
+
+    Each grading pair from {0.8, 1, 2} grades the draw of ``seed``.
+    """
+    gradings = (0.8, 1.0, 2.0)
     c = random_c_matrix(n, seed=_derived_seed(seed, 0))
     eps = lu_bounds.gaussian_elimination_epsilon(n)
     rows = _Rows("table3", TABLE3_COLUMNS, seed)
-    for d1 in d_values:
-        for d2 in d_values:
-            a = (d1 ** np.arange(n))[:, None] * b * (d2 ** np.arange(n))[None, :]
+    for d1 in gradings:
+        for d2 in gradings:
+            a = graded_random(n, d1, d2, seed)
             rows.add({"d1": d1, "d2": d2}, lambda: _qr_table_row(a, c, eps))
     return rows.result()
 
 
-def table4(seed: int, sizes=(20, 25, 30, 35, 40, 45, 50, 55),
-           d: float = 0.8) -> TableResult:
-    """Componentwise QR comparison on graded random matrices, size sweep."""
+def table4(seed: int, sizes=(20, 25, 30, 35, 40, 45, 50, 55)) -> TableResult:
+    """Componentwise QR comparison on graded random matrices, d1 = d2 = 0.8, orders ``sizes``."""
     rows = _Rows("table4", TABLE4_COLUMNS, seed)
     for idx, n in enumerate(sizes):
-        a = graded_random(n, d, d, seed=_derived_seed(seed, idx))
+        a = graded_random(n, 0.8, 0.8, seed=_derived_seed(seed, idx))
         c = random_c_matrix(n, seed=_derived_seed(seed, 1000 + idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
         rows.add({"n": n}, lambda: _qr_table_row(a, c, eps))

@@ -141,16 +141,15 @@ class _SharedMatrix:
 
 
 def verify_bounds(a, spec: PerturbationSpec, trials: int,
-                  seed: int | None = None,
                   experiment: str | None = None) -> VerificationReport:
-    """Empirically check the bounds on ``trials`` perturbation draws.
+    """Empirically check the bounds of ``experiment`` on ``trials`` perturbation draws.
 
     Raises :class:`BoundNotApplicable` when the applicability condition of
     the requested rigorous bound fails for the given matrix and model, and
     propagates factorization failures of the base matrix. Per-trial
     factorization failures are recorded as skipped trials, never silently
-    dropped. The trials run in blocks of stacked matrices, each trial on its
-    own (seed, trial_index) stream. ``a`` is the matrix, or the
+    dropped. The trials run in blocks of stacked matrices, trial i on the
+    stream (``spec.seed``, i). ``a`` is the matrix, or the
     :class:`_SharedMatrix` through which :func:`delta_halving` shares the
     size-free work over its levels.
     """
@@ -159,8 +158,6 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     if trials < 1:
         raise ValueError("trials must be at least 1")
     experiment = infer_experiment(spec, experiment)
-    if seed is not None:
-        spec = PerturbationSpec(model=spec.model, seed=seed)
     exp = EXPERIMENTS[experiment]
     size = getattr(spec.model, exp.size)
 

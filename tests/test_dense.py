@@ -422,6 +422,28 @@ class TestNorms:
             assert dense.euclidean_norm(np.array([1.0, np.inf])) == np.inf
             assert np.isnan(dense.euclidean_norm(np.array([1.0, np.nan])))
 
+    def test_euclidean_norm_along_an_axis(self):
+        # each norm along the axis is numpy's where squaring loses nothing,
+        # and otherwise bit for bit the norm of its slice alone
+        m = np.array([[3.0, 1e-300, 1e200, 0.0], [4.0, 0.0, 1e200, 0.0], [0.0, 1e-300, 0.0, 0.0]])
+        with np.errstate(over="ignore"):
+            for axis in (0, 1):
+                norms = dense.euclidean_norm(m, axis=axis)
+                plain = np.linalg.norm(m, axis=axis)
+                slices = np.moveaxis(m, axis, -1)
+                assert [float(x) for x in norms] == [
+                    float(p) if dense.SQRT_TINY < p < np.inf else dense.euclidean_norm(s)
+                    for p, s in zip(plain, slices)]
+            assert list(dense.euclidean_norm(m, axis=0)) == [
+                5.0, 1e-300 * np.sqrt(2.0), 1e200 * np.sqrt(2.0), 0.0]
+            stack = np.stack([m, 1e-10 * m]).astype(np.longdouble)
+            norms = dense.euclidean_norm(stack, axis=1)
+            assert norms.dtype == np.longdouble and norms.shape == (2, 4)
+            assert np.array_equal(norms[0], [dense.euclidean_norm(s) for s in stack[0].T])
+            # an axis that covers every dimension leaves one slice, all of x
+            assert dense.euclidean_norm(np.array([3e200, 4e200]), axis=0) == pytest.approx(5e200)
+            assert dense.euclidean_norm(m, axis=(0, 1)) == dense.euclidean_norm(m)
+
     def test_no_convergence_budget(self, monkeypatch):
         # above the SVD route, where the Krylov estimator takes the norm
         n = dense.SVD_MAX_ORDER + 1
@@ -454,6 +476,12 @@ class TestKrylovEstimator:
             for op in _factor_maps(a):
                 ref = svd_spectral_norm(operator_materialize(op))
                 assert operator_spectral_norm(op) == pytest.approx(ref, rel=1e-11)
+
+    def test_map_without_outputs(self):
+        # the lower LU map at n = 1 has one input and no output
+        op = lower_factor_operator(lu_factor(np.array([[2.0]])))
+        assert (op.in_dim, op.out_dim) == (1, 0)
+        assert operator_spectral_norm(op) == 0.0
 
     def test_zero_map(self):
         assert dense.spectral_norm(np.zeros((3, 4))) == 0.0

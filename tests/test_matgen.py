@@ -127,7 +127,8 @@ class TestSamplePerturbation:
     def test_componentwise_lu_envelope(self):
         f = lu_factor(graded_random(5, 1, 1, 3) + 5 * np.eye(5))
         spec = PerturbationSpec(model=ComponentwiseLU(epsilon=0.01), seed=8)
-        da = sample_perturbation(spec, lu=f, trial_index=4)
+        envelope = componentwise_envelope(spec.model, lu=f)
+        da = sample_perturbation(spec, envelope=envelope, trial_index=4)
         env = 0.01 * np.abs(f.l) @ np.abs(f.u)
         assert np.all(np.abs(da) <= env)
 
@@ -135,8 +136,17 @@ class TestSamplePerturbation:
         a = graded_random(5, 1, 1, 4)
         c = random_c_matrix(5, 6)
         spec = PerturbationSpec(model=ComponentwiseQR(epsilon=0.2, c=c), seed=8)
-        da = sample_perturbation(spec, matrix=a, trial_index=1)
+        envelope = componentwise_envelope(spec.model, matrix=a)
+        da = sample_perturbation(spec, envelope=envelope, trial_index=1)
         assert np.all(np.abs(da) <= 0.2 * c @ np.abs(a))
+
+    def test_componentwise_draw_needs_the_envelope(self):
+        a = graded_random(3, 1, 1, 4)
+        for spec in (PerturbationSpec(ComponentwiseLU(0.01), seed=8),
+                     PerturbationSpec(ComponentwiseQR(0.2, np.ones((3, 3))), seed=8)):
+            for trial_index in (None, 2):
+                with pytest.raises(ValueError, match="envelope"):
+                    sample_perturbation(spec, matrix=a, trial_index=trial_index)
 
     def test_trial_streams_independent_and_stable(self):
         spec = PerturbationSpec(model=Normwise(delta=1.0), seed=77)
@@ -185,8 +195,9 @@ class TestTrialStreams:
         # sample_perturbation draws on the reused generator of its thread
         a = np.ones((3, 3))
         spec = PerturbationSpec(ComponentwiseQR(0.5, np.ones((3, 3))), seed=2873465123)
+        envelope = componentwise_envelope(spec.model, matrix=a)
         for i in (0, 5, 1023, 1024, 3000):
-            da = sample_perturbation(spec, matrix=a, trial_index=i)
+            da = sample_perturbation(spec, envelope=envelope, trial_index=i)
             oracle = np.random.default_rng([spec.seed, i])
             mags = oracle.random((3, 3))
             signs = oracle.integers(0, 2, size=(3, 3)) * 2.0 - 1.0
@@ -259,13 +270,6 @@ class TestEnvelope:
         a = graded_random(5, 1, 1, 4)
         f = lu_factor(a + 5 * np.eye(5))
         c = random_c_matrix(5, 6)
-        for spec, source in ((PerturbationSpec(ComponentwiseLU(0.01), seed=8), {"lu": f}),
-                             (PerturbationSpec(ComponentwiseQR(0.2, c), seed=8), {"matrix": a})):
-            envelope = componentwise_envelope(spec.model, **source)
-            for i in range(5):
-                assert np.array_equal(
-                    sample_perturbation(spec, envelope=envelope, trial_index=i),
-                    sample_perturbation(spec, trial_index=i, **source))
         assert componentwise_envelope(ComponentwiseLU(0.01), lu=f) is f.envelope
         assert np.array_equal(componentwise_envelope(ComponentwiseQR(0.2, c), matrix=a),
                               c @ np.abs(a))

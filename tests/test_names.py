@@ -1,11 +1,14 @@
-"""Names across modules: private names stay private, and the benchmark's hooks resolve."""
+"""Names across modules: private names stay private; the bench hooks and README imports resolve."""
 
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
+
+import fperturb
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fperturb"
@@ -63,3 +66,23 @@ def test_tracer_targets_resolve():
         if not callable(owner):
             missing.add(attr)
     assert missing <= GONE_TARGETS
+
+
+def test_readme_imports_resolve():
+    # the package re-exports only the documented API, so each name that an
+    # example of the README imports from it must be on that list
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    names = [alias.name for block in re.findall(r"```python\n(.*?)```", text, re.S)
+             for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "fperturb"
+             for alias in node.names]
+    assert names
+    assert [name for name in names if not hasattr(fperturb, name)] == []
+
+
+def test_norm_range_is_tested_only_in_dense():
+    # dense.euclidean_norm is the one place that re-takes a norm whose
+    # squares over- or underflow
+    readers = [path.name for path in MODULES
+               if path.stem != "dense" and "SQRT_TINY" in path.read_text(encoding="utf-8")]
+    assert readers == []

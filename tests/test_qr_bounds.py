@@ -225,6 +225,13 @@ class TestScalings:
         expected = 1.0 / norms[1] if norms[1] >= norms[0] else de[0]
         assert de[1] == pytest.approx(expected)
 
+    def test_column_norm_whose_squares_overflow(self):
+        # M = diag(row 1-norms) R^-1 = [[2, -2e160], [0, 1]]: the second
+        # column's squares overflow, but its norm 2e160 is representable
+        de = scaling_d_e(r_factors(np.array([[1e160, 1e160], [0.0, 1.0]])))
+        assert de[0] == 0.5
+        assert de[1] == pytest.approx(0.5e-160, rel=1e-15)
+
     def test_singular_diagonal(self):
         with pytest.raises(SingularDiagonal):
             scaling_d_e(r_factors(np.array([[1.0, 1.0], [0.0, 0.0]])))
