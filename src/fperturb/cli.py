@@ -14,6 +14,7 @@ byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -83,6 +84,7 @@ def _add_output(p: argparse.ArgumentParser):
                    help="drop wall-clock columns for byte-identical output")
 
 
+@functools.cache     # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fperturb",
                      description="perturbation bounds for LU and QR factorizations")
@@ -289,7 +291,7 @@ def _table_rows(args) -> list[dict]:
         raise CliError(EXIT_BAD_CONFIG, "--seed-sweep must be at least 1")
     kwargs = {}
     if args.command == "table1" and args.epsilon is not None:
-        kwargs["epsilon"] = _resolve_epsilon(args.epsilon, 10)
+        kwargs["epsilon"] = _resolve_epsilon(args.epsilon, tables.TABLE1_ORDER)
     if args.seed_sweep > 1:
         result = tables.seed_sweep(args.command, args.seed, args.seed_sweep, **kwargs)
     else:

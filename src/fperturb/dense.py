@@ -61,6 +61,8 @@ EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 materialized, one column 
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)    # a norm at or below it may lose digits to underflow
 # longdouble carries more digits than float64, as it does not on every platform
 WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
+# why qr_r_stack could not factorize a slice
+ZERO_COLUMN, TINY_REFLECTOR = 1, 2
 
 
 @dataclass(frozen=True)
@@ -263,11 +265,14 @@ def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
     """Householder R factors (positive diagonal) of every slice of a (k, m, n) stack.
 
     Precision and per-slice operations as in :func:`lu_factor_stack`. Returns
-    ``(r, zero_column)``; a slice flagged in ``zero_column`` met a zero column
-    and its factor is meaningless. A reflection updates the diagonal entry
-    of its column and the columns to its right; the entries below the
-    diagonal, which no later stage reads, are left as they are and dropped
-    at the end.
+    ``(r, failed)``: ``failed[j]`` is 0 when slice j factorized,
+    ``ZERO_COLUMN`` when it met a zero column, and ``TINY_REFLECTOR`` when a
+    reflection vector v had v.v so small that 2 / v.v overflows (a float64
+    column below about 1e-154), unless it also met a zero column. A failed
+    slice skips the reflection that failed; its factor is meaningless, but
+    finite. A reflection updates the diagonal entry of its column and the
+    columns to its right; the entries below the diagonal, which no later
+    stage reads, are left as they are and dropped at the end.
     """
     a = np.asarray(a)
     r = np.array(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
@@ -275,6 +280,7 @@ def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"stack must have shape (k, m, n) with m >= n, got {r.shape}")
     k, m, n = r.shape
     zero_column = np.zeros(k, dtype=bool)
+    tiny = np.zeros(k, dtype=bool)
     for c in range(n):
         x = r[:, c:, c]
         nx = np.sqrt(np.sum(x * x, axis=1))
@@ -282,16 +288,21 @@ def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
         v = x.copy()
         v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
         s = np.sum(v * v, axis=1)
-        reflect = s != 0.0
-        coef = np.divide(2.0, s, out=np.zeros_like(s), where=reflect)
+        with np.errstate(divide="ignore", over="ignore"):
+            coef = 2.0 / s
+        # s = 0 (a zero column) or 2 / s overflowed: the slice is flagged, and
+        # with coef = 0 its w = 0, so its update subtracts zeros
+        skip = coef == math.inf
+        if skip.any():
+            tiny |= skip
+            coef[skip] = 0.0
         w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
-        # a vector that vanishes (a zero column, so a flagged slice) has
-        # coef = 0 and so w = 0: its update subtracts zeros
         r[:, c, c] -= v[:, 0] * w[:, 0]
         r[:, c:, c + 1 :] -= v[:, :, None] * w[:, None, 1:]
     r = np.triu(r[:, :n, :n])
     signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
-    return r * signs[:, :, None], zero_column
+    failed = np.where(zero_column, ZERO_COLUMN, np.where(tiny, TINY_REFLECTOR, 0))
+    return r * signs[:, :, None], failed.astype(np.int8)
 
 
 def qr_factor(a) -> QrFactors:
@@ -347,18 +358,27 @@ def euclidean_norm(x, axis=None):
 
     ``np.linalg.norm(x, axis=axis)`` is kept where it lies in (sqrt(tiny), inf);
     any other is taken again from its slice, divided by its largest magnitude if
-    its plain norm is out of range too. A non-finite entry gives a non-finite
-    norm. The result keeps the precision of ``x``, a float for float64 without
-    ``axis``. Callers run under ``np.errstate(over="ignore")`` for the first try.
+    its plain norm is out of range too. Without ``axis``, the first try is the
+    square root of the dot product of ``x.ravel(order="K")`` with itself: the
+    operations of ``np.linalg.norm`` on a real array, so its bits, without its
+    argument handling. A non-finite entry gives a non-finite norm. The
+    result keeps the precision of ``x``, a float for float64 without ``axis``.
+    Callers run under ``np.errstate(over="ignore")`` for the first try.
     """
     x = np.asarray(x)
     if axis is not None and np.size(axis) < x.ndim:     # else all of x is one slice
         return _retaken(np.linalg.norm(x, axis=axis), x, axis)
-    norm = np.linalg.norm(x)
+    if x.dtype.kind != "f":
+        x = x.astype(float)
+    flat = x.ravel(order="K")
+    square = flat.dot(flat)
+    # math.sqrt rounds correctly, as np.sqrt does, and returns a float sooner;
+    # a longdouble keeps its digits
+    norm = math.sqrt(square) if type(square) is np.float64 else np.sqrt(square)
     if not SQRT_TINY < norm < math.inf:
         scale = np.max(np.abs(x), initial=0.0)
         norm = scale * np.linalg.norm(x / scale) if 0.0 < scale < math.inf else scale
-    return float(norm) if type(norm) is np.float64 else norm    # a longdouble keeps its digits
+    return float(norm) if type(norm) is np.float64 else norm
 
 
 def _retaken(norms: np.ndarray, x: np.ndarray, axis) -> np.ndarray:

@@ -264,11 +264,14 @@ def sample_perturbation(spec: PerturbationSpec, *,
 
     Normwise draws a standard normal direction of the shape of ``matrix``
     and rescales it so that ||dA||_F equals delta up to rounding and never
-    exceeds it. The componentwise models draw, per entry, a uniform
-    magnitude in [0, envelope] and an independent sign, so the entrywise
-    constraint holds exactly by construction. ``envelope`` is the model's
-    :func:`componentwise_envelope`, which the caller forms once for all its
-    draws; a componentwise draw without it raises ``ValueError``.
+    exceeds it; its norms are those of :func:`euclidean_norm`. The
+    componentwise models draw, per entry, a uniform magnitude in
+    [0, envelope] and an independent sign, so the entrywise constraint holds
+    exactly by construction. The signs are those that
+    ``rng.integers(0, 2)`` would draw next, read from the stream's raw
+    32-bit words without its bounded-integer machinery. ``envelope`` is the
+    model's :func:`componentwise_envelope`, which the caller forms once for
+    all its draws; a componentwise draw without it raises ``ValueError``.
     """
     model = spec.model
     rng = (rng_stream(spec.seed) if trial_index is None
@@ -279,7 +282,7 @@ def sample_perturbation(spec: PerturbationSpec, *,
         g = rng.standard_normal(matrix.shape)
         if model.delta == 0.0:
             return np.zeros(matrix.shape)
-        norm = float(np.linalg.norm(g))
+        norm = euclidean_norm(g)
         # 2 delta ||g|| bounds every delta |g_ij| with room for its rounding
         if (2.0 * model.delta * norm < math.inf
                 or model.delta * float(np.max(np.abs(g))) < math.inf):
@@ -296,5 +299,9 @@ def sample_perturbation(spec: PerturbationSpec, *,
     if envelope is None:
         raise ValueError("componentwise model needs its envelope")
     mags = rng.random(envelope.shape)
-    signs = rng.integers(0, 2, size=envelope.shape) * 2.0 - 1.0
-    return model.epsilon * envelope * (mags * signs)
+    # the signs of rng.integers(0, 2, envelope.shape) * 2.0 - 1.0: numpy takes
+    # each from the top bit of a 32-bit word (Lemire's method), two words to
+    # an output of the stream, the low half first
+    words = rng.bit_generator.random_raw((mags.size + 1) // 2)
+    positive = words.astype("<u8", copy=False).view("<u4")[: mags.size] >= 1 << 31
+    return model.epsilon * envelope * np.where(positive.reshape(mags.shape), mags, -mags)

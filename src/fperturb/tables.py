@@ -48,6 +48,8 @@ TIMING_COLUMNS = frozenset({"t_gamma", "t_gamma_D", "t_gamma_R",
                             "t_gamma_R_Dr", "t_gamma_R_De"})
 #: columns that identify a row; they survive a row whose matrix fails to factorize
 KEY_COLUMNS = frozenset({"d1", "d2", "n"})
+#: the order of table1's matrices, which ``table1 --epsilon ge`` also reads
+TABLE1_ORDER = 10
 
 
 @dataclass(frozen=True)
@@ -86,12 +88,13 @@ class _Rows:
 
 
 def table1(seed: int, epsilon: float | None = None) -> TableResult:
-    """Componentwise LU comparison on graded random matrices of order 10.
+    """Componentwise LU comparison on graded random matrices of order ``TABLE1_ORDER``.
 
     Each grading pair from {0.2, 1, 2} grades the draw of ``seed``, as in the
-    original protocol; ``epsilon`` defaults to ``gaussian_elimination_epsilon(10)``.
+    original protocol; ``epsilon`` defaults to
+    ``gaussian_elimination_epsilon(TABLE1_ORDER)``.
     """
-    n, gradings = 10, (0.2, 1.0, 2.0)
+    n, gradings = TABLE1_ORDER, (0.2, 1.0, 2.0)
     if epsilon is None:
         epsilon = lu_bounds.gaussian_elimination_epsilon(n)
     rows = _Rows("table1", TABLE1_COLUMNS, seed)

@@ -21,14 +21,21 @@ stacked and refactorized at once by a kernel of :mod:`dense` that does on
 every slice the floating-point operations of a single factorization (the
 LU kernel in Doolittle order through numpy's sequential longdouble matmul,
 the Householder kernel by rank-1 updates), and the factor changes of the
-block are normed at once, bit for bit as slice by slice. So results do not
-depend on the block size, and the capped block keeps memory flat in the
-number of trials. A report's timings split the trials into drawing
-(``draw_s``) and refactorizing with the change norms (``refactor_s``).
+block are normed at once, bit for bit as slice by slice. The block is then
+held to its bounds at once: the changes and their bounds are (trials x
+changes) arrays, from which numpy counts the violations and takes the
+largest ratios, as a loop over the trials and changes would (the
+``trial_loop_report`` oracle of the tests). The qr-normwise bounds at each
+trial's own ||Q^T dA||_F take their d1 values from one stacked product. So
+results do not depend on the block size, and the capped block keeps memory
+flat in the number of trials. A report's timings split the trials into
+drawing (``draw_s``) and refactorizing with the change norms
+(``refactor_s``).
 """
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, fields, replace
 from typing import Callable
@@ -52,27 +59,30 @@ _MEASURE_DTYPE = np.longdouble if dense.WIDE_LONGDOUBLE else np.float64
 #: stays flat in the number of trials
 _BLOCK_ENTRIES = 1 << 16
 
-_ZERO_COLUMN = "zero column during refactorization"
+#: why dense.qr_r_stack failed on a slice, by its code
+_QR_FAILURES = {dense.ZERO_COLUMN: "zero column during refactorization",
+                dense.TINY_REFLECTOR: "reflection vector too small to normalize "
+                                      "during refactorization"}
 
 
-def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> list:
-    """(||dL||_F, ||dU||_F) of each refactorized slice, or why it failed."""
+def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> tuple:
+    """(||dL||_F, ||dU||_F) of each refactorized slice, and (slice, reason) of each that failed."""
     l, u, singular = dense.lu_factor_stack(perturbed)
     l -= base.l         # in place: the factors are not needed beyond their changes
     u -= base.u
-    dl, du = dense.frobenius_norms(l), dense.frobenius_norms(u)
-    return [f"factorization failed: {SingularLeadingMinor(int(pivot))}" if pivot else
-            (float(dl[j]), float(du[j]))
-            for j, pivot in enumerate(singular)]
+    changes = np.stack([dense.frobenius_norms(l), dense.frobenius_norms(u)], axis=1)
+    return changes.astype(float), [
+        (j, f"factorization failed: {SingularLeadingMinor(int(singular[j]))}")
+        for j in np.flatnonzero(singular).tolist()]
 
 
-def _r_changes(base_r: np.ndarray, perturbed: np.ndarray) -> list:
-    """(||dR||_F,) of each refactorized slice, or why it failed."""
-    r, zero_column = dense.qr_r_stack(perturbed)
+def _r_changes(base_r: np.ndarray, perturbed: np.ndarray) -> tuple:
+    """(||dR||_F,) of each refactorized slice, and (slice, reason) of each that failed."""
+    r, failed = dense.qr_r_stack(perturbed)
     r -= base_r
-    dr = dense.frobenius_norms(r)
-    return [f"factorization failed: {_ZERO_COLUMN}" if zero else (float(dr[j]),)
-            for j, zero in enumerate(zero_column)]
+    return dense.frobenius_norms(r)[:, None].astype(float), [
+        (j, f"factorization failed: {_QR_FAILURES[failed[j]]}")
+        for j in np.flatnonzero(failed).tolist()]
 
 
 @dataclass(frozen=True)
@@ -89,13 +99,17 @@ class VerificationReport:
     bound_report: object = None
 
 
-def _ratio(actual: float, bound: float | None) -> float:
-    """actual / bound; 0 for a first-order bound that does not apply (None)."""
-    if bound is None:
-        return 0.0
-    if bound == 0.0:
-        return 0.0 if actual == 0.0 else float("inf")
-    return actual / bound
+def _max_ratio(actual: np.ndarray, bound: np.ndarray) -> float:
+    """The largest actual / bound over the trials (rows) and changes, and at least 0.
+
+    A bound is NaN where a first-order bound does not apply (None), and its
+    ratios then count as 0. A zero bound gives 0 for a zero change and inf
+    for any other. NaN ratios, of a NaN change, are passed over.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        ratios = np.divide(actual, bound, out=np.where(actual == 0.0, 0.0, np.inf),
+                           where=bound != 0.0)
+    return float(np.fmax.reduce(ratios, axis=None, initial=0.0))
 
 
 def infer_experiment(spec: PerturbationSpec, experiment: str | None) -> str:
@@ -166,7 +180,7 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     report = bounds_at(size, size) if exp.trial_d1 else bounds_at(size)
     if not report.applicable:
         raise BoundNotApplicable(exp.inapplicable.format(report))
-    bounds = exp.read_bounds(report)
+    rigorous, first_order = exp.read_bounds(report)
     t_bounds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -181,31 +195,27 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     t_draw = t_refactor = 0.0
     block = max(1, _BLOCK_ENTRIES // max(a.size, 1))
     for start in range(0, trials, block):
-        indices = range(start, min(start + block, trials))
         t2 = time.perf_counter()
-        da = np.stack([sample_perturbation(spec, trial_index=i, **source) for i in indices])
+        da = np.stack([sample_perturbation(spec, trial_index=i, **source)
+                       for i in range(start, min(start + block, trials))])
         t3 = time.perf_counter()
-        changes = exp.changes(base, a_hp - da if exp.lu_envelope else a_hp + da)
+        changes, failures = exp.changes(base, a_hp - da if exp.lu_envelope else a_hp + da)
         t_draw += t3 - t2
         t_refactor += time.perf_counter() - t3
-        for idx, change in zip(indices, changes):
-            if isinstance(change, str):
-                skipped.append((idx, change))
-                continue
-            if exp.trial_d1:       # the bounds at this trial's own ||Q^T dA||_F
-                d1 = float(np.linalg.norm(factors.q.T @ da[idx - start]))
-                bounds = exp.read_bounds(bounds_at(min(d1, size), size))
-            violated = False
-            for actual, (rigorous, first_order) in zip(change, bounds):
-                if actual > rigorous:
-                    violated = True
-                ratio = _ratio(actual, rigorous)
-                if ratio > max_rig:
-                    max_rig = ratio
-                ratio = _ratio(actual, first_order)
-                if ratio > max_fo:
-                    max_fo = ratio
-            violations += violated
+        done = np.ones(len(da), dtype=bool)
+        for j, reason in failures:
+            done[j] = False
+            skipped.append((start + j, reason))
+        changes = changes[done]
+        if not len(changes):
+            continue
+        if exp.trial_d1:       # the bounds at each trial's own ||Q^T dA||_F
+            d1 = dense.frobenius_norms(np.matmul(factors.q.T, da[done]))
+            rigorous, first_order = np.stack(
+                [exp.read_bounds(bounds_at(min(d, size), size)) for d in d1.tolist()], axis=1)
+        violations += int(np.count_nonzero((changes > rigorous).any(axis=1)))
+        max_rig = max(max_rig, _max_ratio(changes, rigorous))
+        max_fo = max(max_fo, _max_ratio(changes, first_order))
     t_trials = time.perf_counter() - t1
 
     return VerificationReport(
@@ -227,9 +237,9 @@ def _lu_factors(a):
 
 def _qr_factors(a):
     factors = dense.qr_factor(a)
-    r, zero_column = dense.qr_r_stack(a.astype(_MEASURE_DTYPE)[None])
-    if zero_column[0]:
-        raise RankDeficient(_ZERO_COLUMN)
+    r, failed = dense.qr_r_stack(a.astype(_MEASURE_DTYPE)[None])
+    if failed[0]:
+        raise RankDeficient(_QR_FAILURES[failed[0]])
     return factors, r[0]
 
 
@@ -243,8 +253,9 @@ class Experiment:
     ``bounds``, the evaluator of the library, takes the factors and the
     model's fields other than the size and returns the report as a function
     of the size. ``changes(base, stack)`` refactorizes a stack of perturbed
-    matrices and returns per slice the tuple of measured factor changes, or
-    why the slice was skipped; ``bound_fields`` names per change the report
+    matrices and returns the measured factor changes as a (slices, changes)
+    float64 array, with the (slice, reason) pairs of the slices that failed
+    and are skipped; ``bound_fields`` names per change the report
     fields of its (rigorous, first-order) bounds, and ``inapplicable`` formats
     the report into the :class:`BoundNotApplicable` message. With ``trial_d1``
     the evaluator takes (d1, d2) = (||Q^T dA||_F, ||dA||_F) and each trial is
@@ -262,10 +273,10 @@ class Experiment:
     trial_d1: bool = False
     lu_envelope: bool = False
 
-    def read_bounds(self, report) -> tuple:
-        """The (rigorous, first-order) bound of each measured change."""
-        return tuple((getattr(report, rigorous), getattr(report, first_order))
-                     for rigorous, first_order in self.bound_fields)
+    def read_bounds(self, report) -> np.ndarray:
+        """The rigorous (row 0) and first-order (row 1) bound of each change, NaN for None."""
+        return np.array([[math.nan if (bound := getattr(report, name)) is None else bound
+                          for name in names] for names in zip(*self.bound_fields)], dtype=float)
 
 
 _NORMWISE_INAPPLICABLE = "condition value {0.condition_value:.3e} is not below 1/4"

@@ -1,13 +1,20 @@
 import math
+from dataclasses import fields
 from enum import Enum
 
 import numpy as np
 import pytest
 
-from fperturb import dense
+from fperturb import dense, verify
 from fperturb.dense import QrFactors
 from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
-from fperturb.matgen import graded_random, kahan
+from fperturb.matgen import (
+    Normwise,
+    componentwise_envelope,
+    graded_random,
+    kahan,
+    sample_perturbation,
+)
 from fperturb.qr_bounds import COMPARISON_GATE, SQRT6_PLUS_SQRT3, zeta
 from fperturb.structured import operator_materialize, vec
 
@@ -102,6 +109,67 @@ def householder_r_stack(a):
     r = np.triu(r[:, :n, :n])
     signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
     return r * signs[:, :, None], zero_column
+
+
+def ratio(actual, bound):
+    """actual / bound; 0 for a first-order bound that does not apply (None)."""
+    if bound is None:
+        return 0.0
+    if bound == 0.0:
+        return 0.0 if actual == 0.0 else float("inf")
+    return actual / bound
+
+
+def trial_loop_report(a, spec, trials, experiment):
+    """The accounting of ``verify.verify_bounds`` one trial and one value at a time.
+
+    The oracle of its block accounting: each trial is drawn, refactorized as
+    a stack of one by the experiment's ``changes`` kernel and, unless it
+    failed, held to its bounds (with ``trial_d1``, those at its own
+    ||Q^T dA||_F) one change at a time. Returns the report's
+    ``(violations, skipped, max_ratio_rigorous, max_ratio_first_order)``.
+    """
+    exp = verify.EXPERIMENTS[experiment]
+    a = np.asarray(a, dtype=float)
+    size = getattr(spec.model, exp.size)
+    factors, base = exp.factor(a)
+    bounds_at = exp.bounds(factors, *[getattr(spec.model, f.name)
+                                      for f in fields(spec.model) if f.name != exp.size])
+
+    def read_bounds(report):
+        return [(getattr(report, rigorous), getattr(report, first_order))
+                for rigorous, first_order in exp.bound_fields]
+
+    bounds = read_bounds(bounds_at(size, size) if exp.trial_d1 else bounds_at(size))
+    if isinstance(spec.model, Normwise):
+        source = {"matrix": a}
+    else:
+        source = {"envelope": componentwise_envelope(spec.model, matrix=a, lu=factors)}
+    a_hp = a.astype(np.longdouble if dense.WIDE_LONGDOUBLE else np.float64)
+    violations = 0
+    skipped = []
+    max_rig = max_fo = 0.0
+    for i in range(trials):
+        da = sample_perturbation(spec, trial_index=i, **source)
+        changes, failures = exp.changes(base, (a_hp - da if exp.lu_envelope else a_hp + da)[None])
+        if failures:
+            skipped.append((i, failures[0][1]))
+            continue
+        if exp.trial_d1:
+            d1 = float(np.linalg.norm(factors.q.T @ da))
+            bounds = read_bounds(bounds_at(min(d1, size), size))
+        violated = False
+        for actual, (rigorous, first_order) in zip(changes[0].tolist(), bounds):
+            if actual > rigorous:
+                violated = True
+            r = ratio(actual, rigorous)
+            if r > max_rig:
+                max_rig = r
+            r = ratio(actual, first_order)
+            if r > max_fo:
+                max_fo = r
+        violations += violated
+    return violations, tuple(skipped), max_rig, max_fo
 
 
 def kappa2_triangular(t, shape):

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from fperturb import cli, dense, tables
+from fperturb import cli, dense, lu_bounds, tables
 from fperturb.cli import main
 from fperturb.lu_bounds import lu_componentwise_bounds
 from fperturb.matgen import kahan
@@ -338,6 +338,23 @@ class TestVerifyCommand:
         assert timings["trials_s"] == 4.5    # three levels of 1.5
 
 
+def test_cached_parser_reads_as_a_fresh_one(capsys):
+    # one parser serves every call of main; a parse, one that exits with an
+    # error and one of another command leave nothing behind for the next
+    calls = [["verify", "--experiment", "qr-normwise", "--kahan", "5,0.5", "--delta", "1e-6",
+              "--trials", "30", "--seed", "4", "--no-timings", "--output", "json"],
+             ["verify", "--experiment", "lu-normwise", "--kahan", "5,0.5"],
+             ["table1", "--seed", "1", "--no-timings"]]
+    cached = [run(argv, capsys) for argv in calls]
+    fresh = []
+    for argv in calls:
+        cli._build_parser.cache_clear()
+        fresh.append(run(argv, capsys))
+    assert cached == fresh
+    assert [code for code, _, _ in cached] == [0, 1, 0]
+    assert cached[1][2] == "fperturb: error: lu-normwise needs --delta\n"
+
+
 class TestTables:
     def test_table2_columns(self, capsys):
         code, out, _ = run(["table2", "--seed", "0"], capsys)
@@ -351,6 +368,16 @@ class TestTables:
         assert code == 0
         header = out.splitlines()[0].split(",")
         assert header == [c for c in TABLE1_COLUMNS if c not in TIMING_COLUMNS]
+
+    def test_epsilon_preset_follows_the_table_order(self, capsys, monkeypatch):
+        # table1 --epsilon ge resolves at the order that table1 builds, which
+        # both read from one constant
+        monkeypatch.setattr(tables, "TABLE1_ORDER", 6)
+        preset = run(["table1", "--seed", "2", "--epsilon", "ge", "--no-timings"], capsys)
+        value = repr(lu_bounds.gaussian_elimination_epsilon(6))
+        given = run(["table1", "--seed", "2", "--epsilon", value, "--no-timings"], capsys)
+        assert preset[0] == 0 and preset == given
+        assert preset[1] == run(["table1", "--seed", "2", "--no-timings"], capsys)[1]
 
     def test_seed_sweep_runs(self, capsys):
         code, out, _ = run(["table2", "--seed", "0", "--seed-sweep", "2",

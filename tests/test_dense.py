@@ -190,6 +190,25 @@ class TestStackedKernels:
         for j in (0, 2):
             assert np.array_equal(r[j], measure_r(a))
 
+    def test_householder_flags_a_reflector_too_small_to_normalize(self):
+        # at 2^-530, v.v = 2^-1058 is subnormal in float64 and 2 / v.v
+        # overflows; no warning, a finite R, and the other slices alone
+        tiny = 2.0**-530
+        stack = np.array([[[1.5]], [[tiny]], [[-3.0]], [[-tiny]]])
+        r, failed = dense.qr_r_stack(stack)
+        assert failed.tolist() == [0, dense.TINY_REFLECTOR, 0, dense.TINY_REFLECTOR]
+        assert np.isfinite(r).all()
+        assert r[0, 0, 0] == 1.5 and r[2, 0, 0] == 3.0
+        # longdouble has the range, and its bits are those of the oracle
+        wide, wide_failed = dense.qr_r_stack(stack.astype(np.longdouble))
+        ref, ref_failed = householder_r_stack(stack.astype(np.longdouble))
+        if dense.WIDE_LONGDOUBLE:
+            assert not wide_failed.any() and not ref_failed.any()
+            assert np.array_equal(wide, ref) and wide[1, 0, 0] == tiny
+        # a slice that also meets a zero column reports that
+        both = np.array([[[tiny, 0.0], [0.0, 0.0]]])
+        assert dense.qr_r_stack(both)[1].tolist() == [dense.ZERO_COLUMN]
+
     def test_householder_stack_keeps_the_lu_precision_rule(self):
         a = random_square(4, 1, shift=4.0)
         for given, kept in ((a, np.float64), (a.astype(np.float32), np.float64),
@@ -285,11 +304,11 @@ class TestKernelsAgainstOracles:
         for s in rng.choice(k, size=min(broken, k), replace=False):
             a[s, :, rng.integers(n)] = 0.0
         a = a.astype(np.longdouble if wide else float)
-        r, zero_column = dense.qr_r_stack(a)
+        r, failed = dense.qr_r_stack(a)
         ref_r, ref_zero_column = householder_r_stack(a)
         assert r.dtype == a.dtype
-        assert np.array_equal(zero_column, ref_zero_column)
-        done = ~zero_column
+        assert np.array_equal(failed, ref_zero_column * dense.ZERO_COLUMN)
+        done = failed == 0
         assert np.array_equal(r[done], ref_r[done])
 
 
@@ -408,6 +427,19 @@ class TestNorms:
             norms = dense.frobenius_norms(x)
             assert norms.dtype == dtype
             assert np.array_equal(norms, [np.linalg.norm(s) for s in x])
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+    def test_euclidean_norm_is_numpys_bit_for_bit(self, dtype):
+        # its first try runs numpy's dot and sqrt without numpy's dispatch
+        x = (seeded_rng(14).standard_normal((9, 8, 7)) * 1e-3).astype(dtype)
+        views = {"c": x[0], "f": np.asfortranarray(x[1]), "strided": x[2, ::2, 1::3],
+                 "transposed": x.transpose(2, 0, 1), "vector": x[3, 4], "stack": x,
+                 "column": x[4, :, 2], "reversed": x[5, ::-1, ::-1]}
+        for name, view in views.items():
+            norm = dense.euclidean_norm(view)
+            plain = np.linalg.norm(view)
+            assert norm == plain, name
+            assert type(norm) is (float if dtype == np.float64 else np.longdouble), name
 
     def test_euclidean_norm_outside_the_squaring_range(self):
         x = np.array([3.0, 4.0])

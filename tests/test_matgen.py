@@ -203,6 +203,20 @@ class TestTrialStreams:
             signs = oracle.integers(0, 2, size=(3, 3)) * 2.0 - 1.0
             assert np.array_equal(da, 0.5 * np.full((3, 3), 3.0) * (mags * signs))
 
+    @pytest.mark.parametrize("shape", [(1, 1), (5, 5), (7, 4), (40, 40)])
+    def test_signs_are_those_of_integers(self, shape):
+        # the componentwise signs come from the raw words of the stream, and
+        # are those rng.integers(0, 2) draws after rng.random(shape)
+        spec = PerturbationSpec(ComponentwiseLU(1.0), seed=11)
+        envelope = np.ones(shape)
+        for i in range(40):
+            da = sample_perturbation(spec, envelope=envelope, trial_index=i)
+            oracle = rng_stream(spec.seed, i)
+            mags = oracle.random(shape)
+            signs = oracle.integers(0, 2, size=shape)
+            assert np.array_equal(np.signbit(da), signs == 0)
+            assert np.array_equal(np.abs(da), mags)
+
     def test_interleaved_streams_each_match(self):
         a = np.zeros((4, 4))
         specs = [PerturbationSpec(Normwise(1.0), seed=s) for s in (3, 2**40)]

@@ -1,5 +1,6 @@
 """Monte Carlo verification harness."""
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -19,7 +20,7 @@ from fperturb.matgen import (
 from fperturb.qr_bounds import qr_normwise_bounds
 from fperturb.verify import delta_halving, infer_experiment, verify_bounds
 
-from conftest import count_calls, random_square
+from conftest import count_calls, random_square, trial_loop_report
 
 
 class TestInference:
@@ -120,6 +121,29 @@ class TestVerifyBounds:
         assert all("singular" in reason for _, reason in rep.skipped)
         assert rep.trials == 12
 
+    def test_reflector_too_small_is_skipped_with_its_reason(self, monkeypatch):
+        # float64 measurement, as where longdouble is not wider: the slice
+        # whose reflector cannot be normalized is skipped and says why
+        changes = verify_mod.EXPERIMENTS["qr-normwise"].changes
+        values, failures = changes(np.array([[1.0]]), np.array([[[2.0**-530]], [[3.0]]]))
+        assert values[1].tolist() == [2.0]
+        assert failures == [(0, "factorization failed: reflection vector too small "
+                                "to normalize during refactorization")]
+        # and verify_bounds reports each such slice of its blocks
+        real = verify_mod.dense.qr_r_stack
+
+        def flaky(a):
+            r, failed = real(a)
+            if len(a) > 1:      # the base is a stack of one
+                failed[1::4] = dense.TINY_REFLECTOR
+            return r, failed
+
+        monkeypatch.setattr(verify_mod.dense, "qr_r_stack", flaky)
+        rep = verify_bounds(np.eye(5), PerturbationSpec(Normwise(0.01), seed=4), 12,
+                            experiment="qr-normwise")
+        assert [i for i, _ in rep.skipped] == [1, 5, 9]
+        assert all("too small to normalize" in reason for _, reason in rep.skipped)
+
     @pytest.mark.parametrize("experiment, breaks", [
         ("lu-normwise", lambda a: -a),                       # A + dA = 0
         ("qr-normwise", lambda a: -a * (np.arange(len(a)) == 2)),   # column 3 of A + dA = 0
@@ -190,6 +214,117 @@ class TestBlocks:
         verify_bounds(a, spec, 1, experiment="lu-normwise")     # first-call allocations
         block_bytes = verify_mod._BLOCK_ENTRIES * np.dtype(verify_mod._MEASURE_DTYPE).itemsize
         assert peak(20_000) - peak(1_000) < block_bytes
+
+
+def _report_fields(report):
+    return (report.violations, report.skipped,
+            report.max_ratio_rigorous, report.max_ratio_first_order)
+
+
+def _key(x):
+    """A number from the low bits of each float; it picks the slices and trials
+    to break whatever block they fall in."""
+    return np.asarray(x, dtype=float).view(np.uint64) % 5
+
+
+def _broken_changes(real):
+    """The ``changes`` kernel ``real``, with some slices failed, some NaN and
+    some with a zero first change."""
+    def changes(base, stack):
+        values, failures = real(base, stack)
+        key = _key(values[:, 0])
+        values[key == 0] = np.nan
+        values[key == 1, 0] = 0.0
+        injected = [(j, "factorization failed: injected") for j in np.flatnonzero(key == 2)]
+        return values, sorted(failures + injected)
+    return changes
+
+
+def _broken_bounds(exp):
+    """The evaluator of ``exp`` with a zero rigorous bound and a first-order bound of None.
+
+    With ``trial_d1`` (the evaluator taken at each trial's own d1), the two
+    are set on the trials that the bits of d1 pick; otherwise on the first
+    and on the last change of every trial.
+    """
+    (rig_first, _), (_, fo_last) = exp.bound_fields[0], exp.bound_fields[-1]
+
+    def bounds(factors, *envelope):
+        at = exp.bounds(factors, *envelope)
+
+        def report(size, *sizes):
+            rep = at(size, *sizes)
+            if sizes and size == sizes[0]:      # the report at d1 = d2, which gates the run
+                return rep
+            key = _key(size) if exp.trial_d1 else 3
+            if key in (0, 3):
+                rep = dataclasses.replace(rep, **{rig_first: 0.0})
+            if key in (1, 3):
+                rep = dataclasses.replace(rep, **{fo_last: None})
+            return rep
+        return report
+    return bounds
+
+
+class TestBlockAccounting:
+    """The accounting of a block at once against the per-trial loop of the oracle."""
+
+    CASES = [
+        ("lu-normwise", lambda c: Normwise(1e-4)),
+        ("lu-componentwise", lambda c: ComponentwiseLU(1e-9)),
+        ("qr-normwise", lambda c: Normwise(1e-4)),
+        ("qr-componentwise", lambda c: ComponentwiseQR(1e-9, c)),
+    ]
+
+    @pytest.mark.parametrize("experiment, model", CASES, ids=[c[0] for c in CASES])
+    def test_matches_the_trial_loop(self, experiment, model, monkeypatch):
+        a = random_square(5, 4, shift=5.0)
+        if experiment == "qr-normwise":     # m > n, so d1 < d2
+            a = np.random.default_rng(17).standard_normal((9, 6))
+        spec = PerturbationSpec(model(random_c_matrix(len(a), 2)), seed=8)
+        for per_block in (None, 3):
+            if per_block:
+                monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", per_block * a.size)
+            rep = verify_bounds(a, spec, 40, experiment=experiment)
+            assert _report_fields(rep) == trial_loop_report(a, spec, 40, experiment)
+            assert rep.violations == 0 and not rep.skipped and rep.max_ratio_rigorous > 0.0
+
+    @pytest.mark.parametrize("experiment, model", CASES, ids=[c[0] for c in CASES])
+    def test_skips_nans_and_zero_or_missing_bounds_as_the_loop(self, experiment, model,
+                                                               monkeypatch):
+        a = random_square(5, 4, shift=5.0)
+        if experiment == "qr-normwise":
+            a = np.random.default_rng(17).standard_normal((9, 6))
+        exp = verify_mod.EXPERIMENTS[experiment]
+        broken = dataclasses.replace(exp, changes=_broken_changes(exp.changes),
+                                     bounds=_broken_bounds(exp))
+        monkeypatch.setitem(verify_mod.EXPERIMENTS, experiment, broken)
+        spec = PerturbationSpec(model(random_c_matrix(len(a), 2)), seed=9)
+        want = trial_loop_report(a, spec, 60, experiment)
+        violations, skipped, max_rig, max_fo = want
+        # every injected case happened: failures, zero-bound violations with
+        # an inf ratio, and trials with no first-order bound (qr-componentwise
+        # has no first-order bound on any trial, so its ratio is 0)
+        assert skipped and all(reason.endswith("injected") for _, reason in skipped)
+        assert 0 < violations < 60 - len(skipped)
+        assert max_rig == np.inf
+        assert max_fo == 0.0 if experiment == "qr-componentwise" else 0.0 < max_fo < np.inf
+        for per_block in (None, 1, 7):
+            if per_block:
+                monkeypatch.setattr(verify_mod, "_BLOCK_ENTRIES", per_block * a.size)
+            rep = verify_bounds(a, spec, 60, experiment=experiment)
+            assert _report_fields(rep) == want
+            assert type(rep.max_ratio_rigorous) is type(rep.max_ratio_first_order) is float
+
+    def test_trial_d1_of_a_block_is_each_trials_own(self):
+        # one stacked product and the stacked norms, bit for bit those of
+        # each trial alone
+        rng = np.random.default_rng(3)
+        for m, n, k in ((9, 6, 40), (6, 6, 17), (40, 40, 3), (1, 1, 5)):
+            q = dense.qr_factor(rng.standard_normal((m, n))).q
+            da = 1e-7 * rng.standard_normal((k, m, n))
+            d1 = dense.frobenius_norms(np.matmul(q.T, da))
+            assert d1.tolist() == [float(np.linalg.norm(q.T @ slice_)) for slice_ in da]
 
 
 class TestDeltaHalving:
