@@ -5,10 +5,11 @@ outside the float64 range), 3 factorization failure (also a singular factor,
 a norm that overflows on one, or a zero row to scale by), 4 bound inapplicable
 in a mode that demands applicability, 5 norm estimation did not converge.
 
-Matrix files are plain CSV: one row per line, no header, decimal floats.
-Output is deterministic for a fixed (configuration, seed) pair except for the
-wall-clock timing columns; pass ``--no-timings`` to drop those and obtain
-byte-identical reports.
+Matrix files are plain CSV: one row per line, no header, decimal floats. Each
+subparser names its command's row function, and one path writes the rows of
+every command. Output is deterministic for a fixed (configuration, seed) pair
+except for the wall-clock timing columns, named ``t_*`` and rounded to 3
+decimals; pass ``--no-timings`` to drop those and obtain byte-identical reports.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .matgen import (
     kahan,
     random_c_matrix,
 )
-from .verify import EXPERIMENTS, delta_halving, verify_bounds
+from .verify import EXPERIMENTS, delta_halving
 
 EXIT_BAD_CONFIG = 1
 EXIT_BAD_MATRIX = 2
@@ -68,64 +69,59 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_BAD_CONFIG, message)
 
 
-def _add_matrix_source(p: argparse.ArgumentParser):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--matrix", metavar="FILE", help="CSV matrix file")
-    g.add_argument("--kahan", metavar="N,THETA",
-                   help="graded triangular test matrix of order N with angle THETA")
-    g.add_argument("--graded", metavar="N,D1,D2",
-                   help="graded random matrix (uses --seed)")
-
-
-def _add_output(p: argparse.ArgumentParser):
-    p.add_argument("--output", choices=("csv", "markdown", "json"), default="csv")
-    p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
-    p.add_argument("--no-timings", action="store_true",
-                   help="drop wall-clock columns for byte-identical output")
-
-
 @functools.cache     # parsing leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
+    # bench/tracer.py may wrap the library after the parser is built, so the
+    # row functions look the library up through its modules when they run
     parser = _Parser(prog="fperturb",
                      description="perturbation bounds for LU and QR factorizations")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def bound_command(name, help_text, report=None):
-        # report(args, matrix) computes the bound report of the command
+    def command(name, help_text, rows, matrix=True):
+        # rows(args) returns the (rows, timings, violations) of the command
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(report=report)
-        _add_matrix_source(p)
+        p.set_defaults(rows=rows)
+        if matrix:
+            g = p.add_mutually_exclusive_group()
+            g.add_argument("--matrix", metavar="FILE", help="CSV matrix file")
+            g.add_argument("--kahan", metavar="N,THETA",
+                           help="graded triangular test matrix of order N with angle THETA")
+            g.add_argument("--graded", metavar="N,D1,D2",
+                           help="graded random matrix (uses --seed)")
         p.add_argument("--seed", type=int, default=0)
-        _add_output(p)
+        p.add_argument("--output", choices=("csv", "markdown", "json"), default="csv")
+        p.add_argument("--out", metavar="PATH", help="write the report here instead of stdout")
+        p.add_argument("--no-timings", action="store_true",
+                       help="drop wall-clock columns for byte-identical output")
         return p
 
-    p = bound_command("lu-normwise", "normwise LU bound report", lambda args, a:
-                      lu_bounds.lu_normwise_bounds(dense.lu_factor(a), args.delta))
+    p = command("lu-normwise", "normwise LU bound report", _report(lambda args, a:
+                lu_bounds.lu_normwise_bounds(dense.lu_factor(a), args.delta)))
     p.add_argument("--delta", type=float, required=True)
 
-    p = bound_command("lu-componentwise", "componentwise LU bound report", lambda args, a:
-                      lu_bounds.lu_componentwise_bounds(
-                          dense.lu_factor(a), _resolve_epsilon(args.epsilon, len(a))))
+    p = command("lu-componentwise", "componentwise LU bound report", _report(lambda args, a:
+                lu_bounds.lu_componentwise_bounds(
+                    dense.lu_factor(a), _resolve_epsilon(args.epsilon, len(a)))))
     p.add_argument("--epsilon", required=True,
                    help="perturbation size, or 'ge' for the n*u/(1-n*u) preset")
 
-    p = bound_command("qr-normwise", "normwise QR bound report", lambda args, a:
-                      qr_bounds.qr_normwise_bounds(
-                          dense.qr_factor(a),
-                          args.delta if args.delta1 is None else args.delta1, args.delta))
+    p = command("qr-normwise", "normwise QR bound report", _report(lambda args, a:
+                qr_bounds.qr_normwise_bounds(
+                    dense.qr_factor(a),
+                    args.delta if args.delta1 is None else args.delta1, args.delta)))
     p.add_argument("--delta", type=float, required=True, help="||dA||_F")
     p.add_argument("--delta1", type=float, default=None,
                    help="||Q^T dA||_F, defaults to --delta")
 
-    p = bound_command("qr-componentwise", "componentwise QR bound report", lambda args, a:
-                      qr_bounds.qr_componentwise_bounds(
-                          dense.qr_factor(a), _resolve_c(args, len(a)),
-                          _resolve_epsilon(args.epsilon, len(a))))
+    p = command("qr-componentwise", "componentwise QR bound report", _report(lambda args, a:
+                qr_bounds.qr_componentwise_bounds(
+                    dense.qr_factor(a), _resolve_c(args, len(a)),
+                    _resolve_epsilon(args.epsilon, len(a)))))
     p.add_argument("--epsilon", required=True)
     p.add_argument("--c-matrix", default="random",
                    help="envelope matrix: CSV file or 'random' (uses --seed)")
 
-    p = bound_command("verify", "Monte Carlo bound verification")
+    p = command("verify", "Monte Carlo bound verification", _verify_rows)
     p.add_argument("--experiment", required=True, choices=list(EXPERIMENTS))
     p.add_argument("--delta", type=float, default=None)
     p.add_argument("--epsilon", default=None)
@@ -134,15 +130,12 @@ def _build_parser() -> _Parser:
     p.add_argument("--delta-halving", type=int, default=0, metavar="K",
                    help="also verify at K successive halvings of the size")
 
-    for name in ("table1", "table2", "table3", "table4"):
-        p = sub.add_parser(name, help=f"reproduce {name} of the bound comparison")
-        p.add_argument("--seed", type=int, default=0)
+    table = {name: command(name, f"reproduce {name} of the bound comparison",
+                           _table_rows, matrix=False) for name in tables.TABLES}
+    for p in table.values():
         p.add_argument("--seed-sweep", type=int, default=1, metavar="K",
                        help="aggregate K consecutive seeds by per-cell medians")
-        if name == "table1":
-            p.add_argument("--epsilon", default=None)
-        _add_output(p)
-
+    table["table1"].add_argument("--epsilon", default=None)
     return parser
 
 
@@ -224,17 +217,11 @@ def _resolve_c(args, m: int) -> np.ndarray:
     return c
 
 
-def _report_rows(report, no_timings: bool) -> list[dict]:
-    row = {}
-    for key, value in vars(report).items():
-        if not (isinstance(value, (int, float, bool)) or value is None):
-            continue
-        if key.startswith("t_"):
-            if no_timings:
-                continue
-            value = round(value, 3)
-        row[key] = value
-    return [row]
+def _timed_columns(rows: list[dict], no_timings: bool) -> list[dict]:
+    """The rows with every timing column (``t_`` prefix) dropped, or rounded to 3 decimals."""
+    return [{key: round(value, 3) if key.startswith("t_") and value is not None else value
+             for key, value in row.items() if not (no_timings and key.startswith("t_"))}
+            for row in rows]
 
 
 def _run_command(args) -> tuple[list[dict], dict, int | None]:
@@ -243,30 +230,30 @@ def _run_command(args) -> tuple[list[dict], dict, int | None]:
         raise CliError(EXIT_BAD_CONFIG, f"--seed must be non-negative, got {args.seed}")
     t0 = time.perf_counter()
     try:
-        if args.command in tables.TABLES:
-            rows, timings, violations = _table_rows(args), {}, None
-        elif args.command == "verify":
-            rows, timings, violations = _verify_rows(args)
-        else:
-            report = args.report(args, _resolve_matrix(args))
-            rows, timings, violations = _report_rows(report, args.no_timings), {}, None
+        rows, timings, violations = args.rows(args)
     except (FperturbError, ValueError) as exc:
         for errors, code in _ERROR_EXITS:
             if isinstance(exc, errors):
                 raise CliError(code, str(exc)) from exc
         raise
     timings["total_s"] = round(time.perf_counter() - t0, 3)
-    return rows, timings, violations
+    return _timed_columns(rows, args.no_timings), timings, violations
+
+
+def _report(compute):
+    """The row function of a bound command: the scalar fields of ``compute(args, matrix)``."""
+    def rows(args):
+        report = compute(args, _resolve_matrix(args))
+        return [{key: value for key, value in vars(report).items()
+                 if isinstance(value, (int, float, bool)) or value is None}], {}, None
+    return rows
 
 
 def _verify_rows(args) -> tuple[list[dict], dict, int]:
     a = _resolve_matrix(args)
     spec = _verify_spec(args, a)
-    if args.delta_halving:
-        reports = delta_halving(a, spec, args.trials, args.delta_halving,
-                                experiment=args.experiment)
-    else:
-        reports = [verify_bounds(a, spec, args.trials, experiment=args.experiment)]
+    reports = delta_halving(a, spec, args.trials, args.delta_halving,
+                            experiment=args.experiment)
     size = getattr(spec.model, EXPERIMENTS[args.experiment].size)
     rows = [{
         "level": level,
@@ -284,25 +271,18 @@ def _verify_rows(args) -> tuple[list[dict], dict, int]:
     return rows, timings, sum(rep.violations for rep in reports)
 
 
-def _table_rows(args) -> list[dict]:
+def _table_rows(args) -> tuple[list[dict], dict, None]:
     """Rows of the table; a row whose matrix failed to factorize is printed
     as n/a, and its reason goes to stderr as a note."""
     if args.seed_sweep < 1:
         raise CliError(EXIT_BAD_CONFIG, "--seed-sweep must be at least 1")
     kwargs = {}
-    if args.command == "table1" and args.epsilon is not None:
+    if getattr(args, "epsilon", None) is not None:      # only table1 takes --epsilon
         kwargs["epsilon"] = _resolve_epsilon(args.epsilon, tables.TABLE1_ORDER)
-    if args.seed_sweep > 1:
-        result = tables.seed_sweep(args.command, args.seed, args.seed_sweep, **kwargs)
-    else:
-        result = tables.TABLES[args.command](args.seed, **kwargs)
+    result = tables.seed_sweep(args.command, args.seed, args.seed_sweep, **kwargs)
     for note in result.notes:
         print(f"fperturb: note: {note}", file=sys.stderr)
-    columns = [c for c in result.columns
-               if not (args.no_timings and c in tables.TIMING_COLUMNS)]
-    return [{c: (round(row[c], 3) if c in tables.TIMING_COLUMNS and row[c] is not None
-                 else row[c])
-             for c in columns} for row in result.rows]
+    return list(result.rows), {}, None
 
 
 def _verify_spec(args, a: np.ndarray) -> PerturbationSpec:
@@ -331,24 +311,16 @@ def _fmt(value, precise: bool) -> str:
     return str(value)
 
 
-def render_csv(rows: list[dict]) -> str:
+def render_rows(rows: list[dict], markdown: bool = False) -> str:
+    """The rows as CSV at full precision, or as a markdown table at 4 digits."""
     if not rows:
         return "\n"
     cols = list(rows[0].keys())
-    lines = [",".join(cols)]
-    for row in rows:
-        lines.append(",".join(_fmt(row[c], precise=True) for c in cols))
-    return "\n".join(lines) + "\n"
-
-
-def render_markdown(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    cols = list(rows[0].keys())
-    lines = ["| " + " | ".join(cols) + " |",
-             "|" + "|".join("---" for _ in cols) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(_fmt(row[c], precise=False) for c in cols) + " |")
+    lines = [cols] + [[_fmt(row[c], precise=not markdown) for c in cols] for row in rows]
+    if not markdown:
+        return "".join(",".join(cells) + "\n" for cells in lines)
+    lines = ["| " + " | ".join(cells) + " |" for cells in lines]
+    lines.insert(1, "|" + "|".join("---" for _ in cols) + "|")
     return "\n".join(lines) + "\n"
 
 
@@ -370,13 +342,11 @@ def main(argv=None) -> int:
     if args.no_timings:
         timings = {}
     config = {k: v for k, v in vars(args).items()
-              if k not in ("out", "output", "report") and v is not None}
+              if k not in ("out", "output", "rows") and v is not None}
     if args.output == "json":
         text = render_json(rows, config, violations, timings)
-    elif args.output == "markdown":
-        text = render_markdown(rows)
     else:
-        text = render_csv(rows)
+        text = render_rows(rows, markdown=args.output == "markdown")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

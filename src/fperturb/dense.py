@@ -284,7 +284,7 @@ def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
     for c in range(n):
         x = r[:, c:, c]
         nx = np.sqrt(np.sum(x * x, axis=1))
-        zero_column |= nx == 0.0
+        zero_column |= ~x.any(axis=1)     # not nx = 0: the squares of a column may underflow
         v = x.copy()
         v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
         s = np.sum(v * v, axis=1)

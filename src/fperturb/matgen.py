@@ -14,13 +14,15 @@ numpy version. Building that generator costs more than most draws, so the
 trial states are derived here instead: the hash and mix of SeedSequence run
 as vectorized 32-bit arithmetic over an aligned chunk of ``STREAM_CHUNK``
 trial indices at once, PCG64's seeding finishes per index on Python ints,
-and each thread caches its last chunk. A draw sets its state on a generator
-that its thread reuses, and :func:`rng_stream` on a fresh one, so the two
-share one derivation.
+and the last ``_CHUNK_CACHE`` chunks are kept, so draws that alternate
+between a few seeds do not rebuild a chunk on every draw. A draw sets its
+state on a generator that its thread reuses, and :func:`rng_stream` on a
+fresh one, so the two share one derivation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import threading
 from dataclasses import dataclass
@@ -43,7 +45,10 @@ _XSHIFT = np.uint32(16)
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
 
-#: per thread: the generator that draws reuse, and the last chunk of states
+#: chunks of stream states kept at once, shared by the threads
+_CHUNK_CACHE = 4
+
+#: per thread: the generator that draws reuse
 _local = threading.local()
 
 
@@ -62,6 +67,7 @@ def _words(x: int) -> list[int]:
     return words
 
 
+@functools.lru_cache(maxsize=_CHUNK_CACHE)
 def _chunk_seeds(seed: int, start: int) -> np.ndarray:
     """Row j is ``SeedSequence([seed, start + j]).generate_state(4, np.uint64)``.
 
@@ -111,10 +117,7 @@ def _stream_state(seed: int, trial_index: int) -> dict:
     seed = _nonnegative(seed, "seed")
     trial_index = _nonnegative(trial_index, "trial_index")
     chunk, offset = divmod(trial_index, STREAM_CHUNK)
-    cached = getattr(_local, "chunk", None)
-    if cached is None or cached[0] != (seed, chunk):
-        cached = _local.chunk = (seed, chunk), _chunk_seeds(seed, chunk * STREAM_CHUNK)
-    s0, s1, s2, s3 = cached[1][offset].tolist()
+    s0, s1, s2, s3 = _chunk_seeds(seed, chunk * STREAM_CHUNK)[offset].tolist()
     # PCG64 seeding: state 0, inc = 2 initseq + 1, step, add initstate, step
     inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
     state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128

@@ -17,16 +17,19 @@ perturbation size, so the rows compare like against like. The random draws
 are irreproducible in the original experiments, so a seed sweep reporting
 per-column medians is the stable way to compare magnitudes.
 
+Each row keeps, of the values its cell computes, the columns of its table.
 A row whose matrix cannot be factorized (a numerically singular leading
 minor or factor, a norm that overflows on one, rank deficiency, a zero row to
 scale by) keeps its key columns and reports ``None`` in the others, with the
-reason in the table's notes; the rest of the table is unaffected.
+reason in the table's notes; the rest of the table is unaffected. A ``t_``
+column holds wall-clock seconds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -44,8 +47,8 @@ TABLE4_COLUMNS = ("n", "q", "gamma_R", "t_gamma_R", "gamma_R_Dr",
                   "t_gamma_R_Dr", "eta_Dr", "gamma_R_De", "t_gamma_R_De", "eta_De")
 
 #: columns that report wall-clock seconds rather than reproducible numbers
-TIMING_COLUMNS = frozenset({"t_gamma", "t_gamma_D", "t_gamma_R",
-                            "t_gamma_R_Dr", "t_gamma_R_De"})
+TIMING_COLUMNS = frozenset(c for cols in (TABLE1_COLUMNS, TABLE2_COLUMNS, TABLE3_COLUMNS,
+                                          TABLE4_COLUMNS) for c in cols if c.startswith("t_"))
 #: columns that identify a row; they survive a row whose matrix fails to factorize
 KEY_COLUMNS = frozenset({"d1", "d2", "n"})
 #: the order of table1's matrices, which ``table1 --epsilon ge`` also reads
@@ -60,31 +63,24 @@ class TableResult:
     notes: tuple  # one line per failed row, with the reason
 
 
-class _Rows:
-    """Collects the rows of one table for one seed."""
+def _table(name: str, columns: tuple, seed: int, cells) -> TableResult:
+    """Table ``name`` of ``seed``, one row per ``(keys, compute)`` pair of ``cells``.
 
-    def __init__(self, name: str, columns: tuple, seed: int):
-        self.name, self.columns, self.seed = name, columns, seed
-        self.rows, self.notes = [], []
-
-    def add(self, keys: dict, compute):
-        """Add the row with key columns ``keys`` and the values ``compute()`` returns.
-
-        When factorizing the row's matrix fails, every value is None and the
-        reason goes to the notes.
-        """
+    A row holds its key columns ``keys`` and, of the values ``compute()``
+    returns, those of ``columns``. When factorizing the row's matrix fails,
+    every value is None and the reason goes to the notes.
+    """
+    rows, notes = [], []
+    for keys, compute in cells:
         try:
             values = compute()
         except FACTORIZATION_FAILURES as exc:
             where = ", ".join(f"{k}={v}" for k, v in keys.items())
-            self.notes.append(f"{self.name} seed {self.seed}, {where}: "
-                              f"{type(exc).__name__}: {exc}")
-            values = {c: None for c in self.columns if c not in keys}
-        self.rows.append({**keys, **values})
-
-    def result(self) -> TableResult:
-        return TableResult(name=self.name, columns=self.columns,
-                           rows=tuple(self.rows), notes=tuple(self.notes))
+            notes.append(f"{name} seed {seed}, {where}: {type(exc).__name__}: {exc}")
+            values = dict.fromkeys(columns)
+        row = {**values, **keys}
+        rows.append({c: row[c] for c in columns})
+    return TableResult(name=name, columns=columns, rows=tuple(rows), notes=tuple(notes))
 
 
 def table1(seed: int, epsilon: float | None = None) -> TableResult:
@@ -97,12 +93,12 @@ def table1(seed: int, epsilon: float | None = None) -> TableResult:
     n, gradings = TABLE1_ORDER, (0.2, 1.0, 2.0)
     if epsilon is None:
         epsilon = lu_bounds.gaussian_elimination_epsilon(n)
-    rows = _Rows("table1", TABLE1_COLUMNS, seed)
+    cells = []
     for d1 in gradings:
         for d2 in gradings:
             a = graded_random(n, d1, d2, seed)
-            rows.add({"d1": d1, "d2": d2}, lambda: _lu_table_row(a, epsilon))
-    return rows.result()
+            cells.append(({"d1": d1, "d2": d2}, partial(_lu_table_row, a, epsilon)))
+    return _table("table1", TABLE1_COLUMNS, seed, cells)
 
 
 def _lu_table_row(a: np.ndarray, epsilon: float) -> dict:
@@ -117,30 +113,28 @@ def _lu_table_row(a: np.ndarray, epsilon: float) -> dict:
     }
 
 
-def _qr_table_row(a: np.ndarray, c: np.ndarray, epsilon: float,
-                  include_q: bool = True) -> dict:
+def _qr_table_row(a: np.ndarray, c: np.ndarray, epsilon: float) -> dict:
     factors = dense.qr_factor(a)
     rep = qr_bounds.qr_componentwise_bounds(factors, c, epsilon)
-    row = {"q": rep.q_ratio} if include_q else {}
-    row.update({
+    return {
+        "q": rep.q_ratio,
         "gamma_R": rep.gamma_r, "t_gamma_R": rep.t_gamma,
         "gamma_R_Dr": rep.gamma_r_dr, "t_gamma_R_Dr": rep.t_gamma_dr,
         "eta_Dr": rep.eta_dr,
         "gamma_R_De": rep.gamma_r_de, "t_gamma_R_De": rep.t_gamma_de,
         "eta_De": rep.eta_de,
-    })
-    return row
+    }
 
 
 def table2(seed: int, sizes=(5, 10, 15, 20, 25)) -> TableResult:
     """Componentwise QR comparison on Kahan matrices (theta = pi/8) of the orders ``sizes``."""
-    rows = _Rows("table2", TABLE2_COLUMNS, seed)
+    cells = []
     for idx, n in enumerate(sizes):
         a = kahan(n, math.pi / 8.0)
         c = random_c_matrix(n, seed=_derived_seed(seed, idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
-        rows.add({"n": n}, lambda: _qr_table_row(a, c, eps, include_q=False))
-    return rows.result()
+        cells.append(({"n": n}, partial(_qr_table_row, a, c, eps)))
+    return _table("table2", TABLE2_COLUMNS, seed, cells)
 
 
 def table3(seed: int, n: int = 20) -> TableResult:
@@ -151,23 +145,23 @@ def table3(seed: int, n: int = 20) -> TableResult:
     gradings = (0.8, 1.0, 2.0)
     c = random_c_matrix(n, seed=_derived_seed(seed, 0))
     eps = lu_bounds.gaussian_elimination_epsilon(n)
-    rows = _Rows("table3", TABLE3_COLUMNS, seed)
+    cells = []
     for d1 in gradings:
         for d2 in gradings:
             a = graded_random(n, d1, d2, seed)
-            rows.add({"d1": d1, "d2": d2}, lambda: _qr_table_row(a, c, eps))
-    return rows.result()
+            cells.append(({"d1": d1, "d2": d2}, partial(_qr_table_row, a, c, eps)))
+    return _table("table3", TABLE3_COLUMNS, seed, cells)
 
 
 def table4(seed: int, sizes=(20, 25, 30, 35, 40, 45, 50, 55)) -> TableResult:
     """Componentwise QR comparison on graded random matrices, d1 = d2 = 0.8, orders ``sizes``."""
-    rows = _Rows("table4", TABLE4_COLUMNS, seed)
+    cells = []
     for idx, n in enumerate(sizes):
         a = graded_random(n, 0.8, 0.8, seed=_derived_seed(seed, idx))
         c = random_c_matrix(n, seed=_derived_seed(seed, 1000 + idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
-        rows.add({"n": n}, lambda: _qr_table_row(a, c, eps))
-    return rows.result()
+        cells.append(({"n": n}, partial(_qr_table_row, a, c, eps)))
+    return _table("table4", TABLE4_COLUMNS, seed, cells)
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -190,6 +184,8 @@ def seed_sweep(name: str, base_seed: int, count: int, **kwargs) -> TableResult:
     fn = TABLES[name]
     results = [fn(base_seed + i, **kwargs) for i in range(count)]
     first = results[0]
+    if count == 1:      # the median of one value is that value
+        return first
     rows = []
     for r_idx in range(len(first.rows)):
         row = {}

@@ -11,7 +11,7 @@ other token (a boolean, ``n/a``, a column name) or the token count changed.
 
 Every case is one ``fperturb`` command line, run with ``--no-timings`` so its
 output is byte-identical from run to run. The cases go to ``cases.json`` and
-each output to ``<case>.<format>`` in this directory. The verify cases set
+each output to ``<case>.<format>`` in this directory (``.md`` for markdown). The verify cases set
 each perturbation size at a tenth of its applicability gate, computed with
 ``verify_sizes`` from the benchmark's workloads.
 """
@@ -50,7 +50,8 @@ def cases() -> list[dict]:
     out = []
 
     def add(name, argv, fmt="csv"):
-        out.append({"name": name, "argv": argv + ["--output", fmt], "file": f"{name}.{fmt}"})
+        ext = "md" if fmt == "markdown" else fmt
+        out.append({"name": name, "argv": argv + ["--output", fmt], "file": f"{name}.{ext}"})
 
     for table in ("table1", "table2", "table3"):
         add(table, [table])
@@ -61,6 +62,10 @@ def cases() -> list[dict]:
         add(f"{command}-graded", [command, *GRADED, *flags])
     add("lu-componentwise-graded-json",
         ["lu-componentwise", *GRADED, *BOUND_FLAGS["lu-componentwise"]], fmt="json")
+    # markdown: a table, and a report past its gate, with n/a and booleans
+    add("table2-sweep1-markdown", ["table2", "--seed-sweep", "1"], fmt="markdown")
+    add("lu-componentwise-kahan-markdown",
+        ["lu-componentwise", *KAHAN, "--epsilon", "1e-3"], fmt="markdown")
 
     # verify: graded order 10 for all four experiments, and a halving run each on
     # Kahan (QR) and on a graded matrix (LU)

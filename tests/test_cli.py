@@ -14,6 +14,7 @@ from fperturb.tables import (
     TABLE1_COLUMNS,
     TABLE2_COLUMNS,
     TABLE3_COLUMNS,
+    TABLE4_COLUMNS,
     TIMING_COLUMNS,
 )
 from fperturb.verify import VerificationReport
@@ -425,6 +426,24 @@ class TestTables:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"config", "rows", "violations", "timings"}
+
+    def test_timing_columns_are_the_t_columns(self):
+        columns = {*TABLE1_COLUMNS, *TABLE2_COLUMNS, *TABLE3_COLUMNS, *TABLE4_COLUMNS}
+        assert {c for c in columns if c.startswith("t_")} == TIMING_COLUMNS == {
+            "t_gamma", "t_gamma_D", "t_gamma_R", "t_gamma_R_Dr", "t_gamma_R_De"}
+
+    @pytest.mark.parametrize("argv, timed", [
+        (["table1", "--seed", "1"], {"t_gamma", "t_gamma_D"}),
+        (["qr-componentwise", "--kahan", "6,0.3927", "--epsilon", "ge"],
+         {"t_gamma", "t_gamma_dr", "t_gamma_de"}),
+    ])
+    def test_timings_are_rounded_to_3_decimals(self, argv, timed, capsys):
+        # one rule for the rows of every command: a t_ column is a timing
+        code, out, _ = run(argv + ["--output", "json"], capsys)
+        assert code == 0
+        for row in json.loads(out)["rows"]:
+            assert {c for c in row if c.startswith("t_")} == timed
+            assert all(row[c] == round(row[c], 3) for c in timed)
 
     def test_markdown_render(self, capsys):
         code, out, _ = run(["table2", "--seed", "1", "--output", "markdown",

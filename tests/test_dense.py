@@ -209,6 +209,15 @@ class TestStackedKernels:
         both = np.array([[[tiny, 0.0], [0.0, 0.0]]])
         assert dense.qr_r_stack(both)[1].tolist() == [dense.ZERO_COLUMN]
 
+    def test_householder_column_whose_squares_underflow_is_not_zero(self):
+        # at 1e-170 every square underflows to 0 in float64, but the column
+        # is not zero: its reflector is the one too small to normalize
+        assert dense.qr_r_stack(np.array([[[1e-170]]]))[1].tolist() == [dense.TINY_REFLECTOR]
+        stack = np.array([[[1e-170, 1.0], [-1e-170, 2.0]], [[0.0, 1.0], [0.0, 2.0]]])
+        r, failed = dense.qr_r_stack(stack)
+        assert failed.tolist() == [dense.TINY_REFLECTOR, dense.ZERO_COLUMN]
+        assert np.isfinite(r).all()
+
     def test_householder_stack_keeps_the_lu_precision_rule(self):
         a = random_square(4, 1, shift=4.0)
         for given, kept in ((a, np.float64), (a.astype(np.float32), np.float64),

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from fperturb import matgen
 from fperturb.dense import euclidean_norm, lu_factor, qr_factor
 from fperturb.matgen import (
     STREAM_CHUNK,
@@ -277,6 +278,20 @@ class TestTrialStreams:
             rng_stream(-1, 3)
         with pytest.raises(ValueError, match="trial_index"):
             rng_stream(1, -3)
+
+
+class TestChunkCache:
+    def test_alternating_draws_derive_each_chunk_once(self):
+        # draws that alternate between two seeds, and between two chunks of a
+        # seed, derive the states of each (seed, chunk) pair once
+        matgen._chunk_seeds.cache_clear()
+        pairs = set()
+        for i in (0, 1, STREAM_CHUNK, 2, STREAM_CHUNK + 1, 3):
+            for seed in (1, 2):
+                sample_perturbation(PerturbationSpec(Normwise(1.0), seed=seed),
+                                    matrix=np.zeros((3, 3)), trial_index=i)
+                pairs.add((seed, i // STREAM_CHUNK))
+        assert matgen._chunk_seeds.cache_info().misses == len(pairs) == 4
 
 
 class TestEnvelope:

@@ -364,6 +364,21 @@ class TestDeltaHalving:
             counts.append(len(calls) + len(svd_calls))
         assert counts[0] == counts[1] > 0
 
+    @pytest.mark.parametrize("experiment, model", [
+        ("lu-normwise", Normwise(1e-8)),
+        ("lu-componentwise", ComponentwiseLU(1e-10)),
+        ("qr-normwise", Normwise(1e-8)),
+        ("qr-componentwise", ComponentwiseQR(1e-10, random_c_matrix(6, 0))),
+    ])
+    def test_no_halving_is_the_single_run(self, experiment, model):
+        # the CLI runs every verification through delta_halving
+        a = random_square(6, 7, shift=6.0)
+        spec = PerturbationSpec(model, seed=3)
+        alone = verify_bounds(a, spec, 20, experiment=experiment)
+        (level0,) = delta_halving(a, spec, 20, 0, experiment=experiment)
+        assert _untimed(level0) == _untimed(alone)
+        assert level0.timings.keys() == alone.timings.keys()
+
     def test_negative_levels_rejected(self):
         with pytest.raises(ValueError):
             delta_halving(np.eye(3), PerturbationSpec(Normwise(1e-3)), 5, -1,
