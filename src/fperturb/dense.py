@@ -441,7 +441,7 @@ def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
         if not math.isfinite(alpha + beta):
             raise NormOverflow("norm estimate overflows: a factor is numerically singular")
         betas.append(beta)
-        exhausted = beta <= SPECTRAL_TOL * scale
+        exhausted = beta <= SPECTRAL_TOL * scale or dim_in == 1     # one step spans R^1
         if exhausted or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
             left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
             if exhausted or beta * abs(left[-1, 0]) <= SPECTRAL_TOL * s[0]:

@@ -1,10 +1,10 @@
 """Seedable generators for test matrices and perturbation draws.
 
 All randomness flows through numpy's PCG64 generator (a permuted congruential
-generator with documented constants). A draw is reproducible from its seed,
-and independent per-trial streams derive from the pair (seed, trial_index),
-so trials can run in any order or in parallel and still produce identical
-results.
+generator with documented constants). A test matrix is drawn from the stream
+of its seed, and every perturbation from its own trial stream, derived from
+the pair (seed, trial_index), so trials can run in any order or in parallel
+and still produce identical results.
 
 Trial stream (seed, i) is the stream of ``np.random.default_rng([seed, i])``:
 SeedSequence hashes the 32-bit words of the pair into four 64-bit words, and
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import LuFactors, euclidean_norm
+from .dense import euclidean_norm
 from .errors import check_size
 
 #: trial indices whose stream states are derived at once; it divides 2**32, so
@@ -240,30 +240,10 @@ def _draw_norm(da: np.ndarray, delta: float) -> float:
         return euclidean_norm(da)
 
 
-def componentwise_envelope(model: ComponentwiseLU | ComponentwiseQR, *,
-                           matrix: np.ndarray | None = None,
-                           lu: LuFactors | None = None) -> np.ndarray:
-    """The envelope E of a componentwise model, whose draws keep |dA| <= epsilon E.
-
-    |L~| |U~| of the computed factors ``lu`` for :class:`ComponentwiseLU`, and
-    C |A| of ``matrix`` for :class:`ComponentwiseQR`.
-    """
-    if isinstance(model, ComponentwiseLU):
-        if lu is None:
-            raise ValueError("componentwise LU model needs the factors")
-        return lu.envelope
-    if isinstance(model, ComponentwiseQR):
-        if matrix is None:
-            raise ValueError("componentwise QR model needs the matrix")
-        return model.c @ np.abs(matrix)
-    raise TypeError(f"unknown componentwise model {model!r}")
-
-
-def sample_perturbation(spec: PerturbationSpec, *,
+def sample_perturbation(spec: PerturbationSpec, *, trial_index: int,
                         matrix: np.ndarray | None = None,
-                        envelope: np.ndarray | None = None,
-                        trial_index: int | None = None) -> np.ndarray:
-    """Draw one perturbation matrix for the given model.
+                        envelope: np.ndarray | None = None) -> np.ndarray:
+    """Draw one perturbation for the model, on trial stream (spec.seed, trial_index).
 
     Normwise draws a standard normal direction of the shape of ``matrix``
     and rescales it so that ||dA||_F equals delta up to rounding and never
@@ -273,12 +253,12 @@ def sample_perturbation(spec: PerturbationSpec, *,
     exactly by construction. The signs are those that
     ``rng.integers(0, 2)`` would draw next, read from the stream's raw
     32-bit words without its bounded-integer machinery. ``envelope`` is the
-    model's :func:`componentwise_envelope`, which the caller forms once for
-    all its draws; a componentwise draw without it raises ``ValueError``.
+    E of |dA| <= epsilon E, which the caller forms once for all its draws
+    (its experiment's ``envelope`` in :data:`verify.EXPERIMENTS`); a
+    componentwise draw without it raises ``ValueError``.
     """
     model = spec.model
-    rng = (rng_stream(spec.seed) if trial_index is None
-           else _trial_generator(spec.seed, trial_index))
+    rng = _trial_generator(spec.seed, trial_index)
     if isinstance(model, Normwise):
         if matrix is None:
             raise ValueError("normwise model needs the target matrix")

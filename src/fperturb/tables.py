@@ -17,19 +17,19 @@ perturbation size, so the rows compare like against like. The random draws
 are irreproducible in the original experiments, so a seed sweep reporting
 per-column medians is the stable way to compare magnitudes.
 
-Each row keeps, of the values its cell computes, the columns of its table.
-A row whose matrix cannot be factorized (a numerically singular leading
-minor or factor, a norm that overflows on one, rank deficiency, a zero row to
-scale by) keeps its key columns and reports ``None`` in the others, with the
-reason in the table's notes; the rest of the table is unaffected. A ``t_``
-column holds wall-clock seconds.
+Each row holds its key columns and, in each other column, the report field
+that ``LU_FIELDS`` or ``QR_FIELDS`` maps it to. A row whose matrix cannot be
+factorized (a numerically singular leading minor or factor, a norm that
+overflows on one, rank deficiency, a zero row to scale by) keeps its key
+columns and reports ``None`` in the others, with the reason in the table's
+notes; the rest of the table is unaffected. A ``t_`` column holds
+wall-clock seconds.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -37,20 +37,27 @@ from . import dense, lu_bounds, qr_bounds
 from .errors import FACTORIZATION_FAILURES
 from .matgen import graded_random, kahan, random_c_matrix
 
-TABLE1_COLUMNS = ("d1", "d2", "gamma_L", "gamma_L_DL", "eta_DL",
-                  "gamma_U", "gamma_U_DU", "eta_DU", "t_gamma", "t_gamma_D", "tau")
-TABLE2_COLUMNS = ("n", "gamma_R", "t_gamma_R", "gamma_R_Dr", "t_gamma_R_Dr",
-                  "eta_Dr", "gamma_R_De", "t_gamma_R_De", "eta_De")
-TABLE3_COLUMNS = ("d1", "d2", "q", "gamma_R", "t_gamma_R", "gamma_R_Dr",
-                  "t_gamma_R_Dr", "eta_Dr", "gamma_R_De", "t_gamma_R_De", "eta_De")
-TABLE4_COLUMNS = ("n", "q", "gamma_R", "t_gamma_R", "gamma_R_Dr",
-                  "t_gamma_R_Dr", "eta_Dr", "gamma_R_De", "t_gamma_R_De", "eta_De")
+#: table1's report columns, each mapped to its field of ``LuComponentwiseReport``
+LU_FIELDS = {"gamma_L": "gamma_l", "gamma_L_DL": "gamma_l_d", "eta_DL": "eta_dl",
+             "gamma_U": "gamma_u", "gamma_U_DU": "gamma_u_d", "eta_DU": "eta_du",
+             "t_gamma": "t_gamma", "t_gamma_D": "t_gamma_d", "tau": "tau"}
+#: the report columns of tables 2-4, each mapped to its field of
+#: ``QrComponentwiseReport``; table2 leaves out the first, q
+QR_FIELDS = {"q": "q_ratio", "gamma_R": "gamma_r", "t_gamma_R": "t_gamma",
+             "gamma_R_Dr": "gamma_r_dr", "t_gamma_R_Dr": "t_gamma_dr", "eta_Dr": "eta_dr",
+             "gamma_R_De": "gamma_r_de", "t_gamma_R_De": "t_gamma_de", "eta_De": "eta_de"}
+#: key columns: the grading factors of a graded random matrix, or the order
+_GRADINGS, _ORDER = ("d1", "d2"), ("n",)
+
+TABLE1_COLUMNS = (*_GRADINGS, *LU_FIELDS)
+TABLE2_COLUMNS = (*_ORDER, *list(QR_FIELDS)[1:])
+TABLE3_COLUMNS = (*_GRADINGS, *QR_FIELDS)
+TABLE4_COLUMNS = (*_ORDER, *QR_FIELDS)
 
 #: columns that report wall-clock seconds rather than reproducible numbers
-TIMING_COLUMNS = frozenset(c for cols in (TABLE1_COLUMNS, TABLE2_COLUMNS, TABLE3_COLUMNS,
-                                          TABLE4_COLUMNS) for c in cols if c.startswith("t_"))
+TIMING_COLUMNS = frozenset(c for c in (*LU_FIELDS, *QR_FIELDS) if c.startswith("t_"))
 #: columns that identify a row; they survive a row whose matrix fails to factorize
-KEY_COLUMNS = frozenset({"d1", "d2", "n"})
+KEY_COLUMNS = frozenset(_GRADINGS + _ORDER)
 #: the order of table1's matrices, which ``table1 --epsilon ge`` also reads
 TABLE1_ORDER = 10
 
@@ -63,23 +70,27 @@ class TableResult:
     notes: tuple  # one line per failed row, with the reason
 
 
-def _table(name: str, columns: tuple, seed: int, cells) -> TableResult:
-    """Table ``name`` of ``seed``, one row per ``(keys, compute)`` pair of ``cells``.
+def _table(name: str, columns: tuple, fields: dict, seed: int,
+           factor, bounds, cells) -> TableResult:
+    """Table ``name`` of ``seed``, one row per ``(keys, a, *args)`` cell of ``cells``.
 
-    A row holds its key columns ``keys`` and, of the values ``compute()``
-    returns, those of ``columns``. When factorizing the row's matrix fails,
-    every value is None and the reason goes to the notes.
+    A row holds its key columns, the values ``keys``, and then each other
+    column's field ``fields[column]`` of the report ``bounds(factor(a),
+    *args)``. When factorizing the row's matrix fails, every such value is
+    None and the reason goes to the notes.
     """
     rows, notes = [], []
-    for keys, compute in cells:
+    for keys, a, *args in cells:
+        row = dict(zip(columns, keys))
         try:
-            values = compute()
+            report = bounds(factor(a), *args)
         except FACTORIZATION_FAILURES as exc:
-            where = ", ".join(f"{k}={v}" for k, v in keys.items())
+            where = ", ".join(f"{k}={v}" for k, v in row.items())
             notes.append(f"{name} seed {seed}, {where}: {type(exc).__name__}: {exc}")
-            values = dict.fromkeys(columns)
-        row = {**values, **keys}
-        rows.append({c: row[c] for c in columns})
+            report = None
+        for column in columns[len(keys):]:
+            row[column] = None if report is None else getattr(report, fields[column])
+        rows.append(row)
     return TableResult(name=name, columns=columns, rows=tuple(rows), notes=tuple(notes))
 
 
@@ -97,33 +108,9 @@ def table1(seed: int, epsilon: float | None = None) -> TableResult:
     for d1 in gradings:
         for d2 in gradings:
             a = graded_random(n, d1, d2, seed)
-            cells.append(({"d1": d1, "d2": d2}, partial(_lu_table_row, a, epsilon)))
-    return _table("table1", TABLE1_COLUMNS, seed, cells)
-
-
-def _lu_table_row(a: np.ndarray, epsilon: float) -> dict:
-    rep = lu_bounds.lu_componentwise_bounds(dense.lu_factor(a), epsilon)
-    return {
-        "gamma_L": rep.gamma_l, "gamma_L_DL": rep.gamma_l_d,
-        "eta_DL": rep.eta_dl,
-        "gamma_U": rep.gamma_u, "gamma_U_DU": rep.gamma_u_d,
-        "eta_DU": rep.eta_du,
-        "t_gamma": rep.t_gamma, "t_gamma_D": rep.t_gamma_d,
-        "tau": rep.tau,
-    }
-
-
-def _qr_table_row(a: np.ndarray, c: np.ndarray, epsilon: float) -> dict:
-    factors = dense.qr_factor(a)
-    rep = qr_bounds.qr_componentwise_bounds(factors, c, epsilon)
-    return {
-        "q": rep.q_ratio,
-        "gamma_R": rep.gamma_r, "t_gamma_R": rep.t_gamma,
-        "gamma_R_Dr": rep.gamma_r_dr, "t_gamma_R_Dr": rep.t_gamma_dr,
-        "eta_Dr": rep.eta_dr,
-        "gamma_R_De": rep.gamma_r_de, "t_gamma_R_De": rep.t_gamma_de,
-        "eta_De": rep.eta_de,
-    }
+            cells.append(((d1, d2), a, epsilon))
+    return _table("table1", TABLE1_COLUMNS, LU_FIELDS, seed, dense.lu_factor,
+                  lu_bounds.lu_componentwise_bounds, cells)
 
 
 def table2(seed: int, sizes=(5, 10, 15, 20, 25)) -> TableResult:
@@ -133,8 +120,9 @@ def table2(seed: int, sizes=(5, 10, 15, 20, 25)) -> TableResult:
         a = kahan(n, math.pi / 8.0)
         c = random_c_matrix(n, seed=_derived_seed(seed, idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
-        cells.append(({"n": n}, partial(_qr_table_row, a, c, eps)))
-    return _table("table2", TABLE2_COLUMNS, seed, cells)
+        cells.append(((n,), a, c, eps))
+    return _table("table2", TABLE2_COLUMNS, QR_FIELDS, seed, dense.qr_factor,
+                  qr_bounds.qr_componentwise_bounds, cells)
 
 
 def table3(seed: int, n: int = 20) -> TableResult:
@@ -149,8 +137,9 @@ def table3(seed: int, n: int = 20) -> TableResult:
     for d1 in gradings:
         for d2 in gradings:
             a = graded_random(n, d1, d2, seed)
-            cells.append(({"d1": d1, "d2": d2}, partial(_qr_table_row, a, c, eps)))
-    return _table("table3", TABLE3_COLUMNS, seed, cells)
+            cells.append(((d1, d2), a, c, eps))
+    return _table("table3", TABLE3_COLUMNS, QR_FIELDS, seed, dense.qr_factor,
+                  qr_bounds.qr_componentwise_bounds, cells)
 
 
 def table4(seed: int, sizes=(20, 25, 30, 35, 40, 45, 50, 55)) -> TableResult:
@@ -160,8 +149,9 @@ def table4(seed: int, sizes=(20, 25, 30, 35, 40, 45, 50, 55)) -> TableResult:
         a = graded_random(n, 0.8, 0.8, seed=_derived_seed(seed, idx))
         c = random_c_matrix(n, seed=_derived_seed(seed, 1000 + idx))
         eps = lu_bounds.gaussian_elimination_epsilon(n)
-        cells.append(({"n": n}, partial(_qr_table_row, a, c, eps)))
-    return _table("table4", TABLE4_COLUMNS, seed, cells)
+        cells.append(((n,), a, c, eps))
+    return _table("table4", TABLE4_COLUMNS, QR_FIELDS, seed, dense.qr_factor,
+                  qr_bounds.qr_componentwise_bounds, cells)
 
 
 def _derived_seed(seed: int, index: int) -> int:

@@ -15,8 +15,8 @@ measure rounding noise rather than factor sensitivity.
 
 Each trial draws from its own (seed, trial_index) stream, in one call of
 :func:`sample_perturbation` per trial; :mod:`matgen` derives the stream
-states a chunk of trial indices at a time, and the envelope of a
-componentwise model is formed once per run. The draws of a block are
+states a chunk of trial indices at a time, and the draw envelope that the
+experiment names is formed once per run. The draws of a block are
 stacked and refactorized at once by a kernel of :mod:`dense` that does on
 every slice the floating-point operations of a single factorization (the
 LU kernel in Doolittle order through numpy's sequential longdouble matmul,
@@ -49,7 +49,6 @@ from .matgen import (
     ComponentwiseQR,
     Normwise,
     PerturbationSpec,
-    componentwise_envelope,
     sample_perturbation,
 )
 
@@ -149,8 +148,8 @@ class _SharedMatrix:
         if experiment not in self._bases:
             exp = EXPERIMENTS[experiment]
             factors, measured = exp.factor(self.matrix)
-            envelope = [getattr(model, f.name) for f in fields(model) if f.name != exp.size]
-            self._bases[experiment] = factors, exp.bounds(factors, *envelope), measured
+            others = [getattr(model, f.name) for f in fields(model) if f.name != exp.size]
+            self._bases[experiment] = factors, exp.bounds(factors, *others), measured
         return self._bases[experiment]
 
 
@@ -185,10 +184,7 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
 
     t1 = time.perf_counter()
     a_hp = a.astype(_MEASURE_DTYPE)
-    if exp.model is Normwise:
-        source = {"matrix": a}
-    else:       # formed once here rather than on every draw
-        source = {"envelope": componentwise_envelope(spec.model, matrix=a, lu=factors)}
+    envelope = exp.envelope(spec.model, a, factors)    # formed once, not on every draw
     violations = 0
     skipped = []
     max_rig = max_fo = 0.0
@@ -196,10 +192,10 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     block = max(1, _BLOCK_ENTRIES // max(a.size, 1))
     for start in range(0, trials, block):
         t2 = time.perf_counter()
-        da = np.stack([sample_perturbation(spec, trial_index=i, **source)
+        da = np.stack([sample_perturbation(spec, trial_index=i, matrix=a, envelope=envelope)
                        for i in range(start, min(start + block, trials))])
         t3 = time.perf_counter()
-        changes, failures = exp.changes(base, a_hp - da if exp.lu_envelope else a_hp + da)
+        changes, failures = exp.changes(base, a_hp - da if exp.subtract_draw else a_hp + da)
         t_draw += t3 - t2
         t_refactor += time.perf_counter() - t3
         done = np.ones(len(da), dtype=bool)
@@ -252,26 +248,29 @@ class Experiment:
     ``factor(a)`` returns the factors and the measurement base, and
     ``bounds``, the evaluator of the library, takes the factors and the
     model's fields other than the size and returns the report as a function
-    of the size. ``changes(base, stack)`` refactorizes a stack of perturbed
+    of the size. Once per run, ``envelope(model, a, factors)`` forms the
+    envelope E of the draws, |dA| <= epsilon E, or returns None for a
+    normwise model. ``changes(base, stack)`` refactorizes a stack of perturbed
     matrices and returns the measured factor changes as a (slices, changes)
     float64 array, with the (slice, reason) pairs of the slices that failed
     and are skipped; ``bound_fields`` names per change the report
     fields of its (rigorous, first-order) bounds, and ``inapplicable`` formats
     the report into the :class:`BoundNotApplicable` message. With ``trial_d1``
     the evaluator takes (d1, d2) = (||Q^T dA||_F, ||dA||_F) and each trial is
-    held to the bounds at its own d1; with ``lu_envelope`` the trials draw
-    from |L~||U~| and measure A - dA.
+    held to the bounds at its own d1; with ``subtract_draw`` each trial
+    measures A - dA rather than A + dA.
     """
 
     model: type
     size: str
     factor: Callable
     bounds: Callable
+    envelope: Callable
     changes: Callable
     bound_fields: tuple
     inapplicable: str
     trial_d1: bool = False
-    lu_envelope: bool = False
+    subtract_draw: bool = False
 
     def read_bounds(self, report) -> np.ndarray:
         """The rigorous (row 0) and first-order (row 1) bound of each change, NaN for None."""
@@ -279,25 +278,30 @@ class Experiment:
                           for name in names] for names in zip(*self.bound_fields)], dtype=float)
 
 
+def _no_envelope(model, a, factors):
+    return None         # a normwise draw is scaled to its delta, not by an envelope
+
+
 _NORMWISE_INAPPLICABLE = "condition value {0.condition_value:.3e} is not below 1/4"
 _COMPONENTWISE_INAPPLICABLE = "componentwise applicability condition fails"
 
 EXPERIMENTS = {
     "lu-normwise": Experiment(
-        Normwise, "delta", _lu_factors, lu_bounds.lu_normwise_evaluator, _lu_changes,
-        (("rigorous_dl", "first_order_dl"), ("rigorous_du", "first_order_du")),
+        Normwise, "delta", _lu_factors, lu_bounds.lu_normwise_evaluator, _no_envelope,
+        _lu_changes, (("rigorous_dl", "first_order_dl"), ("rigorous_du", "first_order_du")),
         _NORMWISE_INAPPLICABLE),
     "lu-componentwise": Experiment(
         ComponentwiseLU, "epsilon", _lu_factors, lu_bounds.lu_componentwise_evaluator,
-        _lu_changes,
+        lambda model, a, factors: factors.envelope, _lu_changes,     # |L~| |U~|
         (("rigorous_dl", "first_order_dl_f"), ("rigorous_du", "first_order_du_f")),
-        _COMPONENTWISE_INAPPLICABLE, lu_envelope=True),
+        _COMPONENTWISE_INAPPLICABLE, subtract_draw=True),
     "qr-normwise": Experiment(
-        Normwise, "delta", _qr_factors, qr_bounds.qr_normwise_evaluator, _r_changes,
-        (("rigorous_dr", "first_order_dr"),), _NORMWISE_INAPPLICABLE, trial_d1=True),
+        Normwise, "delta", _qr_factors, qr_bounds.qr_normwise_evaluator, _no_envelope,
+        _r_changes, (("rigorous_dr", "first_order_dr"),), _NORMWISE_INAPPLICABLE, trial_d1=True),
     "qr-componentwise": Experiment(
         ComponentwiseQR, "epsilon", _qr_factors, qr_bounds.qr_componentwise_evaluator,
-        _r_changes, (("rigorous_dr", "first_order_dr"),), _COMPONENTWISE_INAPPLICABLE),
+        lambda model, a, factors: model.c @ np.abs(a), _r_changes,     # C |A|
+        (("rigorous_dr", "first_order_dr"),), _COMPONENTWISE_INAPPLICABLE),
 }
 
 

@@ -8,13 +8,7 @@ import pytest
 from fperturb import dense, verify
 from fperturb.dense import QrFactors
 from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
-from fperturb.matgen import (
-    Normwise,
-    componentwise_envelope,
-    graded_random,
-    kahan,
-    sample_perturbation,
-)
+from fperturb.matgen import graded_random, kahan, sample_perturbation
 from fperturb.qr_bounds import COMPARISON_GATE, SQRT6_PLUS_SQRT3, zeta
 from fperturb.structured import operator_materialize, vec
 
@@ -141,17 +135,14 @@ def trial_loop_report(a, spec, trials, experiment):
                 for rigorous, first_order in exp.bound_fields]
 
     bounds = read_bounds(bounds_at(size, size) if exp.trial_d1 else bounds_at(size))
-    if isinstance(spec.model, Normwise):
-        source = {"matrix": a}
-    else:
-        source = {"envelope": componentwise_envelope(spec.model, matrix=a, lu=factors)}
+    envelope = exp.envelope(spec.model, a, factors)
     a_hp = a.astype(np.longdouble if dense.WIDE_LONGDOUBLE else np.float64)
     violations = 0
     skipped = []
     max_rig = max_fo = 0.0
     for i in range(trials):
-        da = sample_perturbation(spec, trial_index=i, **source)
-        changes, failures = exp.changes(base, (a_hp - da if exp.lu_envelope else a_hp + da)[None])
+        da = sample_perturbation(spec, trial_index=i, matrix=a, envelope=envelope)
+        changes, failures = exp.changes(base, (a_hp - da if exp.subtract_draw else a_hp + da)[None])
         if failures:
             skipped.append((i, failures[0][1]))
             continue

@@ -1,5 +1,6 @@
 """Command-line interface: parsing, exit codes, report formats, determinism."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -7,10 +8,13 @@ import pytest
 
 from fperturb import cli, dense, lu_bounds, tables
 from fperturb.cli import main
-from fperturb.lu_bounds import lu_componentwise_bounds
+from fperturb.lu_bounds import LuComponentwiseReport, lu_componentwise_bounds
 from fperturb.matgen import kahan
+from fperturb.qr_bounds import QrComponentwiseReport
 from fperturb.tables import (
     KEY_COLUMNS,
+    LU_FIELDS,
+    QR_FIELDS,
     TABLE1_COLUMNS,
     TABLE2_COLUMNS,
     TABLE3_COLUMNS,
@@ -426,6 +430,25 @@ class TestTables:
         assert code == 0
         payload = json.loads(out)
         assert set(payload) == {"config", "rows", "violations", "timings"}
+
+    @pytest.mark.parametrize("columns, mapping, report", [
+        (TABLE1_COLUMNS, LU_FIELDS, LuComponentwiseReport),
+        (TABLE2_COLUMNS, QR_FIELDS, QrComponentwiseReport),
+        (TABLE3_COLUMNS, QR_FIELDS, QrComponentwiseReport),
+        (TABLE4_COLUMNS, QR_FIELDS, QrComponentwiseReport),
+    ])
+    def test_every_report_column_maps_to_a_report_field(self, columns, mapping, report):
+        names = {f.name for f in dataclasses.fields(report)}
+        report_columns = [c for c in columns if c not in KEY_COLUMNS]
+        assert report_columns and all(mapping[c] in names for c in report_columns)
+        assert len(set(columns)) == len(columns)
+
+    def test_a_renamed_report_field_fails_rather_than_printing_na(self, monkeypatch):
+        # _table reads each field without a default, so a map that names no
+        # field of the report raises instead of filling the column with None
+        monkeypatch.setitem(tables.QR_FIELDS, "eta_De", "eta_renamed")
+        with pytest.raises(AttributeError, match="eta_renamed"):
+            tables.table2(0, sizes=(3,))
 
     def test_timing_columns_are_the_t_columns(self):
         columns = {*TABLE1_COLUMNS, *TABLE2_COLUMNS, *TABLE3_COLUMNS, *TABLE4_COLUMNS}

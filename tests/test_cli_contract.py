@@ -1,0 +1,77 @@
+"""The CLI contract, as a property over small matrices with extreme entries.
+
+Every call of a bound command or of ``verify`` either exits 0 with every
+``rigorous_*`` and ``first_order_*`` field finite or null, or exits with a
+documented code (1-5) and exactly one line on stderr. No exception escapes
+``cli.main``. Violation counts are not part of the property.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from fperturb import cli
+from fperturb.verify import EXPERIMENTS
+
+#: entries mixed into the normal ones: signed zeros, subnormals, squares that
+#: underflow or overflow, and the edge of the float64 range
+SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, 1e-310, 1e-160, 1e160, 1e300, -1e300, 1.7e308)
+
+#: the size of each bound command and verify experiment, by its size field
+SIZE_FLAGS = {"delta": ["--delta", "1e-8"], "epsilon": ["--epsilon", "ge"]}
+
+
+@st.composite
+def matrices(draw):
+    """1-4 by 1-4 matrices of normal entries scaled by 1e-5..1e5, mixed with special ones."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    scale = 10.0 ** draw(st.integers(-5, 5))
+    normal = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(rows * cols)
+    entries = scale * normal
+    for index, value in draw(st.lists(st.tuples(st.integers(0, rows * cols - 1),
+                                                st.sampled_from(SPECIAL_ENTRIES)), max_size=3)):
+        entries[index] = value
+    return entries.reshape(rows, cols)
+
+
+@pytest.fixture(scope="module")
+def matrix_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract") / "a.csv"
+
+
+def _call(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _assert_contract(argv):
+    code, out, err = _call(argv)
+    if code != 0:
+        assert 1 <= code <= 5, (argv, code, err)
+        assert err.count("\n") == 1 and err.startswith("fperturb: error: "), (argv, err)
+        return
+    for row in json.loads(out)["rows"]:
+        for key, value in row.items():
+            if key.startswith(("rigorous_", "first_order_")):
+                assert value is None or math.isfinite(value), (argv, key, value)
+
+
+@settings(derandomize=True, max_examples=250, deadline=None)
+@given(a=matrices(), experiment=st.sampled_from(sorted(EXPERIMENTS)))
+def test_every_call_reports_or_exits_with_one_line(matrix_file, a, experiment):
+    matrix_file.write_text("".join(",".join(repr(float(x)) for x in row) + "\n" for row in a),
+                           encoding="utf-8")
+    common = ["--matrix", str(matrix_file), "--output", "json", "--no-timings"]
+    for command, exp in EXPERIMENTS.items():    # each experiment has its bound command
+        _assert_contract([command, *SIZE_FLAGS[exp.size], *common])
+    _assert_contract(["verify", "--experiment", experiment, "--trials", "3",
+                      "--delta-halving", "1", *SIZE_FLAGS[EXPERIMENTS[experiment].size]]
+                     + common)

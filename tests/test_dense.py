@@ -19,7 +19,11 @@ from fperturb.errors import (
 )
 from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.matgen import graded_random, kahan
-from fperturb.qr_bounds import r_factor_operator, r_quadratic_operator
+from fperturb.qr_bounds import (
+    componentwise_operator_norms,
+    r_factor_operator,
+    r_quadratic_operator,
+)
 from fperturb.structured import operator_materialize, operator_spectral_norm
 
 from conftest import (
@@ -549,6 +553,21 @@ class TestKrylovEstimator:
             assert got == pytest.approx(ref, rel=1e-11)
             assert len(calls) <= 100
 
+    def test_one_dimensional_domain_takes_one_step(self):
+        # rounding can make a map and its transpose disagree beyond the
+        # tolerance (the weighted quadratic map of R = 1e-160 rounds its
+        # subnormal intermediate), which left beta above it on every step and
+        # ran 1,000 steps into NoConvergence; one dimension is exhausted at once
+        calls = []
+
+        def matvec(v):
+            calls.append(1)
+            return 0.99999 * v
+
+        assert dense.krylov_spectral_norm(matvec, lambda u: u.copy(), 1) == 0.99999
+        assert len(calls) == 1
+        norms = componentwise_operator_norms(qr_factor(np.array([[1e-160]])))
+        assert norms == pytest.approx((1e-160, 5e-161, 5e159), rel=1e-4)
 
     @pytest.mark.parametrize("a", [np.diag([1.0, 1e-300]),
                                    1e-170 * np.array([[1.0, 2.0], [3.0, 1.0]])])

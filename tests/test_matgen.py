@@ -15,7 +15,6 @@ from fperturb.matgen import (
     ComponentwiseQR,
     Normwise,
     PerturbationSpec,
-    componentwise_envelope,
     graded_random,
     kahan,
     random_c_matrix,
@@ -123,13 +122,12 @@ class TestSamplePerturbation:
 
     def test_normwise_zero(self):
         spec = PerturbationSpec(model=Normwise(delta=0.0), seed=5)
-        assert not sample_perturbation(spec, matrix=np.zeros((3, 3))).any()
+        assert not sample_perturbation(spec, matrix=np.zeros((3, 3)), trial_index=0).any()
 
     def test_componentwise_lu_envelope(self):
         f = lu_factor(graded_random(5, 1, 1, 3) + 5 * np.eye(5))
         spec = PerturbationSpec(model=ComponentwiseLU(epsilon=0.01), seed=8)
-        envelope = componentwise_envelope(spec.model, lu=f)
-        da = sample_perturbation(spec, envelope=envelope, trial_index=4)
+        da = sample_perturbation(spec, envelope=f.envelope, trial_index=4)
         env = 0.01 * np.abs(f.l) @ np.abs(f.u)
         assert np.all(np.abs(da) <= env)
 
@@ -137,17 +135,22 @@ class TestSamplePerturbation:
         a = graded_random(5, 1, 1, 4)
         c = random_c_matrix(5, 6)
         spec = PerturbationSpec(model=ComponentwiseQR(epsilon=0.2, c=c), seed=8)
-        envelope = componentwise_envelope(spec.model, matrix=a)
-        da = sample_perturbation(spec, envelope=envelope, trial_index=1)
+        da = sample_perturbation(spec, envelope=c @ np.abs(a), trial_index=1)
         assert np.all(np.abs(da) <= 0.2 * c @ np.abs(a))
 
     def test_componentwise_draw_needs_the_envelope(self):
         a = graded_random(3, 1, 1, 4)
         for spec in (PerturbationSpec(ComponentwiseLU(0.01), seed=8),
                      PerturbationSpec(ComponentwiseQR(0.2, np.ones((3, 3))), seed=8)):
-            for trial_index in (None, 2):
+            for trial_index in (0, 2):
                 with pytest.raises(ValueError, match="envelope"):
                     sample_perturbation(spec, matrix=a, trial_index=trial_index)
+
+    def test_every_draw_names_its_trial(self):
+        # there is no un-indexed draw stream: each draw is on a trial stream
+        spec = PerturbationSpec(model=Normwise(delta=1.0), seed=5)
+        with pytest.raises(TypeError, match="trial_index"):
+            sample_perturbation(spec, matrix=np.zeros((3, 3)))
 
     def test_trial_streams_independent_and_stable(self):
         spec = PerturbationSpec(model=Normwise(delta=1.0), seed=77)
@@ -196,7 +199,7 @@ class TestTrialStreams:
         # sample_perturbation draws on the reused generator of its thread
         a = np.ones((3, 3))
         spec = PerturbationSpec(ComponentwiseQR(0.5, np.ones((3, 3))), seed=2873465123)
-        envelope = componentwise_envelope(spec.model, matrix=a)
+        envelope = spec.model.c @ np.abs(a)
         for i in (0, 5, 1023, 1024, 3000):
             da = sample_perturbation(spec, envelope=envelope, trial_index=i)
             oracle = np.random.default_rng([spec.seed, i])
@@ -228,8 +231,9 @@ class TestTrialStreams:
                 assert np.allclose(da, g / np.linalg.norm(g), rtol=1e-15, atol=0.0)
 
     def test_threads_drawing_at_once_each_match(self):
-        # each thread keeps its own generator and chunk of states; switching
-        # threads often interleaves their draws, chunk by chunk
+        # each thread keeps its own generator, and the threads share the
+        # cached chunks of states; switching threads often interleaves their
+        # draws, chunk by chunk
         threads_count = 4
         errors = []
         start = threading.Barrier(threads_count)
@@ -293,16 +297,3 @@ class TestChunkCache:
                 pairs.add((seed, i // STREAM_CHUNK))
         assert matgen._chunk_seeds.cache_info().misses == len(pairs) == 4
 
-
-class TestEnvelope:
-    def test_envelope_passed_once_gives_the_same_draws(self):
-        a = graded_random(5, 1, 1, 4)
-        f = lu_factor(a + 5 * np.eye(5))
-        c = random_c_matrix(5, 6)
-        assert componentwise_envelope(ComponentwiseLU(0.01), lu=f) is f.envelope
-        assert np.array_equal(componentwise_envelope(ComponentwiseQR(0.2, c), matrix=a),
-                              c @ np.abs(a))
-
-    def test_normwise_model_has_no_envelope(self):
-        with pytest.raises(TypeError):
-            componentwise_envelope(Normwise(1.0), matrix=np.eye(2))

@@ -327,6 +327,29 @@ class TestBlockAccounting:
             assert d1.tolist() == [float(np.linalg.norm(q.T @ slice_)) for slice_ in da]
 
 
+class TestExperimentEnvelope:
+    """Each experiment names the envelope E of its draws, |dA| <= epsilon E."""
+
+    def test_lu_componentwise_envelope_is_the_cached_product(self):
+        a = random_square(5, 3, shift=5.0)
+        exp = verify_mod.EXPERIMENTS["lu-componentwise"]
+        factors, _ = exp.factor(a)
+        assert exp.envelope(ComponentwiseLU(0.01), a, factors) is factors.envelope
+
+    def test_qr_componentwise_envelope_is_c_times_abs_a(self):
+        a = random_square(5, 4)
+        c = random_c_matrix(5, 6)
+        exp = verify_mod.EXPERIMENTS["qr-componentwise"]
+        envelope = exp.envelope(ComponentwiseQR(0.2, c), a, exp.factor(a)[0])
+        assert np.array_equal(envelope, c @ np.abs(a))
+
+    @pytest.mark.parametrize("experiment", ["lu-normwise", "qr-normwise"])
+    def test_normwise_experiments_have_no_envelope(self, experiment):
+        a = random_square(4, 2, shift=4.0)
+        exp = verify_mod.EXPERIMENTS[experiment]
+        assert exp.envelope(Normwise(1.0), a, exp.factor(a)[0]) is None
+
+
 class TestDeltaHalving:
     def test_directions_fixed_across_levels(self):
         a = random_square(6, 5, shift=6.0)
