@@ -1,9 +1,10 @@
 """Command-line harness for bound reports, verification runs, and tables.
 
 Exit codes: 1 invalid configuration, 2 matrix parse failure (also a norm
-outside the float64 range), 3 factorization failure (also a singular factor,
-a norm that overflows on one, or a zero row to scale by), 4 bound inapplicable
-in a mode that demands applicability, 5 norm estimation did not converge.
+outside the float64 range, and a JSON report with a value that is not
+finite), 3 factorization failure (also a singular factor, a norm that
+overflows on one, or a zero row to scale by), 4 bound inapplicable in a mode
+that demands applicability, 5 norm estimation did not converge.
 
 Matrix files are plain CSV: one row per line, no header, decimal floats. Each
 subparser names its command's row function, and one path writes the rows of
@@ -325,28 +326,33 @@ def render_rows(rows: list[dict], markdown: bool = False) -> str:
 
 
 def render_json(rows: list[dict], config: dict, violations, timings) -> str:
+    """The JSON document of a command; raises ValueError on a non-finite
+    value, which RFC 8259 has no number for."""
     payload = {"config": config, "rows": rows,
                "violations": violations, "timings": timings}
-    return json.dumps(payload, indent=2, sort_keys=True, default=str) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, default=str,
+                      allow_nan=False) + "\n"
+
+
+def _render(args, rows: list[dict], timings: dict, violations) -> str:
+    if args.output != "json":
+        return render_rows(rows, markdown=args.output == "markdown")
+    config = {k: v for k, v in vars(args).items()
+              if k not in ("out", "output", "rows") and v is not None}
+    try:
+        return render_json(rows, config, violations, {} if args.no_timings else timings)
+    except ValueError as exc:
+        raise CliError(EXIT_BAD_MATRIX, f"the report is not valid JSON: {exc}") from exc
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        rows, timings, violations = _run_command(args)
+        text = _render(args, *_run_command(args))
     except CliError as exc:
         print(f"fperturb: error: {exc}", file=sys.stderr)
         return exc.code
-
-    if args.no_timings:
-        timings = {}
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("out", "output", "rows") and v is not None}
-    if args.output == "json":
-        text = render_json(rows, config, violations, timings)
-    else:
-        text = render_rows(rows, markdown=args.output == "markdown")
 
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:

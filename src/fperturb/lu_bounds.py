@@ -68,15 +68,25 @@ def heuristic_scaling(m, mode: str) -> np.ndarray:
     return norms
 
 
-def majorant(a: float, b: float, c: float):
+def majorant(a, b, c):
     """Smaller root of the Lyapunov majorant c rho^2 - b rho + a = 0.
 
     Every rigorous bound is this root for its own size-dependent a, b, c.
     Returns ``(applicable, rigorous, relaxed)``: the fixed-point argument
     applies iff b > 0 and b^2 > 4ac; then ``rigorous`` is the root in the
     cancellation-free form 2a / (b + sqrt(b^2 - 4ac)) and ``relaxed`` is 2a / b.
-    Both bounds are ``None`` otherwise.
+    Both bounds are ``None`` otherwise. Given arrays, it returns arrays of
+    the same bits, element by element, with NaN for ``None``: numpy's float64
+    operations and ``np.sqrt`` round as Python's floats and ``math.sqrt`` do.
     """
+    if np.ndim(a) or np.ndim(b) or np.ndim(c):
+        with np.errstate(all="ignore"):     # silent, as Python's floats are
+            four_ac = 4.0 * a * c
+            applicable = (b > 0.0) & (b * b > four_ac)
+            rigorous = 2.0 * a / (b + np.sqrt(b * b - four_ac))
+            relaxed = 2.0 * a / b
+        return (applicable, np.where(applicable, rigorous, math.nan),
+                np.where(applicable, relaxed, math.nan))
     four_ac = 4.0 * a * c
     if not (b > 0.0 and b * b > four_ac):
         return False, None, None
@@ -238,30 +248,43 @@ def lu_componentwise_bounds(tilde_factors: LuFactors, epsilon: float) -> LuCompo
     return lu_componentwise_evaluator(tilde_factors)(epsilon)
 
 
+def _absolute_image(op: StructuredOperator, venv: np.ndarray):
+    """|M| venv and || |M| ||_2 for the map M of ``op``, materialized and made
+    absolute in place; M is freed on return, so only one map is alive at a time."""
+    abs_map = operator_materialize(op)
+    np.abs(abs_map, out=abs_map)
+    return abs_map @ venv, dense.spectral_norm(abs_map)
+
+
 def lu_componentwise_evaluator(tilde_factors: LuFactors):
     """Build the epsilon-free part of the componentwise LU report: the
     materialized maps, their images of the envelope, and the comparison
     norms at the column-norm scaling of L~ and the row-norm scaling of U~.
-    Returns the function that evaluates the report at one epsilon."""
+    Returns the function that evaluates the report at one epsilon.
+
+    One map is alive at a time: each is materialized, made absolute in
+    place and reduced to its image of vec(|L~||U~|) and its spectral norm
+    before the next is formed, so the peak memory is near the size of the
+    larger map (the upper one, n (n+1)/2 by n^2) rather than four maps.
+    The Frobenius norms are taken by :func:`dense.euclidean_norm`, so none
+    is lost to squares that under- or overflow.
+    """
     lt, ut = tilde_factors.l, tilde_factors.u
 
     t0 = time.perf_counter()
-    abs_lower = np.abs(operator_materialize(lower_factor_operator(tilde_factors)))
-    abs_upper = np.abs(operator_materialize(upper_factor_operator(tilde_factors)))
     venv = vec(tilde_factors.envelope)
-    lower_image = abs_lower @ venv
-    upper_image = abs_upper @ venv
-    a = float(np.linalg.norm(lower_image))
-    b = float(np.linalg.norm(upper_image))
-    n_abs_l = dense.spectral_norm(abs_lower)
-    n_abs_u = dense.spectral_norm(abs_upper)
+    lower_image, n_abs_l = _absolute_image(lower_factor_operator(tilde_factors), venv)
+    upper_image, n_abs_u = _absolute_image(upper_factor_operator(tilde_factors), venv)
+    with np.errstate(over="ignore"):
+        a = dense.euclidean_norm(lower_image)
+        b = dense.euclidean_norm(upper_image)
+        lt_fro = dense.euclidean_norm(lt)
+        ut_fro = dense.euclidean_norm(ut)
     c = b * n_abs_l - a * n_abs_u
     max_l = float(np.max(lower_image)) if lower_image.size else 0.0
     max_u = float(np.max(upper_image)) if upper_image.size else 0.0
     sum_l = float(np.sum(lower_image))
     sum_u = float(np.sum(upper_image))
-    lt_fro = float(np.linalg.norm(lt))
-    ut_fro = float(np.linalg.norm(ut))
     t_gamma = time.perf_counter() - t0
 
     t1 = time.perf_counter()
@@ -269,7 +292,10 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
     d_u = heuristic_scaling(ut, "rows")
     abs_linv_l = np.abs(tilde_factors.l_inv) @ np.abs(lt)
     abs_u_uinv = np.abs(ut) @ np.abs(tilde_factors.u_inv)
-    abs_un1_fro = float(np.linalg.norm(np.abs(ut[:-1, :-1]) @ np.abs(tilde_factors.u_lead_inv)))
+    with np.errstate(over="ignore"):
+        abs_un1_fro = dense.euclidean_norm(
+            np.abs(ut[:-1, :-1]) @ np.abs(tilde_factors.u_lead_inv))
+        abs_linv_l_fro = dense.euclidean_norm(abs_linv_l)
 
     l_scaled_norm = dense.spectral_norm(lt / d_l[None, :])
     u_scaled_norm = dense.spectral_norm(ut / d_u[:, None])
@@ -278,7 +304,7 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
                  * abs_un1_fro) / lt_fro
     gamma_u_d = (u_scaled_norm
                  * dense.spectral_norm(abs_u_uinv * d_u[None, :])
-                 * float(np.linalg.norm(abs_linv_l))) / ut_fro
+                 * abs_linv_l_fro) / ut_fro
     eta_dl = dense.spectral_norm(np.abs(lt) / d_l[None, :]) / l_scaled_norm
     eta_du = dense.spectral_norm(np.abs(ut) / d_u[:, None]) / u_scaled_norm
     comparison_norms = dense.spectral_norm(abs_linv_l) * dense.spectral_norm(abs_u_uinv)

@@ -129,6 +129,10 @@ def qr_normwise_bounds(factors: QrFactors, delta1: float, delta2: float) -> QrNo
 def qr_normwise_evaluator(factors: QrFactors):
     """Build the size-free part of the normwise QR report and return the
     function that evaluates the report at (delta1, delta2), delta1 <= delta2.
+    ``delta1`` may be an array, such as the ||Q^T dA||_F of a block of
+    trials: the fields that depend on it (``delta1``, ``rigorous_dr``,
+    ``relaxed_dr`` and ``first_order_dr``) are then arrays with the bits of
+    the report at each element, NaN for ``None`` (:func:`majorant`).
 
     The comparison bound is (sqrt6 + sqrt3) sqrt(1 + zeta^2) kappa2(D^-1 R)
     delta2, with D the row norms of R and (D^-1 R)^-1 = R^-1 D. Its gate is
@@ -305,9 +309,10 @@ def qr_componentwise_evaluator(factors: QrFactors, c):
 
     t0 = time.perf_counter()
     absq = np.abs(q)
-    c_env_norm = float(np.linalg.norm(c @ absq))          # ||C|Q|||_F
-    qcq_norm = float(np.linalg.norm(absq.T @ c @ absq))   # || |Q^T| C |Q| ||_F
-    qccq_norm = float(np.linalg.norm(absq.T @ (c.T @ c) @ absq))
+    with np.errstate(over="ignore"):
+        c_env_norm = dense.euclidean_norm(c @ absq)           # ||C|Q|||_F
+        qcq_norm = dense.euclidean_norm(absq.T @ c @ absq)    # || |Q^T| C |Q| ||_F
+        qccq_norm = dense.euclidean_norm(absq.T @ (c.T @ c) @ absq)
     lin_w, quad_w, quad_abs = componentwise_operator_norms(factors)
     a_t = lin_w * qcq_norm
     b_t = quad_w * qccq_norm

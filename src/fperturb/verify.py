@@ -26,7 +26,8 @@ held to its bounds at once: the changes and their bounds are (trials x
 changes) arrays, from which numpy counts the violations and takes the
 largest ratios, as a loop over the trials and changes would (the
 ``trial_loop_report`` oracle of the tests). The qr-normwise bounds at each
-trial's own ||Q^T dA||_F take their d1 values from one stacked product. So
+trial's own ||Q^T dA||_F take their d1 values from one stacked product and
+come from one report at the array of d1, bit for bit the per-trial ones. So
 results do not depend on the block size, and the capped block keeps memory
 flat in the number of trials. A report's timings split the trials into
 drawing (``draw_s``) and refactorizing with the change norms
@@ -205,10 +206,10 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
         changes = changes[done]
         if not len(changes):
             continue
-        if exp.trial_d1:       # the bounds at each trial's own ||Q^T dA||_F
+        if exp.trial_d1:       # the bounds at each trial's own ||Q^T dA||_F, in one report
             d1 = dense.frobenius_norms(np.matmul(factors.q.T, da[done]))
-            rigorous, first_order = np.stack(
-                [exp.read_bounds(bounds_at(min(d, size), size)) for d in d1.tolist()], axis=1)
+            rigorous, first_order = exp.read_bounds(
+                bounds_at(np.minimum(d1, size), size)).swapaxes(1, 2)
         violations += int(np.count_nonzero((changes > rigorous).any(axis=1)))
         max_rig = max(max_rig, _max_ratio(changes, rigorous))
         max_fo = max(max_fo, _max_ratio(changes, first_order))
@@ -273,7 +274,11 @@ class Experiment:
     subtract_draw: bool = False
 
     def read_bounds(self, report) -> np.ndarray:
-        """The rigorous (row 0) and first-order (row 1) bound of each change, NaN for None."""
+        """The rigorous (row 0) and first-order (row 1) bound of each change, NaN for None.
+
+        Of a report at an array of d1 (``trial_d1``), each bound is a row of
+        the trials' bounds, so the result is (2, changes, trials).
+        """
         return np.array([[math.nan if (bound := getattr(report, name)) is None else bound
                           for name in names] for names in zip(*self.bound_fields)], dtype=float)
 

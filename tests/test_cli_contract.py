@@ -1,9 +1,10 @@
 """The CLI contract, as a property over small matrices with extreme entries.
 
-Every call of a bound command or of ``verify`` either exits 0 with every
-``rigorous_*`` and ``first_order_*`` field finite or null, or exits with a
-documented code (1-5) and exactly one line on stderr. No exception escapes
-``cli.main``. Violation counts are not part of the property.
+Every call of a bound command or of ``verify`` either exits 0 with valid
+JSON (no ``Infinity`` or ``NaN``) and every ``rigorous_*`` and
+``first_order_*`` field finite or null, or exits with a documented code
+(1-5) and exactly one line on stderr. No exception escapes ``cli.main``.
+Violation counts are not part of the property.
 """
 
 import contextlib
@@ -52,13 +53,17 @@ def _call(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def _no_constant(name):
+    raise AssertionError(f"{name} is not a JSON number")
+
+
 def _assert_contract(argv):
     code, out, err = _call(argv)
     if code != 0:
         assert 1 <= code <= 5, (argv, code, err)
         assert err.count("\n") == 1 and err.startswith("fperturb: error: "), (argv, err)
         return
-    for row in json.loads(out)["rows"]:
+    for row in json.loads(out, parse_constant=_no_constant)["rows"]:
         for key, value in row.items():
             if key.startswith(("rigorous_", "first_order_")):
                 assert value is None or math.isfinite(value), (argv, key, value)

@@ -1,6 +1,8 @@
 """LU perturbation bounds: operators, rigorous/first-order/comparison values."""
 
+import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from hypothesis import strategies as st
 from fperturb import dense
 from fperturb.dense import lu_factor
 from fperturb.errors import AbsOperatorTooLarge, ZeroVector
+from fperturb.matgen import graded_random
 from fperturb.lu_bounds import (
     gaussian_elimination_epsilon,
     heuristic_scaling,
@@ -61,6 +64,19 @@ class TestMajorant:
     def test_needs_positive_b(self):
         for b in (0.0, -1.0):
             assert majorant(0.1, b, 0.0) == (False, None, None)
+
+    @given(st.lists(st.tuples(st.floats(-1e200, 1e200), st.floats(-1e200, 1e200),
+                              st.floats(-1e200, 1e200)), min_size=1, max_size=8))
+    def test_arrays_have_the_scalar_bits(self, abc):
+        # element by element, with NaN for None and no warning where a
+        # product overflows or the root's argument is negative
+        applicable, rigorous, relaxed = majorant(*np.array(abc).T)
+        for j, args in enumerate(abc):
+            ok, root, half = majorant(*args)
+            assert applicable[j] == ok
+            for got, want in ((rigorous[j], root), (relaxed[j], half)):
+                assert np.isnan(got) if want is None else \
+                    np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
     def test_double_root_is_not_applicable(self):
         # rho^2 - 2 rho + 1 has its double root at 1; the argument needs b^2 > 4ac
@@ -287,6 +303,40 @@ class TestComponentwiseBounds:
     def test_epsilon_preset(self):
         u = 2.0 ** -53
         assert gaussian_elimination_epsilon(8) == pytest.approx(8 * u / (1 - 8 * u))
+
+    def test_entry_whose_square_underflows(self):
+        # ||U~||_F of [[1e-300]] is 1e-300, not the 0 of its underflowing square
+        rep = lu_componentwise_bounds(lu_factor(np.array([[1e-300]])), 1e-10)
+        assert rep.applicable
+        assert rep.b == pytest.approx(1e-300, rel=1e-15)
+        assert rep.gamma_u == pytest.approx(1.0, rel=1e-15)
+        assert rep.gamma_u_d == pytest.approx(1.0, rel=1e-15)
+
+    def test_envelope_image_whose_squares_overflow(self):
+        # scaling A by 2^496 scales b by 2^496 exactly, past the 1.3e154 where
+        # the squares of its entries overflow
+        a = graded_random(20, 1.0, 1.0, 4)
+        rep = lu_componentwise_bounds(lu_factor(np.ldexp(a, 496)), 1e-9)
+        assert rep.b == np.ldexp(lu_componentwise_bounds(lu_factor(a), 1e-9).b, 496)
+        assert rep.b == pytest.approx(5.371112487938774e154, rel=1e-12)
+        assert math.isfinite(rep.first_order_du_f) and math.isfinite(rep.tau)
+
+
+class TestComponentwiseMemory:
+    def test_one_map_alive_at_a_time(self):
+        # the peak stays near the larger materialized map, the upper one of
+        # n (n+1)/2 by n^2 entries; all four of the signed and absolute maps
+        # at once peak near 3 times it
+        n = 40
+        f = lu_factor(graded_random(n, 1.0, 1.0, 1))
+        f.l_inv, f.u_inv, f.u_lead_inv, f.envelope     # cached before the count
+        tracemalloc.start()
+        try:
+            lu_componentwise_bounds(f, 1e-10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * (n * (n + 1) // 2) * n * n * np.dtype(float).itemsize
 
 
 class TestWorstCasePerturbation:

@@ -16,6 +16,7 @@ from fperturb.qr_bounds import (
     componentwise_operator_norms,
     qr_componentwise_bounds,
     qr_normwise_bounds,
+    qr_normwise_evaluator,
     r_factor_operator,
     r_quadratic_operator,
     scaling_d_e,
@@ -169,6 +170,24 @@ class TestNormwiseReport:
             for d in (heuristic_scaling(f.r, "rows"), scaling_d_e(f)):
                 comp, _ = chang_stehle_qr(f, 1e-3, d)
                 assert rep.simple_dr <= comp * (1 + 1e-10)
+
+
+    @pytest.mark.parametrize("shape, delta2", [((9, 6), 1e-4), ((6, 6), 1e-3), ((1, 1), 0.2),
+                                               ((7, 5), 0.05), ((7, 5), 1.0)])
+    def test_report_at_an_array_of_d1_has_the_scalar_bits(self, shape, delta2):
+        # one report at a block of d1, as verify takes it, against the report
+        # at each d1 alone, ends included; the last case is past the gate
+        report = qr_normwise_evaluator(qr_factor(seeded_rng(5, 0).standard_normal(shape)))
+        d1 = np.concatenate([[0.0], np.sort(seeded_rng(5, 1).uniform(0.0, delta2, 30)), [delta2]])
+        block = report(d1, delta2)
+        for name in ("delta1", "rigorous_dr", "relaxed_dr", "first_order_dr"):
+            each = [getattr(report(d, delta2), name) for d in d1.tolist()]
+            if each[0] is None:         # past the gate, at every d1
+                assert getattr(block, name) is None and set(each) == {None}
+                continue
+            assert getattr(block, name).view(np.uint64).tolist() == \
+                np.array(each).view(np.uint64).tolist(), name
+        assert block.applicable == report(delta2, delta2).applicable == (delta2 < 1.0)
 
 
 class TestFactorContext:

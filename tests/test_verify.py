@@ -245,7 +245,9 @@ def _broken_bounds(exp):
 
     With ``trial_d1`` (the evaluator taken at each trial's own d1), the two
     are set on the trials that the bits of d1 pick; otherwise on the first
-    and on the last change of every trial.
+    and on the last change of every trial. The report at an array of d1
+    carries, in each injected field, the value of the report at each element,
+    NaN for None.
     """
     (rig_first, _), (_, fo_last) = exp.bound_fields[0], exp.bound_fields[-1]
 
@@ -254,6 +256,11 @@ def _broken_bounds(exp):
 
         def report(size, *sizes):
             rep = at(size, *sizes)
+            if np.ndim(size):
+                each = [report(d, *sizes) for d in size.tolist()]
+                return dataclasses.replace(rep, **{
+                    name: np.array([np.nan if getattr(r, name) is None else getattr(r, name)
+                                    for r in each]) for name in (rig_first, fo_last)})
             if sizes and size == sizes[0]:      # the report at d1 = d2, which gates the run
                 return rep
             key = _key(size) if exp.trial_d1 else 3
