@@ -1,10 +1,10 @@
 """Command-line harness for bound reports, verification runs, and tables.
 
 Exit codes: 1 invalid configuration, 2 matrix parse failure (also a norm
-outside the float64 range, and a JSON report with a value that is not
-finite), 3 factorization failure (also a singular factor, a norm that
-overflows on one, or a zero row to scale by), 4 bound inapplicable in a mode
-that demands applicability, 5 norm estimation did not converge.
+outside the float64 range, and a report with a value that is not finite, in
+every output format), 3 factorization failure (also a singular factor, a
+norm that overflows on one, or a zero row to scale by), 4 bound inapplicable
+in a mode that demands applicability, 5 norm estimation did not converge.
 
 Matrix files are plain CSV: one row per line, no header, decimal floats. Each
 subparser names its command's row function, and one path writes the rows of
@@ -307,13 +307,14 @@ def _fmt(value, precise: bool) -> str:
     if isinstance(value, float):
         value = float(value)  # numpy scalars repr differently
         if not math.isfinite(value):
-            return repr(value)
+            raise ValueError(f"{value!r} is not a finite number")
         return repr(value) if precise else f"{value:.3e}"
     return str(value)
 
 
 def render_rows(rows: list[dict], markdown: bool = False) -> str:
-    """The rows as CSV at full precision, or as a markdown table at 4 digits."""
+    """The rows as CSV at full precision, or as a markdown table at 4 digits;
+    raises ValueError on a non-finite value, as :func:`render_json` does."""
     if not rows:
         return "\n"
     cols = list(rows[0].keys())
@@ -335,14 +336,15 @@ def render_json(rows: list[dict], config: dict, violations, timings) -> str:
 
 
 def _render(args, rows: list[dict], timings: dict, violations) -> str:
-    if args.output != "json":
-        return render_rows(rows, markdown=args.output == "markdown")
-    config = {k: v for k, v in vars(args).items()
-              if k not in ("out", "output", "rows") and v is not None}
     try:
+        if args.output != "json":
+            return render_rows(rows, markdown=args.output == "markdown")
+        config = {k: v for k, v in vars(args).items()
+                  if k not in ("out", "output", "rows") and v is not None}
         return render_json(rows, config, violations, {} if args.no_timings else timings)
     except ValueError as exc:
-        raise CliError(EXIT_BAD_MATRIX, f"the report is not valid JSON: {exc}") from exc
+        raise CliError(EXIT_BAD_MATRIX,
+                       f"the report has a value that is not finite: {exc}") from exc
 
 
 def main(argv=None) -> int:

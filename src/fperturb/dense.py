@@ -18,9 +18,11 @@ longdouble elimination gets them through numpy's sequential matmul loop.
 The spectral norm of a dense matrix whose smaller dimension is at most
 ``SVD_MAX_ORDER`` is the largest singular value from the LAPACK SVD. Every
 other spectral norm, of a larger dense matrix or of a matrix-free factor
-map, comes from one Krylov estimator, a Golub-Kahan bidiagonalization that
-needs only products with the map and its transpose. Its vector norms go
-through :func:`euclidean_norm`, which does not overflow or underflow on the
+map, comes from one Krylov estimator: Lanczos on the Gram map M M^T, which
+a caller applies either fused (``StructuredOperator.gram2``) or as a
+product with M after one with M^T (:func:`composed_gram`). It works on the
+map scaled by a power of two to norm near one, and its vector norms go
+through :func:`euclidean_norm`, so it does not overflow or underflow on the
 way to a representable result.
 """
 
@@ -45,8 +47,8 @@ from .errors import (
 PIVOT_TOL = 1e-13          # relative pivot threshold for pivot-free LU
 RANK_TOL = 1e-12           # relative smallest-singular-value threshold for QR
 SPECTRAL_TOL = 1e-12       # relative residual tolerance of the Krylov norm estimate
-KRYLOV_MAX_STEPS = 1_000   # bidiagonalization steps before NoConvergence
-KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an SVD of B_k each)
+KRYLOV_MAX_STEPS = 1_000   # Lanczos steps before NoConvergence
+KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an eigh of T_k each)
 # Largest min(m, n) of a dense matrix whose spectral norm comes from the LAPACK
 # SVD rather than the Krylov estimator. Both cost a multiple of m*n, the SVD
 # about min(m, n) flops per entry. Measured with one OpenBLAS thread, Krylov /
@@ -400,20 +402,37 @@ def frobenius_norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
 
 
-@np.errstate(over="ignore", invalid="ignore")
-def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
-    """Largest singular value of a linear map given by matvec/rmatvec.
+def composed_gram(matvec, rmatvec):
+    """The ``gram`` of :func:`krylov_spectral_norm` for a map M given by its
+    products with M and M^T: u -> 2^-e M (2^-e M^T u), whose products stay
+    in range wherever those of 2^-e M do."""
+    def gram(u, e):
+        return np.ldexp(matvec(np.ldexp(rmatvec(u), -e)), -e)
+    return gram
 
-    Golub-Kahan-Lanczos bidiagonalization from the normalized all-ones
-    vector, without keeping the basis: after k steps A V_k = U_k B_k, with B_k
-    upper bidiagonal (alphas on the diagonal, betas above it). The top triplet
-    of B_k has the residual beta_k |p_k|, p_k the last entry of its left
-    singular vector, and is returned once that is below ``SPECTRAL_TOL``
-    times its value. A tiny alpha means the Krylov space is exhausted; the
-    norm is then exactly that of the k-by-(k+1) bidiagonal [B_k, beta_k e_k].
-    Both are norms of compressions of the map, so lower estimates. A map
-    that overflows on a numerically singular factor gives a non-finite alpha
-    or beta; the step that meets it raises :class:`NormOverflow`.
+
+@np.errstate(over="ignore", invalid="ignore")
+def krylov_spectral_norm(matvec, gram, dim_in: int) -> float:
+    """Largest singular value of a linear map M, by Lanczos on its Gram map M M^T.
+
+    ``matvec`` applies M to a vector of length ``dim_in``, and ``gram(u, e)``
+    returns 2^-2e M M^T u, with e the exponent of the first ||M v||: the
+    Gram map of 2^-e M, of order one, so nothing squares out of range. The
+    Lanczos process starts from u = M v / ||M v||, v the normalized
+    all-ones vector, which is where Golub-Kahan bidiagonalization starts,
+    and spans its Krylov space. It keeps no basis: after k steps it holds
+    the tridiagonal T_k (alphas on the diagonal, betas beside it), whose top
+    eigenpair (theta, s) has the residual beta_k |s_k|, and returns
+    sqrt(theta) 2^e once that is at most ``SPECTRAL_TOL`` times theta, or
+    once a second Ritz value lies within that of theta: without
+    reorthogonalization, Lanczos repeats a converged value, and two such
+    eigenvectors combine into one with zero last entry, whose residual is
+    at most their spread. A tiny beta means the Krylov space is exhausted,
+    as it is after one step on a one-dimensional domain, where M M^T has
+    rank one; theta is then an eigenvalue of M M^T. Both are norms of
+    compressions of the map, so lower estimates. A map that overflows on a
+    numerically singular factor gives a non-finite value; the step that
+    meets it raises :class:`NormOverflow`.
     """
     if dim_in == 0:
         return 0.0
@@ -422,8 +441,8 @@ def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
         u = matvec(v)
         if u.size == 0:
             return 0.0
-        alpha = euclidean_norm(u)
-        if alpha != 0.0:             # also a nan, which the first step rejects
+        norm = euclidean_norm(u)
+        if norm != 0.0:             # also a nan, which is rejected below
             break
         # The start vector happens to lie in the null space; probe basis
         # directions deterministically before concluding the map is zero.
@@ -431,32 +450,35 @@ def krylov_spectral_norm(matvec, rmatvec, dim_in: int) -> float:
             return 0.0
         v = np.zeros(dim_in)
         v[restart] = 1.0
-    u /= alpha
-    alphas, betas = [alpha], []
-    scale = alpha                    # largest entry of B so far, a lower bound
+    if not math.isfinite(norm):
+        raise NormOverflow("norm estimate overflows: a factor is numerically singular")
+    e = math.frexp(norm)[1]
+    u /= norm
+    alphas, betas = [], []
+    scale = 0.0                      # largest alpha so far, a lower bound on ||T||
     for k in range(1, KRYLOV_MAX_STEPS + 1):
-        w = rmatvec(u)
-        w -= alpha * v
+        w = gram(u, e)
+        if betas:
+            w -= betas[-1] * previous
+        alpha = float(u @ w)
+        w -= alpha * u
         beta = euclidean_norm(w)
         if not math.isfinite(alpha + beta):
             raise NormOverflow("norm estimate overflows: a factor is numerically singular")
-        betas.append(beta)
-        exhausted = beta <= SPECTRAL_TOL * scale or dim_in == 1     # one step spans R^1
-        if exhausted or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
-            left, s, _ = np.linalg.svd(np.diag(alphas) + np.diag(betas[:-1], 1))
-            if exhausted or beta * abs(left[-1, 0]) <= SPECTRAL_TOL * s[0]:
-                return float(s[0])
-        v = w / beta
-        p = matvec(v)
-        p -= beta * u
-        alpha = euclidean_norm(p)
-        scale = max(scale, beta)
-        if alpha <= SPECTRAL_TOL * scale:
-            # the last row of the (k+1)-square bidiagonal is zero; drop it
-            return float(np.linalg.norm((np.diag(alphas + [0.0]) + np.diag(betas, 1))[:-1], 2))
         alphas.append(alpha)
         scale = max(scale, alpha)
-        u = p / alpha
+        exhausted = beta <= SPECTRAL_TOL * scale or dim_in == 1
+        if exhausted or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
+            theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
+            top = theta[-1]
+            if (exhausted or beta * abs(s[-1, -1]) <= SPECTRAL_TOL * top
+                    or k > 1 and theta[-2] >= top - SPECTRAL_TOL * top):
+                try:
+                    return math.ldexp(math.sqrt(top), e)
+                except OverflowError:
+                    raise NormOverflow("norm estimate overflows") from None
+        betas.append(beta)
+        previous, u = u, w / beta
     raise NoConvergence(KRYLOV_MAX_STEPS)
 
 
@@ -472,7 +494,9 @@ def spectral_norm(a) -> float:
     if a.size == 0:
         return 0.0
     if min(a.shape) > SVD_MAX_ORDER:
-        return krylov_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
+        m = a if a.shape[0] <= a.shape[1] else a.T      # the Gram map on the smaller side
+        return krylov_spectral_norm(m.__matmul__, composed_gram(m.__matmul__, m.T.__matmul__),
+                                    m.shape[1])
     norm = float(np.linalg.svd(a, compute_uv=False)[0])
     if not math.isfinite(norm):
         raise NormOverflow("spectral norm overflows")

@@ -5,11 +5,11 @@ first-order changes of the factors are linear images of vec(dA), so the bound
 machinery is built from two masked-sandwich operators:
 
 * the lower map sends vec(dA) to slvec(dL), the strict lower triangle of
-  L * slt(L^{-1} dA [U_{n-1}^{-1} 0; 0 0]): one term (L^{-1}, the padded
+  L * slt(L^{-1} dA [U_{n-1}^{-1} 0; 0 0]): the sandwich (L^{-1}, the padded
   U_{n-1}^{-1}), the strict-lower mask, and L on the left;
 * the upper map sends vec(dA) to uvec(dU), the upper triangle of
-  ut(L^{-1} dA U^{-1}) * U: one term (L^{-1}, U^{-1}), the upper mask, and U
-  on the right.
+  ut(L^{-1} dA U^{-1}) * U: the sandwich (L^{-1}, U^{-1}), the upper mask, and
+  U on the right.
 
 A fixed-point argument turns the operator norms into rigorous bounds, each the
 smaller root of a Lyapunov majorant that :func:`majorant` solves for the whole
@@ -97,15 +97,15 @@ def lower_factor_operator(factors: LuFactors) -> StructuredOperator:
     """Map from vec(dA) to slvec(dL), the first-order change of the unit lower factor."""
     n = factors.l.shape[0]
     pad = np.pad(factors.u_lead_inv, (0, 1))         # [U_{n-1}^{-1} 0; 0 0]
-    return StructuredOperator(terms=((factors.l_inv, pad, False),),
-                              weights=np.tril(np.ones((n, n)), -1), left=factors.l)
+    return StructuredOperator(weights=np.tril(np.ones((n, n)), -1), a=factors.l_inv, b=pad,
+                              left=factors.l)
 
 
 def upper_factor_operator(factors: LuFactors) -> StructuredOperator:
     """Map from vec(dA) to uvec(dU), the first-order change of the upper factor."""
     n = factors.l.shape[0]
-    return StructuredOperator(terms=((factors.l_inv, factors.u_inv, False),),
-                              weights=np.triu(np.ones((n, n))), right=factors.u)
+    return StructuredOperator(weights=np.triu(np.ones((n, n))), a=factors.l_inv,
+                              b=factors.u_inv, right=factors.u)
 
 
 @dataclass(frozen=True)

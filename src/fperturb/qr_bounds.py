@@ -3,17 +3,18 @@
 Two masked-sandwich operators drive everything. The linear map sends
 X = Q^T dA to uvec(dR) at first order,
 
-    dR = up(X R^{-1} + R^{-T} X^T) R,
+    dR = up(X R^{-1} + R^{-T} X^T) R = up(Z + Z^T) R,  Z = X R^{-1},
 
-with the terms (I, R^{-1}) and the transposed (R^{-T}, I), the mask of ``up``
-(the upper triangle with the diagonal halved) and R on the right; the
-quadratic map up(R^{-T} X R^{-1}) R, with the same mask and outer factor,
-absorbs the second-order terms dA^T dA - dR^T dR. A fixed-point argument then
-yields rigorous bounds whenever ||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4,
-where d2 = ||dA||_F: the root of ``lu_bounds.majorant`` at (||lin|| d1 +
-||quad|| d2^2, 1, ||quad||), with d1 = ||Q^T dA||_F <= d2. Each report has a
-public evaluator, which builds its size-free part once per factorization,
-whose R^{-1} is cached, and returns the report as a function of the size.
+with the sandwich (I, R^{-1}) symmetrized, the mask of ``up`` (the upper
+triangle with the diagonal halved) and R on the right; the quadratic map
+up(R^{-T} X R^{-1}) R, the sandwich (R^{-T}, R^{-1}) with the same mask and
+outer factor, absorbs the second-order terms dA^T dA - dR^T dR. A fixed-point
+argument then yields rigorous bounds whenever
+||quad|| (||lin|| d2 + ||quad|| d2^2) < 1/4, where d2 = ||dA||_F: the root of
+``lu_bounds.majorant`` at (||lin|| d1 + ||quad|| d2^2, 1, ||quad||), with
+d1 = ||Q^T dA||_F <= d2. Each report has a public evaluator, which builds its
+size-free part once per factorization, whose R^{-1} is cached, and returns
+the report as a function of the size.
 
 Componentwise perturbations |dA| <= eps C |A| route through the entrywise
 absolute values of the two maps weighted by Kronecker factors of |R|.
@@ -54,15 +55,13 @@ def _up_mask(n: int) -> np.ndarray:
 def r_factor_operator(factors: QrFactors) -> StructuredOperator:
     """Map from vec(Q^T dA) to uvec(dR), the first-order change of R."""
     r, rinv = factors.r, factors.r_inv
-    return StructuredOperator(terms=((None, rinv, False), (rinv.T, None, True)),
-                              weights=_up_mask(r.shape[0]), right=r)
+    return StructuredOperator(weights=_up_mask(r.shape[0]), b=rinv, symmetric=True, right=r)
 
 
 def r_quadratic_operator(factors: QrFactors) -> StructuredOperator:
     """Map absorbing the quadratic terms dA^T dA - dR^T dR into uvec(dR)."""
     r, rinv = factors.r, factors.r_inv
-    return StructuredOperator(terms=((rinv.T, rinv, False),),
-                              weights=_up_mask(r.shape[0]), right=r)
+    return StructuredOperator(weights=_up_mask(r.shape[0]), a=rinv.T, b=rinv, right=r)
 
 
 def zeta(d: np.ndarray) -> float:
@@ -234,6 +233,7 @@ def absolute_r_maps(factors: QrFactors) -> dict:
         np.abs(f, out=abs_f[i])
         np.abs(f - 0.5 * outer, out=abs_g[i])
     absr, abss = np.abs(r), np.abs(s)
+    absrs = absr @ abss
     cols, rows = np.tril_indices(n)  # the (i, j) with i <= j, column by column
 
     def lin(x):
@@ -244,11 +244,11 @@ def absolute_r_maps(factors: QrFactors) -> dict:
         return (np.matmul(abs_f, y[:, :, None])[:, :, 0]
                 + np.tril(absr @ y.T, -1) @ abss.T)
 
-    def quad(x):
-        return np.matmul((abss.T @ x)[:, None, :], abs_g)[:, 0, :]
+    def quad(z):        # |quad| at X with z = |S|^T X
+        return np.matmul(z[:, None, :], abs_g)[:, 0, :]
 
-    def quad_t(y):
-        return abss @ np.matmul(abs_g, y[:, :, None])[:, :, 0]
+    def quad_t(y):      # |quad|^T with its factor |S| left off
+        return np.matmul(abs_g, y[:, :, None])[:, :, 0]
 
     def on_vectors(apply, apply_t):
         def matvec(v):
@@ -262,11 +262,13 @@ def absolute_r_maps(factors: QrFactors) -> dict:
 
     return {
         "lin": on_vectors(lin, lin_t),
-        "quad": on_vectors(quad, quad_t),
+        "quad": on_vectors(lambda x: quad(abss.T @ x), lambda y: abss @ quad_t(y)),
         "lin_weighted": on_vectors(lambda x: lin(x @ absr),
                                    lambda y: lin_t(y) @ absr.T),
-        "quad_weighted": on_vectors(lambda x: quad(absr.T @ x @ absr),
-                                    lambda y: absr @ quad_t(y) @ absr.T),
+        # |S|^T |R|^T X |R| = (|R| |S|)^T X |R|, whose first product is of
+        # order one where |R|^T X alone may fall below the normal range
+        "quad_weighted": on_vectors(lambda x: quad(absrs.T @ x @ absr),
+                                    lambda y: absrs @ quad_t(y) @ absr.T),
     }
 
 
@@ -275,13 +277,14 @@ def componentwise_operator_norms(factors: QrFactors):
 
     Returns ``(abs_lin_weighted, abs_quad_weighted, abs_quad)``:
     || |lin| (|R^T| kron I) ||_2, || |quad| (|R^T| kron |R^T|) ||_2 and
-    || |quad| ||_2, each from the Krylov estimator on the matrix-free maps
-    of :func:`absolute_r_maps`, which raises AbsOperatorTooLarge for an
-    order above 256.
+    || |quad| ||_2, each from the Krylov estimator on the Gram map composed
+    of the matrix-free maps of :func:`absolute_r_maps`, which raises
+    AbsOperatorTooLarge for an order above 256.
     """
     maps = absolute_r_maps(factors)
     dim_in = factors.r.shape[0] ** 2
-    return tuple(dense.krylov_spectral_norm(*maps[name], dim_in)
+    return tuple(dense.krylov_spectral_norm(maps[name][0], dense.composed_gram(*maps[name]),
+                                            dim_in)
                  for name in ("lin_weighted", "quad_weighted", "quad"))
 
 

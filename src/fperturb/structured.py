@@ -5,20 +5,27 @@ first-order factor change as a triangular mask between matrix products:
 
 * dL = L slt(L^{-1} dA [U_{n-1}^{-1} 0; 0 0]),
 * dU = ut(L^{-1} dA U^{-1}) U,
-* dR = up(X R^{-1} + R^{-T} X^T) R with X = Q^T dA, and the quadratic R map
-  up(R^{-T} X R^{-1}) R,
+* dR = up(Z + Z^T) R with Z = X R^{-1} and X = Q^T dA, and the quadratic R
+  map up(R^{-T} X R^{-1}) R,
 
 where ``slt`` keeps the strict lower triangle, ``ut`` the upper triangle and
 ``up`` the upper triangle with the diagonal halved. :class:`StructuredOperator`
-holds one such map as a sum of sandwiches a X b (or a X^T b), an n-by-n mask W
-with entries in {0, 1/2, 1} and two outer factors. Its output is the part of
-the result on the support of W, read column by column, so the upper maps
-return uvec(dU) and the lower map slvec(dL). :func:`sandwich` forms each
-product through vec(a X b) = (b^T kron a) vec(X) without the Kronecker
-product: an n^2-by-k block is viewed, without a copy, as the stack of the k
-matrices X^T, and (a X b)^T = b^T X^T a^T is one batched ``np.matmul`` per
-factor. Each matrix of a stack is multiplied on its own, so a column has the
-same bits whether it is pushed alone or in a block.
+holds one such map as one sandwich a X b, symmetrized to Z + Z^T where
+flagged, an n-by-n mask W with entries in {0, 1/2, 1} and two outer factors.
+Its output is the part of the result on the support of W, read column by
+column, so the upper maps return uvec(dU) and the lower map slvec(dL).
+:func:`sandwich` forms each product through vec(a X b) = (b^T kron a) vec(X)
+without the Kronecker product: an n^2-by-k block is viewed, without a copy,
+as the stack of the k matrices X^T, and (a X b)^T = b^T X^T a^T is one
+batched ``np.matmul`` per factor. Each matrix of a stack is multiplied on
+its own, so a column has the same bits whether it is pushed alone or in a
+block.
+
+The norm estimator runs on the Gram map M M^T of a map M, on its output
+side, the smaller one. :meth:`StructuredOperator.gram2` applies it in one
+pass, the adjoint stages followed by the forward ones, with the two middle
+products fused into a a^T and b^T b: a step costs four products (three for
+the linear R map, which has no a), where M and M^T apart cost six.
 
 Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as an oracle
 and as the route to the entrywise absolute values of the LU maps (the
@@ -32,10 +39,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .dense import EXPLICIT_THRESHOLD, krylov_spectral_norm
+from .dense import EXPLICIT_THRESHOLD, composed_gram, krylov_spectral_norm
 from .errors import AbsOperatorTooLarge, DimensionMismatch
 
 
@@ -44,18 +52,20 @@ def vec(a) -> np.ndarray:
     return np.asarray(a, dtype=float).reshape(-1, order="F")
 
 
-def sandwich(a, b, v: np.ndarray, transpose: bool = False) -> np.ndarray:
+def _stacked(a, b, y: np.ndarray) -> np.ndarray:
+    """(a X b)^T for every X^T in the stack ``y``; ``None`` stands for the identity."""
+    t = y if a is None else np.matmul(y, a.T)
+    return t if b is None else np.matmul(b.T, t)
+
+
+def sandwich(a, b, v: np.ndarray) -> np.ndarray:
     """vec(a X b) for every column vec(X) of the n^2-by-k block ``v``, as a new block.
 
-    ``None`` stands for the identity; with ``transpose`` X^T takes the place
-    of X.
+    ``None`` stands for the identity.
     """
     n = math.isqrt(v.shape[0])
     y = v.T.reshape(v.shape[1], n, n)            # y[j] = X_j^T
-    if transpose:
-        y = y.swapaxes(1, 2)
-    t = y if a is None else np.matmul(y, a.T)    # (a X)^T
-    t = t if b is None else np.matmul(b.T, t)    # (a X b)^T
+    t = _stacked(a, b, y)
     # the identity alone returns a copy, so callers may update the block in place
     return (t.copy() if t is y else t).reshape(v.shape[1], n * n).T
 
@@ -64,25 +74,39 @@ def _transposed(m):
     return None if m is None else m.T
 
 
+def _unit_scaled(m):
+    """``m`` scaled by 2^-e to a largest magnitude in [1/2, 1), and e; the
+    matrix is ``None`` where one of its nonzero entries would square below
+    the normal range, which a Gram product of it would lose."""
+    e = math.frexp(float(np.max(np.abs(m), initial=0.0)))[1]
+    m = np.ldexp(m, -e)
+    if np.any((m * m < np.finfo(float).tiny) & (m != 0.0)):
+        return None, e
+    return m, e
+
+
 @dataclass(frozen=True)
 class StructuredOperator:
-    """vec(X) -> the entries of left (W * sum_t a_t op_t(X) b_t) right on the support of W.
+    """vec(X) -> the entries of left (W * sym(a X b)) right on the support of W.
 
-    ``terms`` holds triples ``(a, b, transpose)``, where op_t is the transpose
-    when the flag is set; ``weights`` is the n-by-n mask W with entries in
-    {0, 1/2, 1}; ``None`` stands for the identity. The support of W is read
-    column by column. Instances are immutable and safe to share.
+    sym(Z) is Z + Z^T where ``symmetric`` is set and Z otherwise; ``weights``
+    is the n-by-n mask W with entries in {0, 1/2, 1}; ``None`` stands for the
+    identity. The support of W is read column by column. Instances are
+    immutable and safe to share.
     """
 
-    terms: tuple
     weights: np.ndarray
+    a: np.ndarray | None = None
+    b: np.ndarray | None = None
+    symmetric: bool = False
     left: np.ndarray | None = None
     right: np.ndarray | None = None
 
     def __post_init__(self):
-        w = vec(self.weights)
-        object.__setattr__(self, "_w", w[:, None])
-        object.__setattr__(self, "_support", np.flatnonzero(w))
+        w = np.asarray(self.weights, dtype=float)
+        object.__setattr__(self, "_n", w.shape[0])
+        object.__setattr__(self, "_wt", w.T.copy())         # W on a stack of transposes
+        object.__setattr__(self, "_support", np.flatnonzero(vec(w)))
 
     @property
     def out_dim(self) -> int:
@@ -90,33 +114,76 @@ class StructuredOperator:
 
     @property
     def in_dim(self) -> int:
-        return self._w.shape[0]
+        return self._n * self._n
+
+    def _forward(self, t: np.ndarray) -> np.ndarray:
+        """The output for the stack ``t`` of middle products (a X b)^T, which it may overwrite."""
+        if self.symmetric:
+            t = t + t.swapaxes(1, 2)
+        t *= self._wt
+        t = _stacked(self.left, self.right, t)
+        return np.take(t.reshape(len(t), -1), self._support, axis=1).T
+
+    def _adjoint(self, block: np.ndarray) -> np.ndarray:
+        """sym(W * (left^T Y right^T)) for every Y read from the output block, as a stack."""
+        full = np.zeros((block.shape[1], self.in_dim))
+        full[:, self._support] = block.T
+        t = _stacked(_transposed(self.left), _transposed(self.right),
+                     full.reshape(-1, self._n, self._n))
+        t *= self._wt
+        return t + t.swapaxes(1, 2) if self.symmetric else t
 
     def apply2(self, v: np.ndarray) -> np.ndarray:
-        single = v.ndim == 1
-        # rebinding v lets the input block go before the outer product
-        v = self._masked_terms(v.reshape(v.shape[0], -1))
-        v = sandwich(self.left, self.right, v)[self._support]
-        return v[:, 0] if single else v
-
-    def _masked_terms(self, block: np.ndarray) -> np.ndarray:
-        """W * sum_t a_t op_t(X) b_t for every column vec(X) of ``block``, in place."""
-        (a, b, transpose), *rest = self.terms
-        s = sandwich(a, b, block, transpose)
-        for a, b, transpose in rest:
-            s += sandwich(a, b, block, transpose)
-        s *= self._w
-        return s
+        t = sandwich(self.a, self.b, v if v.ndim == 2 else v[:, None])   # views the stack
+        out = self._forward(t.T.reshape(-1, self._n, self._n))
+        return out[:, 0] if v.ndim == 1 else out
 
     def applyt2(self, v: np.ndarray) -> np.ndarray:
-        block = v.reshape(v.shape[0], -1)
-        full = np.zeros((block.shape[1], self.in_dim)).T     # columns contiguous, a stack view
-        full[self._support] = block
-        s = sandwich(_transposed(self.left), _transposed(self.right), full)
-        s *= self._w
-        # the adjoint of X -> a X^T b is S -> b S^T a
-        out = sum(sandwich(b, a, s, True) if transpose else
-                  sandwich(_transposed(a), _transposed(b), s) for a, b, transpose in self.terms)
+        block = v if v.ndim == 2 else v[:, None]
+        t = _stacked(_transposed(self.a), _transposed(self.b), self._adjoint(block))
+        out = t.reshape(len(t), -1).T
+        return out[:, 0] if v.ndim == 1 else out
+
+    @cached_property
+    def _gram_factors(self):
+        """a a^T, b^T b (``None`` for the identity) and 2 (e_a + e_b), each
+        product formed from its factor scaled by 2^-e_a (2^-e_b), so that it
+        neither over- nor underflows; ``None`` where a factor spans too wide
+        a range of magnitudes for that."""
+        ga = gb = None
+        shift = 0
+        if self.a is not None:
+            a, e = _unit_scaled(self.a)
+            if a is None:
+                return None
+            ga, shift = a @ a.T, 2 * e
+        if self.b is not None:
+            b, e = _unit_scaled(self.b)
+            if b is None:
+                return None
+            gb, shift = b.T @ b, shift + 2 * e
+        return ga, gb, shift
+
+    def gram2(self, v: np.ndarray, e: int) -> np.ndarray:
+        """2^-2e M M^T on a vector or block ``v`` of the output side, M this map.
+
+        The adjoint stages, then the middle products with the cached a a^T
+        and b^T b, then the forward stages. The scale 2^(2 e_a + 2 e_b - 2e)
+        goes on the middle product, where it restores the magnitudes that M
+        M^T would have at 2^-e M, so no stage leaves the range of the
+        products of M and M^T apart wherever 2^-e M is of order one. A
+        factor whose magnitudes span more than about 2^500 is not fused:
+        M^T and M then go apart, each scaled by 2^-e, as for a dense matrix.
+        """
+        factors = self._gram_factors
+        if factors is None:
+            return composed_gram(self.apply2, self.applyt2)(v, e)
+        ga, gb, shift = factors
+        t = _stacked(ga, gb, self._adjoint(v if v.ndim == 2 else v[:, None]))
+        shift -= 2 * e
+        if shift:
+            np.ldexp(t, shift, out=t)
+        out = self._forward(t)
         return out[:, 0] if v.ndim == 1 else out
 
     def apply(self, x) -> np.ndarray:
@@ -153,5 +220,6 @@ def operator_materialize(op: StructuredOperator) -> np.ndarray:
 
 
 def operator_spectral_norm(op: StructuredOperator) -> float:
-    """Largest singular value of a structured operator via the Krylov estimator."""
-    return krylov_spectral_norm(op.apply, op.apply_transpose, op.in_dim)
+    """Largest singular value of a structured operator via the Krylov estimator
+    on its fused Gram map."""
+    return krylov_spectral_norm(op.apply, op.gram2, op.in_dim)

@@ -38,6 +38,7 @@ from fperturb.qr_bounds import (
     zeta,
 )
 from fperturb.structured import (
+    StructuredOperator,
     operator_materialize,
     operator_spectral_norm,
     sandwich,
@@ -88,9 +89,9 @@ def test_criterion_1_operator_identities():
             assert np.abs(ms.T @ ms - mslt).max() <= tol
             # vec of a triple product against the dense Kronecker route
             assert np.abs(np.kron(b.T, a) @ vec(x) - vec(a @ x @ b)).max() <= tol
-            # vec permutation transposes
-            transposed = sandwich(None, None, vec(a)[:, None], transpose=True)[:, 0]
-            assert np.abs(transposed - vec(a.T)).max() <= tol
+            # the symmetrized operator adds the vec permutation, which transposes
+            symmetrized = StructuredOperator(weights=np.ones((n, n)), symmetric=True).apply(vec(a))
+            assert np.abs(symmetrized - vec(a + a.T)).max() <= tol
             # Kronecker inverse factorizes (well-conditioned factors, unit probe)
             a2 = a + 3.0 * np.eye(n)
             b2 = b + 3.0 * np.eye(n)

@@ -95,18 +95,17 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_non_finite_field_is_no_json(self, value, monkeypatch, capsys):
-        # JSON has no number for it, so the call exits 2 with one line; CSV
-        # still writes the value
+        # JSON has no number for it, and CSV and markdown refuse it alike, so
+        # the call exits 2 with one line in every format
         real = lu_bounds.lu_normwise_bounds
         monkeypatch.setattr(lu_bounds, "lu_normwise_bounds", lambda f, delta: dataclasses.replace(
             real(f, delta), rigorous_dl=value))
         argv = ["lu-normwise", "--kahan", "4,0.5", "--delta", "1e-9", "--no-timings"]
-        code, out, err = run([*argv, "--output", "json"], capsys)
-        assert code == 2 and out == ""
-        assert err.startswith("fperturb: error: the report is not valid JSON: ")
-        assert err.count("\n") == 1
-        code, out, _ = run(argv, capsys)
-        assert code == 0 and f",{value!r}," in out
+        for output in ("json", "csv", "markdown"):
+            code, out, err = run([*argv, "--output", output], capsys)
+            assert code == 2 and out == ""
+            assert err.startswith("fperturb: error: the report has a value that is not finite: ")
+            assert err.count("\n") == 1
 
     def test_verify_demands_applicability(self, tmp_path, capsys):
         path = tmp_path / "id.csv"

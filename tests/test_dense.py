@@ -1,5 +1,6 @@
 """Dense kernels: factorizations, norms, triangular inverses."""
 
+import math
 import warnings
 
 import numpy as np
@@ -500,7 +501,8 @@ class TestNorms:
 
 def _krylov(a):
     """The Krylov estimate of a dense matrix, which ``spectral_norm`` skips at small orders."""
-    return dense.krylov_spectral_norm(lambda v: a @ v, lambda u: a.T @ u, a.shape[1])
+    return dense.krylov_spectral_norm(
+        lambda v: a @ v, dense.composed_gram(lambda v: a @ v, lambda u: a.T @ u), a.shape[1])
 
 
 def _factor_maps(a):
@@ -514,8 +516,8 @@ class TestKrylovEstimator:
     """The Krylov estimate against the dense SVD of the same map."""
 
     def test_factor_maps_match_svd(self):
-        # at n = 2 the lower LU map has one output, so the bidiagonalization
-        # breaks down after one step
+        # at n = 2 the lower LU map has one output, so its Gram map is 1-by-1
+        # and Lanczos is exhausted after one step
         for n in range(2, 9):
             a = random_square(n, 0, shift=0.5 * n)
             for op in _factor_maps(a):
@@ -540,34 +542,52 @@ class TestKrylovEstimator:
 
     def test_clustered_spectrum_within_matvec_budget(self):
         # clustered top singular values: stopping on a small per-step change
-        # of the estimate would end 1e-11 to 5e-11 low after 232 to 979 matvecs
+        # of the estimate would end 1e-11 to 5e-11 low after 232 to 979
+        # steps
         for op in _factor_maps(graded_random(30, 1, 1, 0) + 30 * np.eye(30)):
             calls = []
 
-            def matvec(v, op=op):
+            def gram(u, e, op=op):
                 calls.append(1)
-                return op.apply(v)
+                return op.gram2(u, e)
 
-            got = dense.krylov_spectral_norm(matvec, op.apply_transpose, op.in_dim)
+            got = dense.krylov_spectral_norm(op.apply, gram, op.in_dim)
             ref = svd_spectral_norm(operator_materialize(op))
             assert got == pytest.approx(ref, rel=1e-11)
             assert len(calls) <= 100
 
     def test_one_dimensional_domain_takes_one_step(self):
         # rounding can make a map and its transpose disagree beyond the
-        # tolerance (the weighted quadratic map of R = 1e-160 rounds its
-        # subnormal intermediate), which left beta above it on every step and
-        # ran 1,000 steps into NoConvergence; one dimension is exhausted at once
+        # tolerance, which left beta above it on every step and ran 1,000
+        # steps into NoConvergence; one dimension is exhausted at once
         calls = []
 
-        def matvec(v):
+        def gram(u, e):
+            # the Gram map of v -> (0.99999 v, 0), off rank one by 1e-6
             calls.append(1)
-            return 0.99999 * v
+            return np.ldexp(np.array([[0.99999 ** 2, 1e-6], [1e-6, 0.0]]) @ u, -2 * e)
 
-        assert dense.krylov_spectral_norm(matvec, lambda u: u.copy(), 1) == 0.99999
+        assert dense.krylov_spectral_norm(lambda v: np.array([0.99999 * v[0], 0.0]),
+                                          gram, 1) == 0.99999
         assert len(calls) == 1
+        # the weighted quadratic map of R = 1e-160 forms no subnormal intermediate
         norms = componentwise_operator_norms(qr_factor(np.array([[1e-160]])))
-        assert norms == pytest.approx((1e-160, 5e-161, 5e159), rel=1e-4)
+        assert norms == pytest.approx((1e-160, 5e-161, 5e159), rel=1e-12)
+
+    @pytest.mark.parametrize("k", [200, -200, 500, -500])
+    def test_norms_scale_by_powers_of_two(self, k):
+        # A 2^k scales U and R by 2^k exactly and leaves L and Q; the lower
+        # LU map and the quadratic R map then scale by 2^-k, the other two
+        # not at all. The Gram map is formed at unit scale, so each estimate
+        # scales with them bit for bit, also where the Gram map of the scaled
+        # map itself would leave the float range
+        for a in (random_square(6, 0, shift=3.0), graded_random(8, 0.9, 1.1, 3)):
+            for op, scaled, e in zip(_factor_maps(a), _factor_maps(np.ldexp(a, k)),
+                                     (-1, 0, 0, -1)):
+                assert operator_spectral_norm(scaled) == math.ldexp(operator_spectral_norm(op),
+                                                                    e * k)
+        b = seeded_rng(12, 1).standard_normal((_K + 1, _K + 1))
+        assert dense.spectral_norm(np.ldexp(b, k)) == math.ldexp(dense.spectral_norm(b), k)
 
     @pytest.mark.parametrize("a", [np.diag([1.0, 1e-300]),
                                    1e-170 * np.array([[1.0, 2.0], [3.0, 1.0]])])

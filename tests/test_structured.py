@@ -1,4 +1,4 @@
-"""Vectorization, the sandwich kernel, and the masked factor-map operator."""
+"""Vectorization, the sandwich kernel, the masked factor-map operator and its Gram map."""
 
 import tracemalloc
 
@@ -42,7 +42,7 @@ from conftest import (
 
 def identity(n):
     """The operator vec(X) -> vec(X) on n-by-n matrices."""
-    return StructuredOperator(terms=((None, None, False),), weights=np.ones((n, n)))
+    return StructuredOperator(weights=np.ones((n, n)))
 
 
 def column(x):
@@ -80,7 +80,7 @@ class TestSelectionMatrices:
         assert np.array_equal(selection_matrix(kind, n) @ vec(a), ref)
         # the package reads the masked matrix on the support of the mask
         w = mask(kind, n)
-        op = StructuredOperator(terms=((None, None, False),), weights=w)
+        op = StructuredOperator(weights=w)
         assert np.array_equal(op.apply(vec(a)), vec(w * a)[vec(w) != 0])
 
     @pytest.mark.parametrize("n", [2, 4, 6])
@@ -110,25 +110,30 @@ class TestSelectionMatrices:
 
     def test_up_mask_norm_is_one(self):
         for n in (2, 3, 6):
-            op = StructuredOperator(terms=((None, None, False),),
-                                    weights=mask(SelectionKind.UP, n))
+            op = StructuredOperator(weights=mask(SelectionKind.UP, n))
             assert operator_spectral_norm(op) == pytest.approx(1.0, abs=1e-12)
+
+
+def symmetrizer(n):
+    """The operator vec(X) -> vec(X + X^T), which adds the vec permutation to the identity."""
+    return StructuredOperator(weights=np.ones((n, n)), symmetric=True)
 
 
 class TestVecPermutation:
     def test_two_by_two(self):
         v = column([1.0, 3.0, 2.0, 4.0])
-        assert np.array_equal(sandwich(None, None, v, transpose=True)[:, 0], [1, 2, 3, 4])
+        assert np.array_equal(symmetrizer(2).apply2(v)[:, 0], [2, 5, 5, 8])
 
     def test_transpose_oracle(self):
         a = seeded_rng(13).standard_normal((4, 4))
-        assert np.array_equal(sandwich(None, None, column(vec(a)), transpose=True)[:, 0],
-                              vec(a.T))
+        assert np.array_equal(symmetrizer(4).apply(vec(a)), vec(a + a.T))
+        assert np.array_equal(operator_materialize(symmetrizer(4)),
+                              np.eye(16) + vec_permutation(4))
 
     def test_orthogonality(self):
-        x = seeded_rng(14).standard_normal((16, 3))
-        y = sandwich(None, None, x, transpose=True)
-        assert np.array_equal(sandwich(None, None, y, transpose=True), x)
+        p = operator_materialize(symmetrizer(4)) - np.eye(16)
+        assert np.array_equal(p @ p, np.eye(16))
+        assert np.array_equal(p, p.T)
 
 
 class TestKronecker:
@@ -150,8 +155,8 @@ class TestKronecker:
         lhs = np.kron(b.T, a) @ vec(x)
         assert np.allclose(lhs, vec(a @ x @ b), rtol=1e-12, atol=1e-13)
         assert np.allclose(sandwich(a, b, column(vec(x)))[:, 0], lhs, rtol=1e-12, atol=1e-13)
-        assert np.allclose(sandwich(a, b, column(vec(x.T)), transpose=True)[:, 0], lhs,
-                           rtol=1e-12, atol=1e-13)
+        sym = StructuredOperator(weights=np.ones((4, 4)), a=a, b=b, symmetric=True)
+        assert np.allclose(sym.apply(vec(x)), lhs + vec((a @ x @ b).T), rtol=1e-12, atol=1e-13)
 
     def test_inverse_factorizes(self):
         rng = seeded_rng(18)
@@ -171,16 +176,15 @@ class TestKronecker:
 
 class TestStackedKernel:
     @settings(max_examples=80, deadline=None)
-    @given(n=st.integers(1, 8), k=st.integers(1, 4), transpose=st.booleans(),
+    @given(n=st.integers(1, 8), k=st.integers(1, 4),
            a_none=st.booleans(), b_none=st.booleans(), seed=st.integers(0, 2 ** 16))
-    def test_matches_kron(self, n, k, transpose, a_none, b_none, seed):
+    def test_matches_kron(self, n, k, a_none, b_none, seed):
         rng = seeded_rng(40, seed)
         a, b = rng.standard_normal((2, n, n))
         v = rng.standard_normal((n * n, k))
         kept = v.copy()
-        out = sandwich(None if a_none else a, None if b_none else b, v, transpose)
-        ref = (np.kron(np.eye(n) if b_none else b.T, np.eye(n) if a_none else a)
-               @ (vec_permutation(n) @ v if transpose else v))
+        out = sandwich(None if a_none else a, None if b_none else b, v)
+        ref = np.kron(np.eye(n) if b_none else b.T, np.eye(n) if a_none else a) @ v
         assert out.shape == (n * n, k)
         assert np.allclose(out, ref, rtol=1e-12, atol=1e-12 * max(1.0, np.abs(ref).max()))
         # a new block, even for the identity, and the input untouched
@@ -194,14 +198,14 @@ class TestStackedKernel:
         a, b = rng.standard_normal((2, n, n))
         x = rng.standard_normal((op.in_dim, 4))
         y = rng.standard_normal((op.out_dim, 4))
-        for transpose in (False, True):
-            block = sandwich(a, b, x, transpose)
-            for j in range(4):
-                assert np.array_equal(block[:, j], sandwich(a, b, x[:, j:j + 1], transpose)[:, 0])
-        forward, adjoint = op.apply2(x), op.applyt2(y)
+        block = sandwich(a, b, x)
+        for j in range(4):
+            assert np.array_equal(block[:, j], sandwich(a, b, x[:, j:j + 1])[:, 0])
+        forward, adjoint, gram = op.apply2(x), op.applyt2(y), op.gram2(y, 3)
         for j in range(4):
             assert np.array_equal(forward[:, j], op.apply(x[:, j]))
             assert np.array_equal(adjoint[:, j], op.apply_transpose(y[:, j]))
+            assert np.array_equal(gram[:, j], op.gram2(y[:, j], 3))
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_blocked_materialize_matches_identity_push(self, n):
@@ -223,21 +227,21 @@ class TestStackedKernel:
 
 
 def _random_operator(n, seed):
-    """Two terms, one of them transposed, a {0, 1/2, 1} mask and both outer factors."""
+    """A sandwich, symmetrized at even seeds, a {0, 1/2, 1} mask and both outer factors."""
     rng = seeded_rng(19, n, seed)
     l = np.tril(rng.standard_normal((n, n)), -1) + np.eye(n)
     u = np.triu(rng.standard_normal((n, n))) + n * np.eye(n)
     a = rng.standard_normal((n, n))
-    return StructuredOperator(terms=((l, None, False), (u, a, True)),
-                              weights=mask(SelectionKind.UP, n), left=a.T, right=u)
+    return StructuredOperator(weights=mask(SelectionKind.UP, n), a=l, b=a,
+                              symmetric=seed % 2 == 0, left=a.T, right=u)
 
 
 def _dense_oracle(op, n):
-    """S kron(right^T, left) diag(vec W) sum_t kron(b_t^T, a_t) [Pi], from np.kron."""
+    """S kron(right^T, left) diag(vec W) [I + Pi] kron(b^T, a), from np.kron."""
     eye = np.eye(n)
-    perm = vec_permutation(n)
-    core = sum(np.kron(eye if b is None else b.T, eye if a is None else a)
-               @ (perm if transpose else np.eye(n * n)) for a, b, transpose in op.terms)
+    core = np.kron(eye if op.b is None else op.b.T, eye if op.a is None else op.a)
+    if op.symmetric:
+        core = core + vec_permutation(n) @ core
     outer = np.kron(eye if op.right is None else op.right.T, eye if op.left is None else op.left)
     w = vec(op.weights)
     return (outer @ np.diag(w) @ core)[w != 0]
@@ -254,7 +258,7 @@ class TestStructuredOperator:
         rng = seeded_rng(20)
         a = rng.standard_normal((3, 3))
         b = rng.standard_normal((3, 3))
-        op = StructuredOperator(terms=((a, b, False),), weights=np.ones((3, 3)))
+        op = StructuredOperator(weights=np.ones((3, 3)), a=a, b=b)
         assert np.allclose(operator_materialize(op), np.kron(b.T, a))
 
     @pytest.mark.parametrize("n", [2, 3, 5, 8])
@@ -283,9 +287,10 @@ class TestStructuredOperator:
 
     def test_operator_norm_matches_dense_svd(self):
         for n in (2, 4, 6):
-            op = _random_operator(n, 0)
-            ref = svd_spectral_norm(operator_materialize(op))
-            assert operator_spectral_norm(op) == pytest.approx(ref, rel=1e-10)
+            for seed in (0, 1):
+                op = _random_operator(n, seed)
+                ref = svd_spectral_norm(operator_materialize(op))
+                assert operator_spectral_norm(op) == pytest.approx(ref, rel=1e-10)
 
     def test_materialize_too_large(self):
         with pytest.raises(AbsOperatorTooLarge):
@@ -293,13 +298,11 @@ class TestStructuredOperator:
 
     def test_abs_operator_is_entrywise_abs_of_composition(self):
         # |composition| generally differs from the composition of absolute values
-        a, b, c, left, right = seeded_rng(25).standard_normal((5, 3, 3))
+        a, b, left, right = seeded_rng(25).standard_normal((4, 3, 3))
         w = mask(SelectionKind.UP, 3)
-        op = StructuredOperator(terms=((a, b, False), (c, None, True)), weights=w,
-                                left=left, right=right)
-        abs_factors = StructuredOperator(terms=((np.abs(a), np.abs(b), False),
-                                                (np.abs(c), None, True)),
-                                         weights=w, left=np.abs(left), right=np.abs(right))
+        op = StructuredOperator(weights=w, a=a, b=b, symmetric=True, left=left, right=right)
+        abs_factors = StructuredOperator(weights=w, a=np.abs(a), b=np.abs(b), symmetric=True,
+                                         left=np.abs(left), right=np.abs(right))
         abs_m = np.abs(operator_materialize(op))
         composed = operator_materialize(abs_factors)
         assert np.all(abs_m <= composed * (1 + 1e-12))
@@ -312,6 +315,34 @@ class TestStructuredOperator:
             componentwise_operator_norms(qr_factor(np.eye(300)))
         with pytest.raises(AbsOperatorTooLarge):
             worst_case_m_norm_perturbation(lu_factor(np.eye(65)), 1e-9, "L")
+
+
+class TestGram:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_fused_gram_is_the_map_after_its_transpose(self, n):
+        # a a^T and b^T b are fused in, so the rounding differs from that of
+        # the two products apart, but not beyond a few ulps
+        f = LuFactors(l=random_unit_lower(n, 5), u=random_upper(n, 5))
+        qr = r_factors(random_upper(n, 6))
+        for op in (lower_factor_operator(f), upper_factor_operator(f),
+                   r_factor_operator(qr), r_quadratic_operator(qr)):
+            for k in (1, 3):
+                y = seeded_rng(26, n, k).standard_normal((op.out_dim, k))
+                ref = op.apply2(op.applyt2(y))
+                got = op.gram2(y, 0)
+                assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+                # the scale 2^-2e is exact
+                assert np.array_equal(op.gram2(y, -7), np.ldexp(got, 14))
+
+    def test_factor_too_wide_to_square_is_not_fused(self):
+        # U^-1 = diag(1e300, 1): at unit scale its entry 2^-997 squares to
+        # zero, and b^T b would drop the second column of X, where the norm
+        # 3.30 of the upper map lies (fused, the estimate reads 1.0)
+        op = upper_factor_operator(LuFactors(l=np.array([[1.0, 0.0], [3.0, 1.0]]),
+                                             u=np.diag([1e-300, 1.0])))
+        ref = svd_spectral_norm(operator_materialize(op))
+        assert ref == pytest.approx((3.0 + np.sqrt(13.0)) / 2.0, rel=1e-15)
+        assert operator_spectral_norm(op) == pytest.approx(ref, rel=1e-12)
 
 
 class TestTriangularProjectionIdentities:
