@@ -20,10 +20,11 @@ The spectral norm of a dense matrix whose smaller dimension is at most
 other spectral norm, of a larger dense matrix or of a matrix-free factor
 map, comes from one Krylov estimator: Lanczos on the Gram map M M^T, which
 a caller applies either fused (``StructuredOperator.gram2``) or as a
-product with M after one with M^T (:func:`composed_gram`). It works on the
-map scaled by a power of two to norm near one, and its vector norms go
-through :func:`euclidean_norm`, so it does not overflow or underflow on the
-way to a representable result.
+product with M after one with M^T (:func:`composed_gram`), from the all-ones
+start and, if that Krylov space closes early, once more from a seeded Gaussian
+one. It works on the map scaled by a power of two to norm near one. Vector
+norms go through :func:`euclidean_norm`, which guards its own range: no
+overflow, underflow or warning on the way to a representable result.
 """
 
 from __future__ import annotations
@@ -361,25 +362,28 @@ def euclidean_norm(x, axis=None):
     ``np.linalg.norm(x, axis=axis)`` is kept where it lies in (sqrt(tiny), inf);
     any other is taken again from its slice, divided by its largest magnitude if
     its plain norm is out of range too. Without ``axis``, the first try is the
-    square root of the dot product of ``x.ravel(order="K")`` with itself: the
-    operations of ``np.linalg.norm`` on a real array, so its bits, without its
-    argument handling. A non-finite entry gives a non-finite norm. The
-    result keeps the precision of ``x``, a float for float64 without ``axis``.
-    Callers run under ``np.errstate(over="ignore")`` for the first try.
+    square root of ``np.vdot`` of ``x.ravel(order="K")`` with itself: the
+    bits of the dot product that ``np.linalg.norm`` takes of a real array,
+    without its argument handling, and with no floating-point status check,
+    so a first try that overflows raises no warning. A non-finite entry
+    gives a non-finite norm. The result keeps the precision of ``x``, a
+    float for float64 without ``axis``.
     """
     x = np.asarray(x)
     if axis is not None and np.size(axis) < x.ndim:     # else all of x is one slice
-        return _retaken(np.linalg.norm(x, axis=axis), x, axis)
+        with np.errstate(over="ignore"):
+            return _retaken(np.linalg.norm(x, axis=axis), x, axis)
     if x.dtype.kind != "f":
         x = x.astype(float)
     flat = x.ravel(order="K")
-    square = flat.dot(flat)
+    square = np.vdot(flat, flat)
     # math.sqrt rounds correctly, as np.sqrt does, and returns a float sooner;
     # a longdouble keeps its digits
     norm = math.sqrt(square) if type(square) is np.float64 else np.sqrt(square)
     if not SQRT_TINY < norm < math.inf:
         scale = np.max(np.abs(x), initial=0.0)
-        norm = scale * np.linalg.norm(x / scale) if 0.0 < scale < math.inf else scale
+        with np.errstate(over="ignore"):        # a norm past the float range is inf
+            norm = scale * np.linalg.norm(x / scale) if 0.0 < scale < math.inf else scale
     return float(norm) if type(norm) is np.float64 else norm
 
 
@@ -417,39 +421,39 @@ def krylov_spectral_norm(matvec, gram, dim_in: int) -> float:
 
     ``matvec`` applies M to a vector of length ``dim_in``, and ``gram(u, e)``
     returns 2^-2e M M^T u, with e the exponent of the first ||M v||: the
-    Gram map of 2^-e M, of order one, so nothing squares out of range. The
-    Lanczos process starts from u = M v / ||M v||, v the normalized
-    all-ones vector, which is where Golub-Kahan bidiagonalization starts,
-    and spans its Krylov space. It keeps no basis: after k steps it holds
-    the tridiagonal T_k (alphas on the diagonal, betas beside it), whose top
-    eigenpair (theta, s) has the residual beta_k |s_k|, and returns
-    sqrt(theta) 2^e once that is at most ``SPECTRAL_TOL`` times theta, or
-    once a second Ritz value lies within that of theta: without
+    Gram map of 2^-e M, of order one, so nothing squares out of range.
+    Lanczos starts from u = M v / ||M v||, v the normalized all-ones vector,
+    where Golub-Kahan bidiagonalization starts. It keeps no basis: after k
+    steps it holds the tridiagonal T_k (alphas on the diagonal, betas beside
+    it), whose top eigenpair (theta, s) has the residual beta_k |s_k|, and
+    returns sqrt(theta) 2^e once that is at most ``SPECTRAL_TOL`` times
+    theta, or once a second Ritz value lies within that of theta: without
     reorthogonalization, Lanczos repeats a converged value, and two such
     eigenvectors combine into one with zero last entry, whose residual is
-    at most their spread. A tiny beta means the Krylov space is exhausted,
-    as it is after one step on a one-dimensional domain, where M M^T has
-    rank one; theta is then an eigenvalue of M M^T. Both are norms of
-    compressions of the map, so lower estimates. A map that overflows on a
-    numerically singular factor gives a non-finite value; the step that
-    meets it raises :class:`NormOverflow`.
+    at most their spread. At k = min(dim_in, out_dim), which bounds the rank
+    of M M^T, the space is whole. One closure rule covers a space that
+    closes sooner (a tiny beta, or M v = 0), which may miss the top
+    direction, as the all-ones start does on the upper LU map of a triangle
+    of ones: the estimate runs once more from a seeded Gaussian start, in
+    general position, and the larger value is returned. Either value is the
+    norm of a compression of M, so a lower estimate. A map that overflows on
+    a numerically singular factor raises :class:`NormOverflow`.
     """
     if dim_in == 0:
         return 0.0
-    v = np.full(dim_in, 1.0 / math.sqrt(dim_in))
-    for restart in range(dim_in + 1):
-        u = matvec(v)
-        if u.size == 0:
-            return 0.0
-        norm = euclidean_norm(u)
-        if norm != 0.0:             # also a nan, which is rejected below
-            break
-        # The start vector happens to lie in the null space; probe basis
-        # directions deterministically before concluding the map is zero.
-        if restart == dim_in:
-            return 0.0
-        v = np.zeros(dim_in)
-        v[restart] = 1.0
+    norm, closed = _lanczos(matvec, gram, np.full(dim_in, 1.0 / math.sqrt(dim_in)))
+    if closed:
+        v = np.random.default_rng(0).standard_normal(dim_in)
+        norm = max(norm, _lanczos(matvec, gram, v / euclidean_norm(v))[0])
+    return norm
+
+
+def _lanczos(matvec, gram, v):
+    """``(estimate, closed)`` of :func:`krylov_spectral_norm` from the unit start ``v``."""
+    u = matvec(v)
+    steps, norm = min(v.size, u.size), euclidean_norm(u)
+    if norm == 0.0:                 # closed at once, unless M has no outputs
+        return 0.0, steps > 0
     if not math.isfinite(norm):
         raise NormOverflow("norm estimate overflows: a factor is numerically singular")
     e = math.frexp(norm)[1]
@@ -467,14 +471,14 @@ def krylov_spectral_norm(matvec, gram, dim_in: int) -> float:
             raise NormOverflow("norm estimate overflows: a factor is numerically singular")
         alphas.append(alpha)
         scale = max(scale, alpha)
-        exhausted = beta <= SPECTRAL_TOL * scale or dim_in == 1
-        if exhausted or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
+        closed = k < steps and beta <= SPECTRAL_TOL * scale
+        if closed or k == steps or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
             theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
             top = theta[-1]
-            if (exhausted or beta * abs(s[-1, -1]) <= SPECTRAL_TOL * top
+            if (closed or k == steps or beta * abs(s[-1, -1]) <= SPECTRAL_TOL * top
                     or k > 1 and theta[-2] >= top - SPECTRAL_TOL * top):
                 try:
-                    return math.ldexp(math.sqrt(top), e)
+                    return math.ldexp(math.sqrt(top), e), closed
                 except OverflowError:
                     raise NormOverflow("norm estimate overflows") from None
         betas.append(beta)

@@ -60,8 +60,7 @@ def heuristic_scaling(m, mode: str) -> np.ndarray:
     if mode not in ("columns", "rows"):
         raise ValueError(f"mode must be 'columns' or 'rows', got {mode!r}")
     m = np.asarray(m, dtype=float)
-    with np.errstate(over="ignore"):
-        norms = dense.euclidean_norm(m, axis=0 if mode == "columns" else 1)
+    norms = dense.euclidean_norm(m, axis=0 if mode == "columns" else 1)
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroVector(int(zero[0]) + 1)
@@ -266,8 +265,6 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
     place and reduced to its image of vec(|L~||U~|) and its spectral norm
     before the next is formed, so the peak memory is near the size of the
     larger map (the upper one, n (n+1)/2 by n^2) rather than four maps.
-    The Frobenius norms are taken by :func:`dense.euclidean_norm`, so none
-    is lost to squares that under- or overflow.
     """
     lt, ut = tilde_factors.l, tilde_factors.u
 
@@ -275,11 +272,10 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
     venv = vec(tilde_factors.envelope)
     lower_image, n_abs_l = _absolute_image(lower_factor_operator(tilde_factors), venv)
     upper_image, n_abs_u = _absolute_image(upper_factor_operator(tilde_factors), venv)
-    with np.errstate(over="ignore"):
-        a = dense.euclidean_norm(lower_image)
-        b = dense.euclidean_norm(upper_image)
-        lt_fro = dense.euclidean_norm(lt)
-        ut_fro = dense.euclidean_norm(ut)
+    a = dense.euclidean_norm(lower_image)
+    b = dense.euclidean_norm(upper_image)
+    lt_fro = dense.euclidean_norm(lt)
+    ut_fro = dense.euclidean_norm(ut)
     c = b * n_abs_l - a * n_abs_u
     max_l = float(np.max(lower_image)) if lower_image.size else 0.0
     max_u = float(np.max(upper_image)) if upper_image.size else 0.0
@@ -292,10 +288,8 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
     d_u = heuristic_scaling(ut, "rows")
     abs_linv_l = np.abs(tilde_factors.l_inv) @ np.abs(lt)
     abs_u_uinv = np.abs(ut) @ np.abs(tilde_factors.u_inv)
-    with np.errstate(over="ignore"):
-        abs_un1_fro = dense.euclidean_norm(
-            np.abs(ut[:-1, :-1]) @ np.abs(tilde_factors.u_lead_inv))
-        abs_linv_l_fro = dense.euclidean_norm(abs_linv_l)
+    abs_un1_fro = dense.euclidean_norm(np.abs(ut[:-1, :-1]) @ np.abs(tilde_factors.u_lead_inv))
+    abs_linv_l_fro = dense.euclidean_norm(abs_linv_l)
 
     l_scaled_norm = dense.spectral_norm(lt / d_l[None, :])
     u_scaled_norm = dense.spectral_norm(ut / d_u[:, None])

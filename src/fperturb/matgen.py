@@ -211,13 +211,17 @@ def kahan(n: int, theta: float) -> np.ndarray:
 
 
 def graded_random(n: int, d1: float, d2: float, seed: int) -> np.ndarray:
-    """diag(1, d1, ..., d1^(n-1)) @ B @ diag(1, d2, ..., d2^(n-1)) with B standard normal."""
+    """diag(1, d1, ..., d1^(n-1)) @ B @ diag(1, d2, ..., d2^(n-1)) with B standard normal.
+
+    Entries past the float64 range are left non-finite, which factorizations reject.
+    """
     if n < 1:
         raise ValueError("n must be at least 1")
     if d1 <= 0.0 or d2 <= 0.0:
         raise ValueError("grading factors must be positive")
     b = rng_stream(seed).standard_normal((n, n))
-    return (d1 ** np.arange(n))[:, None] * b * (d2 ** np.arange(n))[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        return (d1 ** np.arange(n))[:, None] * b * (d2 ** np.arange(n))[None, :]
 
 
 def random_c_matrix(m: int, seed: int) -> np.ndarray:
@@ -225,19 +229,6 @@ def random_c_matrix(m: int, seed: int) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be at least 1")
     return rng_stream(seed).random((m, m))
-
-
-def _draw_norm(da: np.ndarray, delta: float) -> float:
-    """||dA||_F of a normwise draw, whose sum of squares is delta^2 up to rounding.
-
-    Always the scaled :func:`euclidean_norm`, because squares that underflow
-    (delta below about 1e-154) would skew a plain norm by far more than the
-    ulp that each shrink step removes.
-    """
-    if 2.0 * delta * delta < math.inf:  # its unscaled first try cannot overflow
-        return euclidean_norm(da)
-    with np.errstate(over="ignore"):
-        return euclidean_norm(da)
 
 
 def sample_perturbation(spec: PerturbationSpec, *, trial_index: int,
@@ -274,7 +265,7 @@ def sample_perturbation(spec: PerturbationSpec, *, trial_index: int,
             da = model.delta * (g / norm)
         # rounding can leave ||dA||_F a few ulps above delta; move every entry
         # one ulp toward zero until it is not (a draw that overflowed stays so)
-        while model.delta < _draw_norm(da, model.delta) < math.inf:
+        while model.delta < euclidean_norm(da) < math.inf:
             da = np.nextafter(da, 0.0)
         return da
     if not isinstance(model, (ComponentwiseLU, ComponentwiseQR)):

@@ -76,14 +76,12 @@ def scaling_d_e(factors: QrFactors) -> np.ndarray:
 
     With M = diag(row 1-norms) @ inv(R), the j-th diagonal entry is the
     reciprocal of the j-th column norm of M whenever those column norms are
-    nondecreasing, and repeats the previous entry otherwise. Column norms
-    whose squares overflow stay finite (:func:`dense.euclidean_norm`).
+    nondecreasing, and repeats the previous entry otherwise.
     """
     r = factors.r
     dc = np.sum(np.abs(r), axis=1)
     m = dc[:, None] * factors.r_inv
-    with np.errstate(over="ignore"):
-        col_norms = dense.euclidean_norm(m, axis=0)
+    col_norms = dense.euclidean_norm(m, axis=0)
     n = r.shape[0]
     out = np.empty(n)
     out[0] = 1.0 / col_norms[0]
@@ -312,10 +310,9 @@ def qr_componentwise_evaluator(factors: QrFactors, c):
 
     t0 = time.perf_counter()
     absq = np.abs(q)
-    with np.errstate(over="ignore"):
-        c_env_norm = dense.euclidean_norm(c @ absq)           # ||C|Q|||_F
-        qcq_norm = dense.euclidean_norm(absq.T @ c @ absq)    # || |Q^T| C |Q| ||_F
-        qccq_norm = dense.euclidean_norm(absq.T @ (c.T @ c) @ absq)
+    c_env_norm = dense.euclidean_norm(c @ absq)           # ||C|Q|||_F
+    qcq_norm = dense.euclidean_norm(absq.T @ c @ absq)    # || |Q^T| C |Q| ||_F
+    qccq_norm = dense.euclidean_norm(absq.T @ (c.T @ c) @ absq)
     lin_w, quad_w, quad_abs = componentwise_operator_norms(factors)
     a_t = lin_w * qcq_norm
     b_t = quad_w * qccq_norm

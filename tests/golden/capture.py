@@ -4,10 +4,12 @@ Run from the root of a checkout, and only when a change of output is meant:
 
     PYTHONPATH=src python3 tests/golden/capture.py
 
-Before re-capturing, ``--drift`` runs the cases into a temporary directory
-and compares them with the committed goldens token by token: it prints, per
-file, the largest relative change of a numeric token, and it fails when any
-other token (a boolean, ``n/a``, a column name) or the token count changed.
+Before re-capturing, ``--drift`` runs the committed command lines of
+``cases.json`` into a temporary directory and compares them with the
+committed goldens token by token: it prints, per file, the largest relative
+change of a numeric token, and it fails when any other token (a boolean,
+``n/a``, a column name) or the token count changed. It does not recompute
+the verify sizes, so it shows how far the outputs moved and nothing else.
 
 Every case is one ``fperturb`` command line, run with ``--no-timings`` so its
 output is byte-identical from run to run. The cases go to ``cases.json`` and
@@ -146,12 +148,12 @@ def drift(all_cases: list[dict]) -> int:
 
 
 def main(argv: list[str]) -> int:
-    all_cases = cases()
     if argv == ["--drift"]:
-        return drift(all_cases)
+        return drift(json.loads((HERE / "cases.json").read_text(encoding="utf-8")))
     if argv:
         print("usage: capture.py [--drift]", file=sys.stderr)
         return 2
+    all_cases = cases()
     if not run_cases(all_cases, HERE):
         return 1
     (HERE / "cases.json").write_text(json.dumps(all_cases, indent=1) + "\n", encoding="utf-8")

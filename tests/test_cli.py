@@ -222,6 +222,16 @@ class TestBoundCommands:
         assert float(values["rigorous_dl"]) == pytest.approx(0.25, abs=1e-12)
         assert values["applicable"] == "true"
 
+    def test_upper_map_norm_off_the_all_ones_space(self, tmp_path, capsys):
+        # the upper LU map of [[1, 1], [0, 1]] sends vec(X) to (x00, x01, x11 - x10),
+        # of norm sqrt(2); the all-ones start has no x11 - x10 part
+        path = tmp_path / "unit.csv"
+        write_matrix(path, np.array([[1.0, 1.0], [0.0, 1.0]]))
+        code, out, _ = run(["lu-normwise", "--matrix", str(path), "--delta", "1e-6",
+                            "--output", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["rows"][0]["u_op_norm"] == pytest.approx(2.0 ** 0.5, abs=1e-12)
+
     def test_inapplicable_bounds_never_printed_as_numbers(self, tmp_path, capsys):
         path = tmp_path / "id.csv"
         write_matrix(path, np.eye(4))

@@ -4,13 +4,16 @@ Every call of a bound command or of ``verify`` either exits 0 with valid
 JSON (no ``Infinity`` or ``NaN``) and every ``rigorous_*`` and
 ``first_order_*`` field finite or null, or exits with a documented code
 (1-5) and exactly one line on stderr. No exception escapes ``cli.main``.
-Violation counts are not part of the property.
+Violation counts are not part of the property. The matrices come from CSV
+files, and from the ``--kahan`` and ``--graded`` sources with extreme
+arguments.
 """
 
 import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +30,11 @@ SPECIAL_ENTRIES = (0.0, -0.0, 5e-324, 1e-310, 1e-160, 1e160, 1e300, -1e300, 1.7e
 #: the size of each bound command and verify experiment, by its size field
 SIZE_FLAGS = {"delta": ["--delta", "1e-8"], "epsilon": ["--epsilon", "ge"]}
 
+#: Kahan angles and grading factors at the edges: zero and pi/2 (rejected),
+#: subnormal, and powers that under- or overflow by order 4
+SPECIAL_ANGLES = (0.0, 5e-324, 1e-160, 1e-8, math.pi / 2 - 1e-15, math.pi / 2)
+SPECIAL_GRADINGS = (5e-324, 1e-160, 1e-100, 1e100, 1e160, 1e300)
+
 
 @st.composite
 def matrices(draw):
@@ -39,6 +47,18 @@ def matrices(draw):
                                                 st.sampled_from(SPECIAL_ENTRIES)), max_size=3)):
         entries[index] = value
     return entries.reshape(rows, cols)
+
+
+@st.composite
+def generated_sources(draw):
+    """``--kahan N,THETA`` or ``--graded N,D1,D2 --seed S`` with N in 1..4."""
+    n = draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        theta = draw(st.one_of(st.sampled_from(SPECIAL_ANGLES), st.floats(0.0, math.pi / 2)))
+        return ["--kahan", f"{n},{theta!r}"]
+    d1, d2 = (draw(st.one_of(st.sampled_from(SPECIAL_GRADINGS), st.floats(1e-3, 1e3)))
+              for _ in range(2))
+    return ["--graded", f"{n},{d1!r},{d2!r}", "--seed", str(draw(st.integers(0, 2**32 - 1)))]
 
 
 @pytest.fixture(scope="module")
@@ -80,3 +100,14 @@ def test_every_call_reports_or_exits_with_one_line(matrix_file, a, experiment):
     _assert_contract(["verify", "--experiment", experiment, "--trials", "3",
                       "--delta-halving", "1", *SIZE_FLAGS[EXPERIMENTS[experiment].size]]
                      + common)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(source=generated_sources())
+def test_generated_sources_report_or_exit_with_one_line(source):
+    # any warning is an error here, not only a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for command, exp in EXPERIMENTS.items():
+            _assert_contract([command, *SIZE_FLAGS[exp.size], *source,
+                              "--output", "json", "--no-timings"])

@@ -86,3 +86,26 @@ def test_norm_range_is_tested_only_in_dense():
     readers = [path.name for path in MODULES
                if path.stem != "dense" and "SQRT_TINY" in path.read_text(encoding="utf-8")]
     assert readers == []
+    # and guards its own floating-point status, so no caller silences it
+    guarded = []
+    for path in MODULES:
+        if path.stem == "dense":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.With):
+                contexts = [item.context_expr for item in node.items]
+            elif isinstance(node, ast.FunctionDef):
+                contexts = node.decorator_list
+            else:
+                continue
+            if any(_calls(context, "errstate") for context in contexts) and any(
+                    _calls(child, "euclidean_norm") for child in node.body):
+                guarded.append(f"{path.name}:{node.lineno}")
+    assert guarded == []
+
+
+def _calls(tree, name: str) -> bool:
+    """Whether ``tree`` calls a function named ``name``, plain or as an attribute."""
+    return any(isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None)) == name
+               for node in ast.walk(tree))
