@@ -23,7 +23,8 @@ a caller applies either fused (``StructuredOperator.gram2``) or as a
 product with M after one with M^T (:func:`composed_gram`), from the all-ones
 start and, if that Krylov space closes early, once more from a seeded Gaussian
 one. It works on the map scaled by a power of two to norm near one. Vector
-norms go through :func:`euclidean_norm`, which guards its own range: no
+norms go through :func:`euclidean_norm`, and the norms of the slices of a
+stack through :func:`frobenius_norms`; both guard their own range: no
 overflow, underflow or warning on the way to a representable result.
 """
 
@@ -174,18 +175,10 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"stack must have shape (k, n, n), got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("stack has non-finite entries")
-    tol = _pivot_tols(a)
+    tol = PIVOT_TOL * frobenius_norms(a)
     if a.dtype == np.longdouble and WIDE_LONGDOUBLE:
         return _doolittle(a, tol)
     return _right_looking(a, tol)
-
-
-def _pivot_tols(a: np.ndarray) -> np.ndarray:
-    """``PIVOT_TOL`` times the Frobenius norm of each slice of a C-contiguous stack."""
-    # the norms of all slices at once, each bit for bit that of the C-ordered
-    # slice alone, so that no gate moves
-    with np.errstate(over="ignore"):
-        return PIVOT_TOL * _retaken(frobenius_norms(a), a, (1, 2))
 
 
 def _gate(piv: np.ndarray, tol: np.ndarray, singular: np.ndarray, step: int):
@@ -388,22 +381,28 @@ def euclidean_norm(x, axis=None):
 
 
 def _retaken(norms: np.ndarray, x: np.ndarray, axis) -> np.ndarray:
-    """``norms`` of the slices of ``x`` along ``axis``; each out of (sqrt(tiny), inf) re-taken."""
-    for j in zip(*np.nonzero(~((norms > SQRT_TINY) & (norms < math.inf)))):
-        slices = np.moveaxis(x, axis, range(-np.size(axis), 0))     # only on a re-take
-        norms[j] = euclidean_norm(slices[j])
+    """``norms`` of the slices of ``x`` along ``axis``; each out of (sqrt(tiny), inf)
+    re-taken, but for a slice of zeros, whose norm 0 is exact."""
+    out = ~((norms > SQRT_TINY) & (norms < math.inf))
+    if out.any():
+        slices = np.moveaxis(x, axis, range(-np.size(axis), 0))
+        out[out] = slices[out].reshape(np.count_nonzero(out), -1).any(axis=1)
+        for j in zip(*np.nonzero(out)):
+            norms[j] = euclidean_norm(slices[j])
     return norms
 
 
 def frobenius_norms(x: np.ndarray) -> np.ndarray:
-    """``np.linalg.norm`` of every slice of a C-contiguous stack, bit for bit.
+    """Frobenius norm of each slice of a C-contiguous stack, also where squares over- or underflow.
 
-    One stacked product of each flattened slice with itself, which adds the
-    squares in the order of numpy's ``dot`` that the plain norm uses, in the
-    precision of ``x``. Squares overflow and underflow as there.
+    One stacked product of each flattened slice with itself, in the order of
+    numpy's ``dot`` and the precision of ``x``: bit for bit ``np.linalg.norm``
+    of the slice where that lies in (sqrt(tiny), inf), and re-taken from the
+    slice by :func:`euclidean_norm` elsewhere, as its axis branch does.
     """
     flat = x.reshape(len(x), -1)
-    return np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0])
+    with np.errstate(over="ignore"):
+        return _retaken(np.sqrt(np.matmul(flat[:, None, :], flat[:, :, None])[:, 0, 0]), x, (1, 2))
 
 
 def composed_gram(matvec, rmatvec):

@@ -27,6 +27,12 @@ pass, the adjoint stages followed by the forward ones, with the two middle
 products fused into a a^T and b^T b: a step costs four products (three for
 the linear R map, which has no a), where M and M^T apart cost six.
 
+One scale rule holds for every product: a and b are scaled once by powers
+of two to unit magnitude, M and M^T run on them and take the power of two
+last, and the Gram map takes it on its middle product. In the normal range
+that is exact, and a representable value comes without an intermediate
+overflow; one past the range is inf.
+
 Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as an oracle
 and as the route to the entrywise absolute values of the LU maps (the
 absolute value of a composition is not the composition of absolute values).
@@ -74,15 +80,19 @@ def _transposed(m):
     return None if m is None else m.T
 
 
+def _times_pow2(x: np.ndarray, e: int) -> np.ndarray:
+    """``x`` times 2^e, in place; a product past the float range is inf."""
+    if e:
+        np.ldexp(x, e, out=x)
+    return x
+
+
 def _unit_scaled(m):
-    """``m`` scaled by 2^-e to a largest magnitude in [1/2, 1), and e; the
-    matrix is ``None`` where one of its nonzero entries would square below
-    the normal range, which a Gram product of it would lose."""
+    """``m`` scaled by 2^-e to a largest magnitude in [1/2, 1), and e; ``None`` has e = 0."""
+    if m is None:
+        return None, 0
     e = math.frexp(float(np.max(np.abs(m), initial=0.0)))[1]
-    m = np.ldexp(m, -e)
-    if np.any((m * m < np.finfo(float).tiny) & (m != 0.0)):
-        return None, e
-    return m, e
+    return np.ldexp(m, -e), e
 
 
 @dataclass(frozen=True)
@@ -107,6 +117,9 @@ class StructuredOperator:
         object.__setattr__(self, "_n", w.shape[0])
         object.__setattr__(self, "_wt", w.T.copy())         # W on a stack of transposes
         object.__setattr__(self, "_support", np.flatnonzero(vec(w)))
+        (a, e_a), (b, e_b) = _unit_scaled(self.a), _unit_scaled(self.b)
+        object.__setattr__(self, "_ab", (a, b))     # every product runs on these
+        object.__setattr__(self, "_e", e_a + e_b)   # and takes 2^e last
 
     @property
     def out_dim(self) -> int:
@@ -133,57 +146,42 @@ class StructuredOperator:
         t *= self._wt
         return t + t.swapaxes(1, 2) if self.symmetric else t
 
+    @np.errstate(over="ignore")         # a value past the float range is inf, not a warning
     def apply2(self, v: np.ndarray) -> np.ndarray:
-        t = sandwich(self.a, self.b, v if v.ndim == 2 else v[:, None])   # views the stack
-        out = self._forward(t.T.reshape(-1, self._n, self._n))
+        t = sandwich(*self._ab, v if v.ndim == 2 else v[:, None])   # views the stack
+        out = _times_pow2(self._forward(t.T.reshape(-1, self._n, self._n)), self._e)
         return out[:, 0] if v.ndim == 1 else out
 
+    @np.errstate(over="ignore")
     def applyt2(self, v: np.ndarray) -> np.ndarray:
         block = v if v.ndim == 2 else v[:, None]
-        t = _stacked(_transposed(self.a), _transposed(self.b), self._adjoint(block))
-        out = t.reshape(len(t), -1).T
+        t = _stacked(*map(_transposed, self._ab), self._adjoint(block))
+        out = _times_pow2(t.reshape(len(t), -1).T, self._e)
         return out[:, 0] if v.ndim == 1 else out
 
     @cached_property
     def _gram_factors(self):
-        """a a^T, b^T b (``None`` for the identity) and 2 (e_a + e_b), each
-        product formed from its factor scaled by 2^-e_a (2^-e_b), so that it
-        neither over- nor underflows; ``None`` where a factor spans too wide
-        a range of magnitudes for that."""
-        ga = gb = None
-        shift = 0
-        if self.a is not None:
-            a, e = _unit_scaled(self.a)
-            if a is None:
-                return None
-            ga, shift = a @ a.T, 2 * e
-        if self.b is not None:
-            b, e = _unit_scaled(self.b)
-            if b is None:
-                return None
-            gb, shift = b.T @ b, shift + 2 * e
-        return ga, gb, shift
+        """a a^T and b^T b of the unit-scaled factors (``None`` for the identity), or
+        ``None`` where a nonzero entry squares below the normal range, lost to them."""
+        if any(np.any((m * m < np.finfo(float).tiny) & (m != 0.0))
+               for m in self._ab if m is not None):
+            return None
+        a, b = self._ab
+        return None if a is None else a @ a.T, None if b is None else b.T @ b
 
     def gram2(self, v: np.ndarray, e: int) -> np.ndarray:
         """2^-2e M M^T on a vector or block ``v`` of the output side, M this map.
 
-        The adjoint stages, then the middle products with the cached a a^T
-        and b^T b, then the forward stages. The scale 2^(2 e_a + 2 e_b - 2e)
-        goes on the middle product, where it restores the magnitudes that M
-        M^T would have at 2^-e M, so no stage leaves the range of the
-        products of M and M^T apart wherever 2^-e M is of order one. A
-        factor whose magnitudes span more than about 2^500 is not fused:
-        M^T and M then go apart, each scaled by 2^-e, as for a dense matrix.
+        The adjoint stages, the middle products with the cached a a^T and
+        b^T b times 2^(2 e_a + 2 e_b - 2e), at the magnitudes of the Gram map
+        of 2^-e M, and the forward stages, under the estimator's errstate.
+        Where :attr:`_gram_factors` is ``None``, M^T and M go apart.
         """
         factors = self._gram_factors
         if factors is None:
             return composed_gram(self.apply2, self.applyt2)(v, e)
-        ga, gb, shift = factors
-        t = _stacked(ga, gb, self._adjoint(v if v.ndim == 2 else v[:, None]))
-        shift -= 2 * e
-        if shift:
-            np.ldexp(t, shift, out=t)
-        out = self._forward(t)
+        t = _stacked(*factors, self._adjoint(v if v.ndim == 2 else v[:, None]))
+        out = self._forward(_times_pow2(t, 2 * (self._e - e)))
         return out[:, 0] if v.ndim == 1 else out
 
     def apply(self, x) -> np.ndarray:

@@ -124,8 +124,11 @@ PROBE_MATRICES = {
     "subnormal": np.diag([1.0, 1e-320]),
     # rank one: U has a zero last row and pivot, and QR rejects the rank
     "ones": np.ones((2, 2)),
-    # R^-1 holds 1e300, so the norm of the quadratic R map overflows
+    # R^-1 holds 1e300: the quadratic R map has the norm 5e299, which the
+    # condition value of the QR report squares to inf
     "tiny-pivot": np.diag([1.0, 1e-300]),
+    # R^-1 holds 1e290 beside 1e10, so the norm of the quadratic R map overflows
+    "overflowing-norm": np.array([[1.0, 1e10], [0.0, 1e-290]]),
     # finite entries, but a Frobenius norm that overflows or underflows to 0
     "huge": 1e160 * np.array([[1.0, 2.0], [3.0, 1.0]]),
     "tiny": 1e-170 * np.array([[1.0, 2.0], [3.0, 1.0]]),
@@ -173,10 +176,14 @@ PROBES = [
     ("singular-lu-componentwise", ["lu-componentwise", *ONES, "--epsilon", "ge"], 3),
     ("singular-qr-normwise", ["qr-normwise", *ONES, "--delta", "1e-8"], 3),
     ("singular-qr-componentwise", ["qr-componentwise", *ONES, "--epsilon", "ge"], 3),
-    ("overflowing-norm-qr-normwise", ["qr-normwise", "--matrix", "{tiny-pivot}",
+    ("overflowing-norm-qr-normwise", ["qr-normwise", "--matrix", "{overflowing-norm}",
                                       "--delta", "1e-8"], 3),
     ("overflowing-norm-verify", ["verify", "--experiment", "qr-normwise", "--matrix",
-                                 "{tiny-pivot}", "--delta", "1e-8", "--trials", "5"], 3),
+                                 "{overflowing-norm}", "--delta", "1e-8", "--trials", "5"], 3),
+    ("tiny-pivot-qr-normwise", ["qr-normwise", "--matrix", "{tiny-pivot}",
+                                "--delta", "1e-8"], 2),
+    ("tiny-pivot-verify", ["verify", "--experiment", "qr-normwise", "--matrix",
+                           "{tiny-pivot}", "--delta", "1e-8", "--trials", "5"], 4),
 ]
 
 

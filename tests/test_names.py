@@ -81,12 +81,12 @@ def test_readme_imports_resolve():
 
 
 def test_norm_range_is_tested_only_in_dense():
-    # dense.euclidean_norm is the one place that re-takes a norm whose
-    # squares over- or underflow
+    # dense.euclidean_norm and dense.frobenius_norms are the only functions
+    # that re-take a norm whose squares over- or underflow
     readers = [path.name for path in MODULES
                if path.stem != "dense" and "SQRT_TINY" in path.read_text(encoding="utf-8")]
     assert readers == []
-    # and guards its own floating-point status, so no caller silences it
+    # and they guard their own floating-point status, so no caller silences it
     guarded = []
     for path in MODULES:
         if path.stem == "dense":
@@ -99,7 +99,8 @@ def test_norm_range_is_tested_only_in_dense():
             else:
                 continue
             if any(_calls(context, "errstate") for context in contexts) and any(
-                    _calls(child, "euclidean_norm") for child in node.body):
+                    _calls(child, name) for child in node.body
+                    for name in ("euclidean_norm", "frobenius_norms")):
                 guarded.append(f"{path.name}:{node.lineno}")
     assert guarded == []
 
