@@ -16,6 +16,7 @@ decimals; pass ``--no-timings`` to drop those and obtain byte-identical reports.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -34,7 +35,6 @@ from .errors import (
     NoConvergence,
 )
 from .matgen import (
-    ComponentwiseQR,
     PerturbationSpec,
     graded_random,
     kahan,
@@ -294,7 +294,7 @@ def _verify_spec(args, a: np.ndarray) -> PerturbationSpec:
     n = a.shape[0]
     # --delta is parsed as a float; --epsilon may also be the preset "ge"
     fields = {exp.size: size if exp.size == "delta" else _resolve_epsilon(size, n)}
-    if exp.model is ComponentwiseQR:
+    if "c" in {f.name for f in dataclasses.fields(exp.model)}:     # the envelope C
         fields["c"] = _resolve_c(args, n)
     return PerturbationSpec(model=exp.model(**fields), seed=args.seed)
 

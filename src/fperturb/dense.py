@@ -22,10 +22,15 @@ map, comes from one Krylov estimator: Lanczos on the Gram map M M^T, which
 a caller applies either fused (``StructuredOperator.gram2``) or as a
 product with M after one with M^T (:func:`composed_gram`), from the all-ones
 start and, if that Krylov space closes early, once more from a seeded Gaussian
-one. It works on the map scaled by a power of two to norm near one. Vector
-norms go through :func:`euclidean_norm`, and the norms of the slices of a
-stack through :func:`frobenius_norms`; both guard their own range: no
-overflow, underflow or warning on the way to a representable result.
+one. It works on the map scaled by a power of two to norm near one, and stops
+once the top Ritz value theta has converged: its residual r is at most
+``SPECTRAL_TOL`` times theta, or r^2 <= u theta (theta - theta_2), u = 2^-53
+and theta_2 the next Ritz value, the Kato-Temple estimate of its error held
+at unit roundoff. Where the Ritz gap overstates the true one, the error still
+stays below r, at most sqrt(u) theta. Vector norms go through
+:func:`euclidean_norm`, and the norms of the slices of a stack through
+:func:`frobenius_norms`; both guard their own range: no overflow, underflow
+or warning on the way to a representable result.
 """
 
 from __future__ import annotations
@@ -48,7 +53,9 @@ from .errors import (
 # Tolerances, chosen with double-precision headroom over machine epsilon.
 PIVOT_TOL = 1e-13          # relative pivot threshold for pivot-free LU
 RANK_TOL = 1e-12           # relative smallest-singular-value threshold for QR
-SPECTRAL_TOL = 1e-12       # relative residual tolerance of the Krylov norm estimate
+SPECTRAL_TOL = 1e-12       # relative residual tolerance of the top Ritz pair; the Krylov
+                           # estimate also stops on r^2 <= u theta (theta - theta_2), u = 2^-53,
+                           # an error below r, at most sqrt(u) theta, where the Ritz gap is too wide
 KRYLOV_MAX_STEPS = 1_000   # Lanczos steps before NoConvergence
 KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an eigh of T_k each)
 # Largest min(m, n) of a dense matrix whose spectral norm comes from the LAPACK
@@ -424,19 +431,26 @@ def krylov_spectral_norm(matvec, gram, dim_in: int) -> float:
     Lanczos starts from u = M v / ||M v||, v the normalized all-ones vector,
     where Golub-Kahan bidiagonalization starts. It keeps no basis: after k
     steps it holds the tridiagonal T_k (alphas on the diagonal, betas beside
-    it), whose top eigenpair (theta, s) has the residual beta_k |s_k|, and
-    returns sqrt(theta) 2^e once that is at most ``SPECTRAL_TOL`` times
-    theta, or once a second Ritz value lies within that of theta: without
+    it), whose top eigenpair (theta, s) has the residual r = beta_k |s_k|,
+    and returns sqrt(theta) 2^e once theta has converged: once r is at most
+    ``SPECTRAL_TOL`` times theta; once r^2 <= u theta (theta - theta_2),
+    u = 2^-53 and theta_2 the next Ritz value, the Kato-Temple estimate of
+    the error of theta held at unit roundoff (where the Ritz gap overstates
+    the true one, the error still stays below r, at most sqrt(u) theta); or
+    once theta_2 lies within ``SPECTRAL_TOL`` times theta of theta: without
     reorthogonalization, Lanczos repeats a converged value, and two such
     eigenvectors combine into one with zero last entry, whose residual is
-    at most their spread. At k = min(dim_in, out_dim), which bounds the rank
-    of M M^T, the space is whole. One closure rule covers a space that
-    closes sooner (a tiny beta, or M v = 0), which may miss the top
-    direction, as the all-ones start does on the upper LU map of a triangle
-    of ones: the estimate runs once more from a seeded Gaussian start, in
-    general position, and the larger value is returned. Either value is the
-    norm of a compression of M, so a lower estimate. A map that overflows on
-    a numerically singular factor raises :class:`NormOverflow`.
+    at most their spread. Without reorthogonalization the space need not
+    be whole at k = min(dim_in, out_dim), which bounds the rank of M M^T,
+    so Lanczos runs on past it unless beta is at most ``SPECTRAL_TOL``
+    times the largest alpha (the space is exhausted) or the domain is
+    one-dimensional. One closure rule covers a space that closes sooner (a
+    tiny beta, or M v = 0), which may miss the top direction, as the
+    all-ones start does on the upper LU map of a triangle of ones: the
+    estimate runs once more from a seeded Gaussian start, in general
+    position, and the larger value is returned. Either value is the norm of
+    a compression of M, so a lower estimate. A map that overflows on a
+    numerically singular factor raises :class:`NormOverflow`.
     """
     if dim_in == 0:
         return 0.0
@@ -457,31 +471,37 @@ def _lanczos(matvec, gram, v):
         raise NormOverflow("norm estimate overflows: a factor is numerically singular")
     e = math.frexp(norm)[1]
     u /= norm
+    unit_roundoff = np.finfo(float).eps / 2
+    previous = np.empty_like(u)      # the vector before u, then the buffer for alpha u
     alphas, betas = [], []
     scale = 0.0                      # largest alpha so far, a lower bound on ||T||
     for k in range(1, KRYLOV_MAX_STEPS + 1):
         w = gram(u, e)
         if betas:
-            w -= betas[-1] * previous
+            previous *= betas[-1]
+            w -= previous
         alpha = float(u @ w)
-        w -= alpha * u
+        w -= np.multiply(alpha, u, out=previous)
         beta = euclidean_norm(w)
         if not math.isfinite(alpha + beta):
             raise NormOverflow("norm estimate overflows: a factor is numerically singular")
         alphas.append(alpha)
         scale = max(scale, alpha)
-        closed = k < steps and beta <= SPECTRAL_TOL * scale
-        if closed or k == steps or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
+        exhausted = beta <= SPECTRAL_TOL * scale
+        if exhausted or k == steps or k % KRYLOV_CHECK_STEPS == 0 or k == KRYLOV_MAX_STEPS:
             theta, s = np.linalg.eigh(np.diag(alphas) + np.diag(betas, -1))
             top = theta[-1]
-            if (closed or k == steps or beta * abs(s[-1, -1]) <= SPECTRAL_TOL * top
-                    or k > 1 and theta[-2] >= top - SPECTRAL_TOL * top):
+            residual = beta * abs(s[-1, -1])
+            if (exhausted or steps == 1 or residual <= SPECTRAL_TOL * top or k > 1 and (
+                    theta[-2] >= top - SPECTRAL_TOL * top
+                    or residual * residual <= unit_roundoff * top * (top - theta[-2]))):
                 try:
-                    return math.ldexp(math.sqrt(top), e), closed
+                    return math.ldexp(math.sqrt(top), e), exhausted and k < steps
                 except OverflowError:
                     raise NormOverflow("norm estimate overflows") from None
         betas.append(beta)
-        previous, u = u, w / beta
+        w /= beta
+        previous, u = u, w
     raise NoConvergence(KRYLOV_MAX_STEPS)
 
 
