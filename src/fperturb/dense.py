@@ -1,8 +1,8 @@
 """Dense matrix kernels: factorizations, norms, and triangular inverses.
 
 Matrices are plain 2-D float64 ``numpy.ndarray`` values; only the LU
-factorization and the stacked kernels also run in longdouble, for
-extended-precision measurements.
+factorization and its stacked kernel also run in longdouble, for the
+extended-precision measurement of LU trials.
 Vectorized forms elsewhere in the package stack columns (Fortran order), so a
 matrix and its ``vec`` agree on column-major semantics.
 
@@ -11,9 +11,14 @@ bounds the factors of ``A`` itself, and row exchanges would change the object
 being bounded. The QR factorization normalizes the triangular factor to a
 strictly positive diagonal, which makes it unique for full-column-rank input.
 
-The stacked kernels refactorize many perturbed matrices at once, with the
-floating-point operations of one factorization on every slice; the
-longdouble elimination gets them through numpy's sequential matmul loop.
+The two trial kernels measure the factor changes of many perturbed
+matrices at once, with the floating-point operations of a stack of one on
+every slice. :func:`lu_factor_stack` refactorizes A + dA, in longdouble
+through numpy's sequential matmul loop. :func:`r_change` measures the
+change of R in float64 by the difference form of Householder QR: the
+reflections of A are formed once (:func:`householder_base`), and each slice
+carries only the change of the trailing block through them, so dA is never
+rounded into A.
 
 The spectral norm of a dense matrix whose smaller dimension is at most
 ``SVD_MAX_ORDER`` is the largest singular value from the LAPACK SVD. Every
@@ -72,7 +77,7 @@ EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 materialized, one column 
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)    # a norm at or below it may lose digits to underflow
 # longdouble carries more digits than float64, as it does not on every platform
 WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps
-# why qr_r_stack could not factorize a slice
+# why r_change could not measure a slice
 ZERO_COLUMN, TINY_REFLECTOR = 1, 2
 
 
@@ -264,48 +269,150 @@ def _doolittle(a: np.ndarray, tol: np.ndarray):
     return l, np.ascontiguousarray(ub[:, 1:]), singular
 
 
-def qr_r_stack(a) -> tuple[np.ndarray, np.ndarray]:
-    """Householder R factors (positive diagonal) of every slice of a (k, m, n) stack.
+@dataclass(frozen=True)
+class HouseholderBase:
+    """The Householder reflections of a matrix A, formed once, around which
+    :func:`r_change` measures the change of R.
 
-    Precision and per-slice operations as in :func:`lu_factor_stack`. Returns
-    ``(r, failed)``: ``failed[j]`` is 0 when slice j factorized,
-    ``ZERO_COLUMN`` when it met a zero column, and ``TINY_REFLECTOR`` when a
-    reflection vector v had v.v so small that 2 / v.v overflows (a float64
-    column below about 1e-154), unless it also met a zero column. A failed
-    slice skips the reflection that failed; its factor is meaningless, but
-    finite. A reflection updates the diagonal entry of its column and the
-    columns to its right; the entries below the diagonal, which no later
-    stage reads, are left as they are and dropped at the end.
+    ``a`` is A 2^-``exponent``, with its largest magnitude in [1/2, 1), so
+    that the squares of its columns stay in range. ``reflections`` holds, for
+    each column c, ``(u, y, s, norm, v_norm)`` of the trailing block B_c: x
+    its first column, ``norm`` = ||x||, ``s`` the sign of x_0 (+1 at 0),
+    v = x + s ||x|| e_1, ``v_norm`` = ||v||, u = v / ||v|| and y = 2 B_c^T u;
+    the reflection takes B_c to B_c - u y^T. The norms are taken by
+    :func:`euclidean_norm`, so every nonzero column has its reflection; a
+    zero column has u = 0, no reflection.
     """
-    a = np.asarray(a)
-    r = np.array(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
-    if r.ndim != 3 or r.shape[1] < r.shape[2]:
-        raise DimensionMismatch(f"stack must have shape (k, m, n) with m >= n, got {r.shape}")
-    k, m, n = r.shape
-    zero_column = np.zeros(k, dtype=bool)
-    tiny = np.zeros(k, dtype=bool)
+
+    a: np.ndarray
+    exponent: int
+    reflections: tuple
+
+
+def householder_base(a) -> HouseholderBase:
+    """The :class:`HouseholderBase` of an m-by-n matrix, m >= n, in float64."""
+    a = _as_matrix(a)
+    m, n = a.shape
+    if m < n:
+        raise DimensionMismatch(f"householder_base needs m >= n, got shape {a.shape}")
+    exponent = math.frexp(float(np.max(np.abs(a), initial=0.0)))[1]
+    b = scaled = np.ldexp(a, -exponent)
+    reflections = []
     for c in range(n):
-        x = r[:, c:, c]
-        nx = np.sqrt(np.sum(x * x, axis=1))
-        zero_column |= ~x.any(axis=1)     # not nx = 0: the squares of a column may underflow
+        x = b[:, 0]
+        norm = euclidean_norm(x)
+        s = 1.0 if x[0] >= 0.0 else -1.0
         v = x.copy()
-        v[:, 0] += np.where(x[:, 0] >= 0.0, nx, -nx)
-        s = np.sum(v * v, axis=1)
-        with np.errstate(divide="ignore", over="ignore"):
-            coef = 2.0 / s
-        # s = 0 (a zero column) or 2 / s overflowed: the slice is flagged, and
-        # with coef = 0 its w = 0, so its update subtracts zeros
-        skip = coef == math.inf
-        if skip.any():
+        v[0] += s * norm
+        v_norm = euclidean_norm(v)
+        u = v / v_norm if v_norm else v
+        y = 2.0 * (b.T @ u)
+        reflections.append((u, y, s, norm, v_norm))
+        b = b[1:, 1:] - np.outer(u[1:], y[1:])
+    return HouseholderBase(a=scaled, exponent=exponent, reflections=tuple(reflections))
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def r_change(base: HouseholderBase, da) -> tuple[np.ndarray, np.ndarray]:
+    """R(A + dA) - R(A), R with positive diagonal, for each slice of a (k, m, n) stack dA.
+
+    The difference form of Householder QR in float64: each slice carries
+    only dB, the change of the trailing block B_c, through the reflections
+    of ``base``, so dA is never rounded into A, and the error is about
+    u ||dR|| rather than u ||A||. With x' = x + dx the first column of
+    B_c + dB:
+
+    * d||x|| = dx.(x + x') / (||x'|| + ||x||) is the change of R_cc;
+    * v' = x' + s' ||x'|| e_1 keeps the base's sign s', = s, which is valid
+      whatever the sign of x'_0, unless x'_0 has turned to -s and makes up
+      most of ||x'||, where v'_0 would cancel: then s' = -s and that row of
+      R(A + dA) has the other sign;
+    * dv = v' - v = dx + (s' ||x'|| - s ||x||) e_1, and ||v'||^2 - ||v||^2
+      from the norms (2 (dx.(x + x') + s (||x'|| dx_0 + d||x|| x_0)) where
+      s' = s), so neither cancels;
+    * du = u' - u = (dv - u d||v||) / ||v'||, which stays below 2 also where
+      dA outgrows the column;
+    * dy = 2 (B_c^T du + dB^T u'), y' = y + dy;
+    * dB <- dB - du y'^T - u dy^T, one stacked rank-2 product.
+
+    Every product is one stacked ``np.matmul``, which does the floating-point
+    operations of a stack of one on every slice, so each slice's change is
+    bit for bit its own. The work runs at the unit scale of ``base``, and dR
+    is scaled back last.
+
+    Returns ``(dr, failed)``: ``failed[j]`` is 0 when slice j was measured,
+    ``ZERO_COLUMN`` when A + dA has a zero column or some x' is zero, and
+    ``TINY_REFLECTOR`` when some v'.v' is so small that 2 / v'.v' overflows
+    (an x' below about 1e-154 of the largest entry of A), unless it also met
+    a zero column. A failed slice keeps the base's reflection where its own
+    failed; its change is meaningless, but finite.
+    """
+    da = np.asarray(da, dtype=float)
+    if da.ndim != 3 or da.shape[1:] != base.a.shape:
+        raise DimensionMismatch(f"stack must have shape (k, {base.a.shape[0]}, "
+                                f"{base.a.shape[1]}), got {da.shape}")
+    k, m, n = da.shape
+    db = np.ldexp(da, -base.exponent)
+    dr = np.zeros((k, n, n))
+    left = np.empty((k, m, 2))
+    right = np.empty((k, 2, n))
+    zero_column = ~(base.a + db).any(axis=1).all(axis=1)
+    tiny = np.zeros(k, dtype=bool)
+    b = base.a
+    for c, (u, y, s, norm, v_norm) in enumerate(base.reflections):
+        x, dx = b[:, 0], db[:, :, 0]
+        xp = x + dx
+        g = _dots(dx, x + xp)                       # ||x'||^2 - ||x||^2
+        norm_p = np.sqrt(_dots(xp, xp))
+        dnorm = g / (norm_p + norm)
+        dr[:, c, c] = dnorm
+        turned = s * xp[:, 0] < -0.5 * norm_p
+        vv_p = 2.0 * norm_p * (norm_p + np.where(turned, -s, s) * xp[:, 0])
+        skip = 2.0 / vv_p == math.inf      # a zero x' included
+        failing = skip.any()
+        if failing:
+            zero_column |= skip & ~xp.any(axis=1)
             tiny |= skip
-            coef[skip] = 0.0
-        w = np.matmul(r[:, c:, c:].transpose(0, 2, 1), v[:, :, None])[:, :, 0] * coef[:, None]
-        r[:, c, c] -= v[:, 0] * w[:, 0]
-        r[:, c:, c + 1 :] -= v[:, :, None] * w[:, None, 1:]
-    r = np.triu(r[:, :n, :n])
-    signs = np.where(np.diagonal(r, axis1=1, axis2=2) < 0.0, -1.0, 1.0)
+        if c == n - 1:
+            break
+        dv0 = s * dnorm
+        dvv = g + s * (norm_p * dx[:, 0] + dnorm * x[0])       # (||v'||^2 - ||v||^2) / 2
+        turning = turned.any()
+        if turning:
+            dv0[turned] = -s * (norm_p[turned] + norm)
+            dvv[turned] = (g - s * (norm_p * xp[:, 0] + norm * x[0]))[turned]
+        v_norm_p = np.sqrt(vv_p)
+        dv = dx.copy()
+        dv[:, 0] += dv0
+        dv -= np.multiply.outer(2.0 * dvv / (v_norm_p + v_norm), u)
+        du = np.divide(dv, v_norm_p[:, None], out=dv)
+        if failing:
+            du[skip] = 0.0
+        up = u + du
+        rest = db[:, :, 1:]
+        dy = np.matmul(up[:, None, :], rest)[:, 0]
+        dy += np.matmul(du[:, None, :], b[:, 1:])[:, 0]
+        dy *= 2.0
+        p, q = len(u), n - c - 1
+        left[:, :p, 0] = du
+        left[:, :p, 1] = u
+        np.add(y[1:], dy, out=right[:, 0, :q])
+        right[:, 1, :q] = dy
+        rest -= np.matmul(left[:, :p], right[:, :, :q])
+        np.multiply(rest[:, 0], -s, out=dr[:, c, c + 1 :])
+        if turning:
+            # R(A + dA) has the sign s in this row, and R(A) -s
+            raw = b[0, 1:] - u[0] * y[1:]
+            dr[turned, c, c + 1 :] = s * (rest[turned, 0] + 2.0 * raw)
+        db = rest[:, 1:]
+        b = b[1:, 1:] - np.outer(u[1:], y[1:])
     failed = np.where(zero_column, ZERO_COLUMN, np.where(tiny, TINY_REFLECTOR, 0))
-    return r * signs[:, :, None], failed.astype(np.int8)
+    return np.ldexp(dr, base.exponent, out=dr), failed.astype(np.int8)
+
+
+def _dots(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x_j . y_j of the rows of two (k, p) arrays, one stacked product, so each row's on its own."""
+    return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
 
 
 def qr_factor(a) -> QrFactors:
@@ -442,9 +549,14 @@ def krylov_spectral_norm(matvec, gram, dim_in: int) -> float:
     eigenvectors combine into one with zero last entry, whose residual is
     at most their spread. Without reorthogonalization the space need not
     be whole at k = min(dim_in, out_dim), which bounds the rank of M M^T,
-    so Lanczos runs on past it unless beta is at most ``SPECTRAL_TOL``
+    so Lanczos does not stop there unless beta is at most ``SPECTRAL_TOL``
     times the largest alpha (the space is exhausted) or the domain is
-    one-dimensional. One closure rule covers a space that closes sooner (a
+    one-dimensional. An estimate still unconverged at that k forms
+    2^-2e M M^T instead, by ``gram`` on one identity column at a time, where
+    out_dim is at most ``KRYLOV_MAX_STEPS`` (a matrix of at most 8 MB), and
+    returns the root of the top eigenvalue of its symmetric part from
+    ``np.linalg.eigvalsh``, times 2^e: the norm itself, up to rounding. A
+    larger out_dim runs on to :class:`NoConvergence`. One closure rule covers a space that closes sooner (a
     tiny beta, or M v = 0), which may miss the top direction, as the
     all-ones start does on the upper LU map of a triangle of ones: the
     estimate runs once more from a seeded Gaussian start, in general
@@ -495,14 +607,34 @@ def _lanczos(matvec, gram, v):
             if (exhausted or steps == 1 or residual <= SPECTRAL_TOL * top or k > 1 and (
                     theta[-2] >= top - SPECTRAL_TOL * top
                     or residual * residual <= unit_roundoff * top * (top - theta[-2]))):
-                try:
-                    return math.ldexp(math.sqrt(top), e), exhausted and k < steps
-                except OverflowError:
-                    raise NormOverflow("norm estimate overflows") from None
+                return _scaled_root(top, e), exhausted and k < steps
+            if k == steps and u.size <= KRYLOV_MAX_STEPS:
+                return _formed_gram_norm(gram, u.size, e), False
         betas.append(beta)
         w /= beta
         previous, u = u, w
     raise NoConvergence(KRYLOV_MAX_STEPS)
+
+
+def _formed_gram_norm(gram, out_dim: int, e: int) -> float:
+    """sqrt of the top eigenvalue of 2^-2e M M^T, formed by ``gram`` one column
+    at a time and symmetrized, times 2^e."""
+    g = np.empty((out_dim, out_dim))
+    column = np.zeros(out_dim)
+    for j in range(out_dim):
+        column[j] = 1.0
+        g[:, j] = gram(column, e)
+        column[j] = 0.0
+    if not np.isfinite(g).all():
+        raise NormOverflow("norm estimate overflows: a factor is numerically singular")
+    return _scaled_root(max(float(np.linalg.eigvalsh(0.5 * (g + g.T))[-1]), 0.0), e)
+
+
+def _scaled_root(top: float, e: int) -> float:
+    try:
+        return math.ldexp(math.sqrt(top), e)
+    except OverflowError:
+        raise NormOverflow("norm estimate overflows") from None
 
 
 def spectral_norm(a) -> float:

@@ -2,26 +2,30 @@
 
 :func:`verify_bounds` is the one trial loop for the four theorems of
 :data:`EXPERIMENTS`, each an :class:`Experiment` that is data. Each trial
-draws a perturbation from the configured model, refactorizes the perturbed
-matrix, and compares each measured factor change with its rigorous and
+draws a perturbation from the configured model, measures the factor
+changes of the perturbed matrix, and compares each with its rigorous and
 first-order bound from the report. Violations of a rigorous bound are
 counted (a correct implementation sees none while the applicability
 condition holds), and the largest ratios to both bounds are kept.
 
-The bounds are computed in double precision, but the changes are measured
-by refactorizing in longdouble where it is wider than float64: near the
-applicability window of a hard graded matrix, double precision would
-measure rounding noise rather than factor sensitivity.
+The bounds are computed in double precision. A change of R is measured in
+float64 by the difference form of Householder QR (:func:`dense.r_change`),
+which carries only the increments through the reflections of A, so its
+error is about u ||dR|| rather than u ||A||. The changes of L and U are
+still measured by refactorizing in longdouble where it is wider than
+float64: near the applicability window of a hard graded matrix, double
+precision would measure rounding noise rather than factor sensitivity.
 
 Each trial draws from its own (seed, trial_index) stream, in one call of
 :func:`sample_perturbation` per trial; :mod:`matgen` derives the stream
 states a chunk of trial indices at a time, and the draw envelope that the
 experiment names is formed once per run. The draws of a block are
-stacked and refactorized at once by a kernel of :mod:`dense` that does on
-every slice the floating-point operations of a single factorization (the
-LU kernel in Doolittle order through numpy's sequential longdouble matmul,
-the Householder kernel by rank-1 updates), and the factor changes of the
-block are normed at once, bit for bit as slice by slice. The block is then
+stacked and measured at once by a kernel of :mod:`dense` that does on
+every slice the floating-point operations of a stack of one (the LU kernel
+refactorizes in Doolittle order through numpy's sequential longdouble
+matmul, the Householder difference kernel carries the increments by
+stacked products), and the factor changes of the block are normed at
+once, bit for bit as slice by slice. The block is then
 held to its bounds at once: the changes and their bounds are (trials x
 changes) arrays, from which numpy counts the violations and takes the
 largest ratios, as a loop over the trials and changes would (the
@@ -30,7 +34,7 @@ trial's own ||Q^T dA||_F take their d1 values from one stacked product and
 come from one report at the array of d1, bit for bit the per-trial ones. So
 results do not depend on the block size, and the capped block keeps memory
 flat in the number of trials. A report's timings split the trials into
-drawing (``draw_s``) and refactorizing with the change norms
+drawing (``draw_s``) and measuring the changes with their norms
 (``refactor_s``).
 """
 
@@ -44,7 +48,7 @@ from typing import Callable
 import numpy as np
 
 from . import dense, lu_bounds, qr_bounds
-from .errors import BoundNotApplicable, RankDeficient, SingularLeadingMinor
+from .errors import BoundNotApplicable, SingularLeadingMinor
 from .matgen import (
     ComponentwiseLU,
     ComponentwiseQR,
@@ -59,28 +63,30 @@ _MEASURE_DTYPE = np.longdouble if dense.WIDE_LONGDOUBLE else np.float64
 #: stays flat in the number of trials
 _BLOCK_ENTRIES = 1 << 16
 
-#: why dense.qr_r_stack failed on a slice, by its code
+#: why dense.r_change failed on a slice, by its code
 _QR_FAILURES = {dense.ZERO_COLUMN: "zero column during refactorization",
                 dense.TINY_REFLECTOR: "reflection vector too small to normalize "
                                       "during refactorization"}
 
 
-def _lu_changes(base: dense.LuFactors, perturbed: np.ndarray) -> tuple:
-    """(||dL||_F, ||dU||_F) of each refactorized slice, and (slice, reason) of each that failed."""
-    l, u, singular = dense.lu_factor_stack(perturbed)
-    l -= base.l         # in place: the factors are not needed beyond their changes
-    u -= base.u
+def _lu_changes(base: tuple, da: np.ndarray) -> tuple:
+    """(||dL||_F, ||dU||_F) of A + dA refactorized for each signed draw dA, and
+    (slice, reason) of each that failed. ``base`` is A and its factors, both in
+    ``_MEASURE_DTYPE``."""
+    a_hp, factors = base
+    l, u, singular = dense.lu_factor_stack(a_hp + da)
+    l -= factors.l      # in place: the factors are not needed beyond their changes
+    u -= factors.u
     changes = np.stack([dense.frobenius_norms(l), dense.frobenius_norms(u)], axis=1)
     return changes.astype(float), [
         (j, f"factorization failed: {SingularLeadingMinor(int(singular[j]))}")
         for j in np.flatnonzero(singular).tolist()]
 
 
-def _r_changes(base_r: np.ndarray, perturbed: np.ndarray) -> tuple:
-    """(||dR||_F,) of each refactorized slice, and (slice, reason) of each that failed."""
-    r, failed = dense.qr_r_stack(perturbed)
-    r -= base_r
-    return dense.frobenius_norms(r)[:, None].astype(float), [
+def _r_changes(base: dense.HouseholderBase, da: np.ndarray) -> tuple:
+    """(||dR||_F,) of A + dA for each signed draw dA, and (slice, reason) of each that failed."""
+    dr, failed = dense.r_change(base, da)
+    return dense.frobenius_norms(dr)[:, None], [
         (j, f"factorization failed: {_QR_FAILURES[failed[j]]}")
         for j in np.flatnonzero(failed).tolist()]
 
@@ -94,7 +100,7 @@ class VerificationReport:
     max_ratio_rigorous: float = 0.0
     max_ratio_first_order: float = 0.0
     # seconds: bounds_s, trials_s, and within trials_s draw_s (sampling and
-    # stacking the draws) and refactor_s (refactorizing, norming the changes)
+    # stacking the draws) and refactor_s (measuring, norming the changes)
     timings: dict = field(default_factory=dict)
     bound_report: object = None
 
@@ -184,7 +190,6 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
     t_bounds = time.perf_counter() - t0
 
     t1 = time.perf_counter()
-    a_hp = a.astype(_MEASURE_DTYPE)
     envelope = exp.envelope(spec.model, a, factors)    # formed once, not on every draw
     violations = 0
     skipped = []
@@ -196,7 +201,9 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
         da = np.stack([sample_perturbation(spec, trial_index=i, matrix=a, envelope=envelope)
                        for i in range(start, min(start + block, trials))])
         t3 = time.perf_counter()
-        changes, failures = exp.changes(base, a_hp - da if exp.subtract_draw else a_hp + da)
+        if exp.subtract_draw:       # in place, so no second block is alive
+            np.negative(da, out=da)
+        changes, failures = exp.changes(base, da)
         t_draw += t3 - t2
         t_refactor += time.perf_counter() - t3
         done = np.ones(len(da), dtype=bool)
@@ -229,15 +236,12 @@ def verify_bounds(a, spec: PerturbationSpec, trials: int,
 
 
 def _lu_factors(a):
-    return dense.lu_factor(a), dense.lu_factor(a.astype(_MEASURE_DTYPE))
+    a_hp = a.astype(_MEASURE_DTYPE)
+    return dense.lu_factor(a), (a_hp, dense.lu_factor(a_hp))
 
 
 def _qr_factors(a):
-    factors = dense.qr_factor(a)
-    r, failed = dense.qr_r_stack(a.astype(_MEASURE_DTYPE)[None])
-    if failed[0]:
-        raise RankDeficient(_QR_FAILURES[failed[0]])
-    return factors, r[0]
+    return dense.qr_factor(a), dense.householder_base(a)
 
 
 @dataclass(frozen=True)
@@ -251,10 +255,10 @@ class Experiment:
     model's fields other than the size and returns the report as a function
     of the size. Once per run, ``envelope(model, a, factors)`` forms the
     envelope E of the draws, |dA| <= epsilon E, or returns None for a
-    normwise model. ``changes(base, stack)`` refactorizes a stack of perturbed
-    matrices and returns the measured factor changes as a (slices, changes)
-    float64 array, with the (slice, reason) pairs of the slices that failed
-    and are skipped; ``bound_fields`` names per change the report
+    normwise model. ``changes(base, da)`` measures the factor changes of
+    A + dA for a stack of signed draws dA and returns them as a (slices,
+    changes) float64 array, with the (slice, reason) pairs of the slices
+    that failed and are skipped; ``bound_fields`` names per change the report
     fields of its (rigorous, first-order) bounds, and ``inapplicable`` formats
     the report into the :class:`BoundNotApplicable` message. With ``trial_d1``
     the evaluator takes (d1, d2) = (||Q^T dA||_F, ||dA||_F) and each trial is

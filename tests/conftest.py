@@ -51,14 +51,14 @@ def r_factors(r):
     return QrFactors(q=np.eye(r.shape[0]), r=r)
 
 
-def acceptance_families():
-    """The five matrix families of order 10 that the acceptance suite runs on."""
+def acceptance_families(n=10):
+    """The five matrix families that the acceptance suite runs on, at order n (10 there)."""
     return {
-        "identity": np.eye(10),
-        "kahan": kahan(10, math.pi / 8),
-        "graded_0.2": graded_random(10, 0.2, 0.2, 2),
-        "graded_1": graded_random(10, 1.0, 1.0, 1),
-        "graded_2": graded_random(10, 2.0, 2.0, 8),
+        "identity": np.eye(n),
+        "kahan": kahan(n, math.pi / 8),
+        "graded_0.2": graded_random(n, 0.2, 0.2, 2),
+        "graded_1": graded_random(n, 1.0, 1.0, 1),
+        "graded_2": graded_random(n, 2.0, 2.0, 8),
     }
 
 
@@ -70,9 +70,9 @@ def comparison_cases():
 
 
 def measure_r(a):
-    """R factor of one matrix, with positive diagonal, in its own precision
-    (longdouble stays longdouble, anything else is float64)."""
-    r, zero_column = dense.qr_r_stack(np.asarray(a)[None])
+    """R factor of one matrix, with positive diagonal, by :func:`householder_r_stack`
+    in its own precision (longdouble stays longdouble, anything else is float64)."""
+    r, zero_column = householder_r_stack(np.asarray(a)[None])
     assert not zero_column[0]
     return r[0]
 
@@ -80,9 +80,10 @@ def measure_r(a):
 def householder_r_stack(a):
     """Householder R (positive diagonal) of every slice of a (k, m, n) stack.
 
-    The oracle of ``dense.qr_r_stack``: each reflection updates the whole
-    trailing block, the column it zeroes included, and a slice whose
-    reflection vector vanishes skips it. Returns ``(r, zero_column)``.
+    The refactorization oracle of ``dense.r_change``, in longdouble for a
+    longdouble stack: each reflection updates the whole trailing block, the
+    column it zeroes included, and a slice whose reflection vector vanishes
+    skips it. Returns ``(r, zero_column)``.
     """
     a = np.asarray(a)
     r = np.array(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
@@ -117,7 +118,7 @@ def ratio(actual, bound):
 def trial_loop_report(a, spec, trials, experiment):
     """The accounting of ``verify.verify_bounds`` one trial and one value at a time.
 
-    The oracle of its block accounting: each trial is drawn, refactorized as
+    The oracle of its block accounting: each trial is drawn, measured as
     a stack of one by the experiment's ``changes`` kernel and, unless it
     failed, held to its bounds (with ``trial_d1``, those at its own
     ||Q^T dA||_F) one change at a time. Returns the report's
@@ -136,13 +137,12 @@ def trial_loop_report(a, spec, trials, experiment):
 
     bounds = read_bounds(bounds_at(size, size) if exp.trial_d1 else bounds_at(size))
     envelope = exp.envelope(spec.model, a, factors)
-    a_hp = a.astype(np.longdouble if dense.WIDE_LONGDOUBLE else np.float64)
     violations = 0
     skipped = []
     max_rig = max_fo = 0.0
     for i in range(trials):
         da = sample_perturbation(spec, trial_index=i, matrix=a, envelope=envelope)
-        changes, failures = exp.changes(base, (a_hp - da if exp.subtract_draw else a_hp + da)[None])
+        changes, failures = exp.changes(base, (-da if exp.subtract_draw else da)[None])
         if failures:
             skipped.append((i, failures[0][1]))
             continue

@@ -3,6 +3,11 @@
 Run from the root of a checkout, and only when a change of output is meant:
 
     PYTHONPATH=src python3 tests/golden/capture.py
+    PYTHONPATH=src python3 tests/golden/capture.py verify-qr-normwise verify-qr-componentwise
+
+Without arguments every case is re-captured and ``cases.json`` rewritten.
+With case names, only those cases are re-captured, and only their entries
+of ``cases.json`` are rewritten; every other golden stays as it is.
 
 Before re-capturing, ``--drift`` runs the committed command lines of
 ``cases.json`` into a temporary directory and compares them with the
@@ -150,14 +155,20 @@ def drift(all_cases: list[dict]) -> int:
 def main(argv: list[str]) -> int:
     if argv == ["--drift"]:
         return drift(json.loads((HERE / "cases.json").read_text(encoding="utf-8")))
-    if argv:
-        print("usage: capture.py [--drift]", file=sys.stderr)
-        return 2
     all_cases = cases()
-    if not run_cases(all_cases, HERE):
+    if set(argv) - {case["name"] for case in all_cases}:
+        print("usage: capture.py [--drift | CASE...], CASE one of: "
+              + " ".join(case["name"] for case in all_cases), file=sys.stderr)
+        return 2
+    chosen = [case for case in all_cases if not argv or case["name"] in argv]
+    if not run_cases(chosen, HERE):
         return 1
+    if argv:        # the committed entries of the other cases stay as they are
+        fresh = {case["name"]: case for case in chosen}
+        committed = json.loads((HERE / "cases.json").read_text(encoding="utf-8"))
+        all_cases = [fresh.pop(case["name"], case) for case in committed] + list(fresh.values())
     (HERE / "cases.json").write_text(json.dumps(all_cases, indent=1) + "\n", encoding="utf-8")
-    print(f"wrote {len(all_cases)} golden outputs to {HERE}")
+    print(f"wrote {len(chosen)} golden outputs to {HERE}")
     return 0
 
 

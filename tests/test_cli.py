@@ -11,6 +11,7 @@ from fperturb.cli import main
 from fperturb.lu_bounds import LuComponentwiseReport, lu_componentwise_bounds
 from fperturb.matgen import kahan
 from fperturb.qr_bounds import QrComponentwiseReport
+from fperturb.structured import operator_materialize
 from fperturb.tables import (
     KEY_COLUMNS,
     LU_FIELDS,
@@ -282,6 +283,24 @@ class TestBoundCommands:
                             "--delta", "1e-6", "--output", "json"], capsys)
         assert code == 0
         assert json.loads(out)["rows"][0]["applicable"] is True
+
+
+def test_norm_unconverged_at_its_rank_bound_reports(tmp_path, capsys):
+    # the upper LU map of a triangle of ones plus 18 I has relative top gaps
+    # near 1e-6: Lanczos is unconverged after min(dim_in, out_dim) steps, and
+    # ran on into NoConvergence (exit 5, after about 5 s) until the formed
+    # Gram matrix answered there
+    n = 18
+    a = np.tril(np.ones((n, n))) + n * np.eye(n)
+    path = tmp_path / "tril.csv"
+    write_matrix(path, a)
+    code, out, err = run(["lu-normwise", "--matrix", str(path), "--delta", "1e-6",
+                          "--no-timings"], capsys)
+    assert (code, err) == (0, "")
+    values = dict(zip(*(line.split(",") for line in out.strip().splitlines())))
+    op = lu_bounds.upper_factor_operator(dense.lu_factor(a))
+    ref = float(np.linalg.svd(operator_materialize(op), compute_uv=False)[0])
+    assert float(values["u_op_norm"]) == pytest.approx(ref, rel=1e-13)
 
 
 class TestTinyRows:

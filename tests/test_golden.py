@@ -35,3 +35,27 @@ def test_drift_allows_only_numeric_changes():
     assert capture.token_drift("x\nn/a\n", "x\n0.5\n") is None
     assert capture.token_drift("x,y\n1,2\n", "x,z\n1,2\n") is None
     assert capture.token_drift("x\n1\n", "x\n1\n2\n") is None
+
+
+def test_capture_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
+    committed = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
+    (tmp_path / "cases.json").write_text(json.dumps(committed, indent=1) + "\n", encoding="utf-8")
+    fresh = [dict(case, argv=case["argv"] + ["--recaptured"]) for case in committed]
+    ran = []
+    monkeypatch.setattr(capture, "HERE", tmp_path)
+    monkeypatch.setattr(capture, "cases", lambda: fresh)
+    monkeypatch.setattr(capture, "run_cases", lambda chosen, dest: ran.extend(chosen) or True)
+    assert capture.main([committed[3]["name"], committed[0]["name"]]) == 0
+    assert ran == [fresh[0], fresh[3]]
+    written = json.loads((tmp_path / "cases.json").read_text(encoding="utf-8"))
+    assert written == [fresh[j] if j in (0, 3) else case for j, case in enumerate(committed)]
+    # an unknown name or option runs and writes nothing
+    ran.clear()
+    for argv in (["no-such-case"], [committed[0]["name"], "--drift"], ["--all"]):
+        assert capture.main(argv) == 2
+    assert not ran
+    assert json.loads((tmp_path / "cases.json").read_text(encoding="utf-8")) == written
+    # without names, every case is captured and cases.json is rewritten whole
+    assert capture.main([]) == 0
+    assert ran == fresh
+    assert json.loads((tmp_path / "cases.json").read_text(encoding="utf-8")) == fresh

@@ -1,4 +1,5 @@
-"""Scale equivariance: the reports and the verification of A 2^k against those of A.
+"""Scale equivariance and sign similarity: the reports and the verification
+of A 2^k and of S A S against those of A.
 
 Scaling A by 2^k scales U and R by 2^k and leaves L and Q, so each report
 field scales by a fixed power of 2^k: the bounds on dU and dR and the sizes
@@ -6,6 +7,12 @@ delta by 2^k, the norms of the lower LU map and of the quadratic R map by
 2^-k, and the rest not at all. In floating point the scaling is exact
 wherever nothing leaves the normal range, so the fields are bit for bit
 ldexp(field, e k) there, and close to it beyond.
+
+For S = diag(+-1), S A S has the factors S L S, S U S, S Q S and S R S, and
+every report field is that of A. Flipping signs is exact, so the
+componentwise reports are bit for bit those of A; the normwise ones agree
+to rounding, since the all-ones start of the Krylov estimator is not
+sign-invariant.
 """
 
 import dataclasses
@@ -23,11 +30,13 @@ from fperturb.matgen import (
     PerturbationSpec,
     graded_random,
     kahan,
+    random_c_matrix,
 )
 from fperturb.qr_bounds import qr_componentwise_bounds, qr_normwise_bounds
+from fperturb import verify as verify_mod
 from fperturb.verify import verify_bounds
 
-from conftest import seeded_rng
+from conftest import acceptance_families, seeded_rng
 
 #: e of each report field, which the report of A 2^k holds times 2^(e k)
 EXPONENTS = {
@@ -165,3 +174,49 @@ def test_quadratic_map_norm_of_a_tiny_r():
         math.ldexp(report.quadratic_op_norm, 503), rel=1e-12)
     assert scaled.condition_value == pytest.approx(0.0786, rel=1e-3)
     assert scaled.applicable
+
+
+#: three sign patterns S = diag(+-1) of order 8
+SIGNS = [np.where(seeded_rng(41, j).random(8) < 0.5, -1.0, 1.0) for j in range(3)]
+
+
+def _first_applicable(report_at):
+    """The largest size 10^-2 16^-j whose report applies, a sixteenth of it."""
+    size = 1e-2
+    while not report_at(size).applicable:
+        size /= 16.0
+    return size / 16.0
+
+
+@pytest.mark.parametrize("name", list(acceptance_families(8)))
+def test_sign_similarity(name, monkeypatch):
+    a = acceptance_families(8)[name]
+    c = random_c_matrix(8, 4)
+    lu, qr = lu_factor(a), qr_factor(a)
+    delta = _first_applicable(lambda d: qr_normwise_bounds(qr, d, d))
+    epsilon = _first_applicable(lambda e: qr_componentwise_bounds(qr, c, e))
+    specs = {"qr-normwise": PerturbationSpec(Normwise(delta), seed=5),
+             "qr-componentwise": PerturbationSpec(ComponentwiseQR(epsilon, c), seed=6)}
+    runs = {experiment: verify_bounds(a, spec, 20, experiment)
+            for experiment, spec in specs.items()}
+    real = verify_mod.sample_perturbation
+    for s in SIGNS:
+        flip = np.outer(s, s)
+        lu_s, qr_s = lu_factor(a * flip), qr_factor(a * flip)
+        _assert_scaled(lu_componentwise_bounds(lu, SIZE), lu_componentwise_bounds(lu_s, SIZE), 0)
+        _assert_scaled(qr_componentwise_bounds(qr, c, SIZE),
+                       qr_componentwise_bounds(qr_s, c, SIZE), 0)
+        _assert_scaled(lu_normwise_bounds(lu, SIZE), lu_normwise_bounds(lu_s, SIZE), 0, rel=1e-14)
+        _assert_scaled(qr_normwise_bounds(qr, SIZE, SIZE), qr_normwise_bounds(qr_s, SIZE, SIZE),
+                       0, rel=1e-14)
+        # trial i of S A S draws S dA S, where dA is trial i of A
+        monkeypatch.setattr(verify_mod, "sample_perturbation",
+                            lambda spec, **source: real(spec, **source) * flip)
+        for experiment, spec in specs.items():
+            run, flipped = runs[experiment], verify_bounds(a * flip, spec, 20, experiment)
+            assert (flipped.violations, flipped.skipped) == (run.violations, run.skipped) == (0, ())
+            assert run.max_ratio_rigorous > 0.0
+            assert flipped.max_ratio_rigorous == pytest.approx(run.max_ratio_rigorous, rel=1e-12)
+            assert flipped.max_ratio_first_order == pytest.approx(run.max_ratio_first_order,
+                                                                  rel=1e-12)
+        monkeypatch.undo()

@@ -85,13 +85,12 @@ class TestVerifyBounds:
         delta, trials = 1e-5, 12
         spec = PerturbationSpec(Normwise(delta), seed=4)
         f = dense.qr_factor(a)
-        a_hp = a.astype(np.longdouble)
-        base = dense.qr_r_stack(a_hp[None])[0][0]
+        base = dense.householder_base(a)
         rig = fo = 0.0
         d1s = []
         for i in range(trials):
             da = sample_perturbation(spec, matrix=a, trial_index=i)
-            dr = float(np.linalg.norm(dense.qr_r_stack((a_hp + da)[None])[0][0] - base))
+            dr = float(np.linalg.norm(dense.r_change(base, da[None])[0][0]))
             d1s.append(min(float(np.linalg.norm(f.q.T @ da)), delta))
             rep = qr_normwise_bounds(f, d1s[-1], delta)
             rig = max(rig, dr / rep.rigorous_dr)
@@ -122,23 +121,26 @@ class TestVerifyBounds:
         assert rep.trials == 12
 
     def test_reflector_too_small_is_skipped_with_its_reason(self, monkeypatch):
-        # float64 measurement, as where longdouble is not wider: the slice
-        # whose reflector cannot be normalized is skipped and says why
+        # the slice whose reflector cannot be normalized, at a trailing entry
+        # of 2^-530 in A + dA, is skipped and says why
         changes = verify_mod.EXPERIMENTS["qr-normwise"].changes
-        values, failures = changes(np.array([[1.0]]), np.array([[[2.0**-530]], [[3.0]]]))
+        base = dense.householder_base(np.diag([1.0, 2.0**-500]))
+        da = np.zeros((2, 2, 2))
+        da[0, 1, 1] = 2.0**-530 - 2.0**-500
+        da[1, 0, 0] = 2.0
+        values, failures = changes(base, da)
         assert values[1].tolist() == [2.0]
         assert failures == [(0, "factorization failed: reflection vector too small "
                                 "to normalize during refactorization")]
         # and verify_bounds reports each such slice of its blocks
-        real = verify_mod.dense.qr_r_stack
+        real = verify_mod.dense.r_change
 
-        def flaky(a):
-            r, failed = real(a)
-            if len(a) > 1:      # the base is a stack of one
-                failed[1::4] = dense.TINY_REFLECTOR
-            return r, failed
+        def flaky(base, da):
+            dr, failed = real(base, da)
+            failed[1::4] = dense.TINY_REFLECTOR
+            return dr, failed
 
-        monkeypatch.setattr(verify_mod.dense, "qr_r_stack", flaky)
+        monkeypatch.setattr(verify_mod.dense, "r_change", flaky)
         rep = verify_bounds(np.eye(5), PerturbationSpec(Normwise(0.01), seed=4), 12,
                             experiment="qr-normwise")
         assert [i for i, _ in rep.skipped] == [1, 5, 9]
@@ -203,17 +205,20 @@ class TestBlocks:
         a = random_square(10, 6, shift=10.0)
         spec = PerturbationSpec(Normwise(1e-6), seed=9)
 
-        def peak(trials):
+        def peak(trials, experiment):
             tracemalloc.start()
             try:
-                verify_bounds(a, spec, trials, experiment="lu-normwise")
+                verify_bounds(a, spec, trials, experiment=experiment)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        verify_bounds(a, spec, 1, experiment="lu-normwise")     # first-call allocations
-        block_bytes = verify_mod._BLOCK_ENTRIES * np.dtype(verify_mod._MEASURE_DTYPE).itemsize
-        assert peak(20_000) - peak(1_000) < block_bytes
+        # LU blocks are refactorized in longdouble, QR blocks measured in float64
+        for experiment, dtype in (("lu-normwise", verify_mod._MEASURE_DTYPE),
+                                  ("qr-normwise", np.float64)):
+            verify_bounds(a, spec, 1, experiment=experiment)     # first-call allocations
+            block_bytes = verify_mod._BLOCK_ENTRIES * np.dtype(dtype).itemsize
+            assert peak(20_000, experiment) - peak(1_000, experiment) < block_bytes
 
 
 def _report_fields(report):
