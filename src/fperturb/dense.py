@@ -73,7 +73,7 @@ KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an eigh of T_k ea
 # 629 / 786 at 91 x 196. Up to 64 the estimator wins only where it stops at
 # its first check (Kahan U, 8 steps).
 SVD_MAX_ORDER = 64
-EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 materialized, one column of X at a time
+EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 of a map materialized whole, O(n^4)
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)    # a norm at or below it may lose digits to underflow
 # longdouble carries more digits than float64, as it does not on every platform
 WIDE_LONGDOUBLE = np.finfo(np.longdouble).eps < np.finfo(np.float64).eps

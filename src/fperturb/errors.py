@@ -53,9 +53,9 @@ class DimensionMismatch(FperturbError):
 class AbsOperatorTooLarge(FperturbError):
     """The entrywise absolute value of a factor map is too large to form.
 
-    For the LU maps that is a dense materialization above
-    ``EXPLICIT_THRESHOLD``; for the QR maps, stacks of more than its square
-    entries.
+    For the LU maps that is a dense map with more than ``EXPLICIT_THRESHOLD``
+    columns, built whole from per-index stacks; for the QR maps, stacks of
+    more than its square entries.
     """
 
 

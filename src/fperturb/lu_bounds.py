@@ -16,9 +16,10 @@ smaller root of a Lyapunov majorant that :func:`majorant` solves for the whole
 package; the normwise ones hold while the product of the two norms times delta
 stays below 1/4. Componentwise perturbations within the backward-error envelope
 eps * |L~| |U~| of Gaussian elimination go through the entrywise absolute
-values of the materialized maps. Each report's evaluator builds its size-free
-part once per factorization, from the factors and their cached inverses, and
-returns the report as a function of the size. Comparison bounds in the style
+values of the maps, each materialized whole from per-index stacks in O(n^4)
+(``structured.operator_materialize``). Each report's evaluator builds its
+size-free part once per factorization, from the factors and their cached
+inverses, and returns the report as a function of the size. Comparison bounds in the style
 of Chang and Stehle (SIMAX 2010), at the column-norm scaling of L and the
 row-norm scaling of U, measure the tightness of the bounds.
 """
@@ -261,10 +262,11 @@ def lu_componentwise_evaluator(tilde_factors: LuFactors):
     norms at the column-norm scaling of L~ and the row-norm scaling of U~.
     Returns the function that evaluates the report at one epsilon.
 
-    One map is alive at a time: each is materialized, made absolute in
-    place and reduced to its image of vec(|L~||U~|) and its spectral norm
-    before the next is formed, so the peak memory is near the size of the
-    larger map (the upper one, n (n+1)/2 by n^2) rather than four maps.
+    One map is alive at a time: each is materialized whole, by one stacked
+    product and one broadcast into its result, made absolute in place and
+    reduced to its image of vec(|L~||U~|) and its spectral norm before the
+    next is formed, so the peak memory is near the size of the larger map
+    (the upper one, n (n+1)/2 by n^2) rather than four maps.
     """
     lt, ut = tilde_factors.l, tilde_factors.u
 

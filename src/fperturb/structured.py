@@ -33,12 +33,14 @@ last, and the Gram map takes it on its middle product. In the normal range
 that is exact, and a representable value comes without an intermediate
 overflow; one past the range is inf.
 
-Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as an oracle
-and as the route to the entrywise absolute values of the LU maps (the
-absolute value of a composition is not the composition of absolute values).
-It pushes the basis one column of X at a time into a preallocated result, so
-its peak memory stays near the size of that result. The QR maps have a
-matrix-free absolute form, ``qr_bounds.absolute_r_maps``.
+Dense materialization is available up to ``EXPLICIT_THRESHOLD`` as the route
+to the entrywise absolute values of the LU maps (the absolute value of a
+composition is not the composition of absolute values). It builds the whole
+map from per-index stacks, P_c = W diag(b[c, :]) right or
+Q_r = left diag(a[:, r]) W, in one stacked product and one broadcast written
+into the preallocated result: O(n^4) for one outer factor, and a peak memory
+near the size of the result. The QR maps have a matrix-free absolute form,
+``qr_bounds.absolute_r_maps``.
 """
 
 from __future__ import annotations
@@ -197,24 +199,59 @@ class StructuredOperator:
         return self.applyt2(y)
 
 
+def _plain_columns(w, a, b, left, right, support, out):
+    """out[k, c, r] = entry k of left (W * a E_rc b) right on the support of W.
+
+    E_rc is the one-hot matrix of column (r, c) of the map, and ``None`` the
+    identity for ``left`` and ``right``; ``a`` and ``b`` are matrices. With
+    a_r = a[:, r] and b_c = b[c, :], W * a_r b_c^T = diag(a_r) W diag(b_c),
+    so column (r, c) is diag(a_r) P_c with P_c = W diag(b_c) right, or, with
+    a left factor, Q_r diag(b_c) with Q_r = left diag(a_r) W: one stacked
+    product and one broadcast. With both outer factors, Q_r (diag(b_c) right)
+    is one more stacked product.
+    """
+    n = w.shape[0]
+    i, j = support % n, support // n                # row and column of entry k
+    if left is None:
+        p = w * b[:, None, :]                       # p[c] = W diag(b_c)
+        if right is not None:
+            p = (p.reshape(n * n, n) @ right).reshape(n, n, n)
+        np.multiply(p[:, i, j].T[:, :, None], a[i, None, :], out=out)
+        return
+    q = np.matmul(left, a.T[:, :, None] * w)        # q[r] = left diag(a_r) W
+    if right is None:
+        np.multiply(b[:, j].T[:, :, None], q[:, i, j].T[:, None, :], out=out)
+        return
+    t = np.matmul(q, b[:, None, :, None] * right)   # t[c, r] = q[r] diag(b_c) right
+    out[...] = np.moveaxis(t[:, :, i, j], -1, 0)
+
+
+@np.errstate(over="ignore")         # a value past the float range is inf, not a warning
 def operator_materialize(op: StructuredOperator) -> np.ndarray:
     """Dense matrix with the same action as ``op`` on every basis vector.
 
     Raises AbsOperatorTooLarge above ``EXPLICIT_THRESHOLD``: the entrywise
     absolute values of the LU maps, which the componentwise LU bounds need,
-    are taken of this dense form. Column c of X goes in as one block of n basis
-    vectors, so no n^2-square identity is formed.
+    are taken of this dense form. :func:`_plain_columns` writes the columns
+    straight into the result; sym(Z) = Z + Z^T adds the map of (b^T, a^T)
+    with its columns vec-transposed. Every factor runs at unit scale and the
+    powers of two come last, so no intermediate overflows and no entry is NaN.
     """
     if op.in_dim > EXPLICIT_THRESHOLD:
         raise AbsOperatorTooLarge(
             f"input dimension {op.in_dim} exceeds threshold {EXPLICIT_THRESHOLD}")
-    n = math.isqrt(op.in_dim)
+    n = op._n
+    a, b = (np.eye(n) if m is None else m for m in op._ab)
+    (left, e_left), (right, e_right) = _unit_scaled(op.left), _unit_scaled(op.right)
+    w, support = op._wt.T, op._support
     out = np.empty((op.out_dim, op.in_dim))
-    for c in range(n):
-        stack = np.zeros((n, n, n))
-        stack[range(n), c, range(n)] = 1.0               # stack[r] = E_rc^T
-        out[:, c * n:(c + 1) * n] = op.apply2(stack.reshape(n, n * n).T)
-    return out
+    columns = out.reshape(op.out_dim, n, n)         # columns[k, c, r]: column (r, c)
+    _plain_columns(w, a, b, left, right, support, columns)
+    if op.symmetric:
+        swapped = np.empty_like(columns)
+        _plain_columns(w, b.T, a.T, left, right, support, swapped)
+        columns += swapped.swapaxes(1, 2)
+    return _times_pow2(out, op._e + e_left + e_right)
 
 
 def operator_spectral_norm(op: StructuredOperator) -> float:

@@ -205,6 +205,22 @@ def chang_stehle_qr(factors, delta, d):
     return bound, rinv_norm * delta < COMPARISON_GATE
 
 
+def materialize_by_columns(op):
+    """Dense matrix of a StructuredOperator, pushed through ``apply2`` one column of X at a time.
+
+    Column c of X goes in as one block of the n one-hot matrices E_rc: the
+    oracle of ``structured.operator_materialize``, which builds the map from
+    per-index stacks instead and rounds differently.
+    """
+    n = math.isqrt(op.in_dim)
+    out = np.empty((op.out_dim, op.in_dim))
+    for c in range(n):
+        stack = np.zeros((n, n, n))
+        stack[range(n), c, range(n)] = 1.0               # stack[r] = E_rc^T
+        out[:, c * n:(c + 1) * n] = op.apply2(stack.reshape(n, n * n).T)
+    return out
+
+
 def worst_case_m_norm_perturbation(tilde_factors, epsilon, target):
     """Perturbation attaining the first-order max-entry bound for one LU factor.
 

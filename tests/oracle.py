@@ -31,3 +31,34 @@ def r_change_norms(a, da) -> np.ndarray:
             change = _r(a + mpmath.matrix(d.tolist())) - base
             norms.append(float(mpmath.mnorm(change, "f")))
     return np.array(norms)
+
+
+def lu_factor_maps(l, u) -> tuple[np.ndarray, np.ndarray]:
+    """The lower and upper LU factor maps of the factors ``l`` and ``u``, rounded to float64.
+
+    Column (r, c), the image of the one-hot E_rc, is slvec(L slt(L^{-1} E_rc P))
+    with P = [U_{n-1}^{-1} 0; 0 0] for the lower map, and uvec(ut(L^{-1} E_rc
+    U^{-1}) U) for the upper one, each stacking its triangle column by column.
+    Everything runs at 50 digits, so each entry is that of the exact maps of
+    the given factors, to far below float64 rounding, rounded once.
+    """
+    n = len(l)
+    with mpmath.workdps(DPS):
+        lm, um = (mpmath.matrix(np.asarray(m, dtype=float).tolist()) for m in (l, u))
+        linv, uinv = mpmath.inverse(lm), mpmath.inverse(um)
+        pad = mpmath.zeros(n, n)
+        if n > 1:
+            pad[:n - 1, :n - 1] = mpmath.inverse(um[:n - 1, :n - 1])
+        lower = [(i, j) for j in range(n) for i in range(j + 1, n)]
+        upper = [(i, j) for j in range(n) for i in range(j + 1)]
+        m_l = np.empty((len(lower), n * n))
+        m_u = np.empty((len(upper), n * n))
+        for c in range(n):
+            for r in range(n):
+                m_l[:, c * n + r] = [float(mpmath.fsum(lm[i, k] * linv[k, r] * pad[c, j]
+                                                       for k in range(j + 1, n)))
+                                     for i, j in lower]
+                m_u[:, c * n + r] = [float(mpmath.fsum(linv[i, r] * uinv[c, k] * um[k, j]
+                                                       for k in range(i, n)))
+                                     for i, j in upper]
+    return m_l, m_u

@@ -28,8 +28,10 @@ from fperturb.structured import (
     vec,
 )
 
+import oracle
 from conftest import (
     SelectionKind,
+    acceptance_families,
     chang_stehle_lu,
     comparison_cases,
     count_calls,
@@ -132,6 +134,20 @@ class TestFactorOperators:
         ref_u = extract(extract(linv @ da @ uinv, SelectionKind.UT) @ u, SelectionKind.UVEC)
         assert np.allclose(lower_factor_operator(f).apply(vec(da)), ref_l, atol=1e-12)
         assert np.allclose(upper_factor_operator(f).apply(vec(da)), ref_u, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_absolute_maps_match_the_exact_maps(self, n):
+        # the exact maps of the float64 factors, at 50 digits; the maps are
+        # built on the cached inverses, whose rounding is relative to
+        # |X||T||X| rather than to each entry, so every entry is held to
+        # 4 n u of its map's largest magnitude
+        for name, a in acceptance_families(n).items():
+            f = lu_factor(a)
+            for op, exact in zip((lower_factor_operator(f), upper_factor_operator(f)),
+                                 oracle.lu_factor_maps(f.l, f.u)):
+                got, exact = np.abs(operator_materialize(op)), np.abs(exact)
+                bound = 4 * n * 2.0**-53 * exact.max(initial=0.0)
+                assert (np.abs(got - exact) <= bound).all(), name
 
     def test_lower_bounds_on_operator_norms(self):
         for seed in range(50):

@@ -22,7 +22,12 @@ import numpy as np
 import pytest
 
 from fperturb.dense import lu_factor, qr_factor
-from fperturb.lu_bounds import lu_componentwise_bounds, lu_normwise_bounds
+from fperturb.lu_bounds import (
+    lower_factor_operator,
+    lu_componentwise_bounds,
+    lu_normwise_bounds,
+    upper_factor_operator,
+)
 from fperturb.matgen import (
     ComponentwiseLU,
     ComponentwiseQR,
@@ -33,6 +38,7 @@ from fperturb.matgen import (
     random_c_matrix,
 )
 from fperturb.qr_bounds import qr_componentwise_bounds, qr_normwise_bounds
+from fperturb.structured import operator_materialize
 from fperturb import verify as verify_mod
 from fperturb.verify import verify_bounds
 
@@ -111,6 +117,26 @@ def test_reports_scale_near_the_range_ends(name):
             _assert_scaled(report, scaled, k, rel=1e-12)
 
 
+def _lu_maps(a, k):
+    """The materialized lower and upper LU maps of A 2^k."""
+    lu = lu_factor(np.ldexp(a, k))
+    return operator_materialize(lower_factor_operator(lu)), operator_materialize(
+        upper_factor_operator(lu))
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_materialized_maps_scale_bit_for_bit(name):
+    # the lower map of A 2^k is that of A times 2^-k, the upper one that of A;
+    # every factor is taken at unit scale and the powers of two last, so the
+    # maps are bit for bit out to k = +-500, with no NaN, and an entry past
+    # the range would be inf, as ldexp makes it
+    lower, upper = _lu_maps(MATRICES[name], 0)
+    for k in (7, -7, 200, -200, 500, -500):
+        scaled_lower, scaled_upper = _lu_maps(MATRICES[name], k)
+        assert np.array_equal(scaled_upper, upper)
+        assert np.array_equal(scaled_lower, np.ldexp(lower, -k))     # NaN is never equal
+
+
 def _specs(a, k):
     """The spec of each experiment for A 2^k, with the normwise size 2^k 1e-9."""
     delta = math.ldexp(1e-9, k)
@@ -186,6 +212,20 @@ def _first_applicable(report_at):
     while not report_at(size).applicable:
         size /= 16.0
     return size / 16.0
+
+
+@pytest.mark.parametrize("name", MATRICES)
+def test_componentwise_reports_are_sign_similar(name):
+    a = MATRICES[name]
+    n = a.shape[0]
+    c = random_c_matrix(n, 4)
+    lu, qr = lu_factor(a), qr_factor(a)
+    for j in range(3):
+        s = np.where(seeded_rng(42, n, j).random(n) < 0.5, -1.0, 1.0)
+        lu_s, qr_s = lu_factor(a * np.outer(s, s)), qr_factor(a * np.outer(s, s))
+        _assert_scaled(lu_componentwise_bounds(lu, SIZE), lu_componentwise_bounds(lu_s, SIZE), 0)
+        _assert_scaled(qr_componentwise_bounds(qr, c, SIZE),
+                       qr_componentwise_bounds(qr_s, c, SIZE), 0)
 
 
 @pytest.mark.parametrize("name", list(acceptance_families(8)))
