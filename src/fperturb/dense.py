@@ -73,6 +73,10 @@ KRYLOV_CHECK_STEPS = 8     # steps between convergence checks (an eigh of T_k ea
 # 629 / 786 at 91 x 196. Up to 64 the estimator wins only where it stops at
 # its first check (Kahan U, 8 steps).
 SVD_MAX_ORDER = 64
+# Largest triangle that triangular_inverse hands whole to LAPACK, not in halves. One OpenBLAS
+# thread, whole / halves in microseconds, best of 1,500: 17 / 23 at n = 24, 26 / 28 at 32,
+# 29 / 31 at 34, 33 / 32 at 36 and 39 / 36 at 40.
+TRIANGULAR_LEAF = 34
 EXPLICIT_THRESHOLD = 4096  # largest vec-dimension n^2 of a map materialized whole, O(n^4)
 SQRT_TINY = math.sqrt(np.finfo(float).tiny)    # a norm at or below it may lose digits to underflow
 # longdouble carries more digits than float64, as it does not on every platform
@@ -169,17 +173,11 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     pivot at or below ``PIVOT_TOL * ||a[j]||_F``. The elimination of such a
     slice stops there, and its factors are meaningless.
 
-    Each entry of U, and of L before its division by the pivot, is the
-    entry of ``a`` minus the rounded products l_ik u_kj, subtracted one at a
-    time in order of k. A longdouble stack (where longdouble is wider than
-    float64) runs this in Doolittle order, one stacked ``np.matmul`` per row
-    of U and per column of L, whose longdouble loop adds the rounded
-    products in turn from zero (``tests/test_dense.py::TestMatmulPremise``
-    checks it where longdouble is IEEE extended or quad precision).
-    Other stacks keep the right-looking rank-1 updates: float64 matmul goes
-    to BLAS, which sums in another order. Both orders give the same bits up
-    to the sign of an exact zero; ROADMAP item 10 would drop the longdouble
-    branch.
+    The elimination is :func:`_doolittle` for every dtype: a float64 stack
+    goes to BLAS one slice at a time, and a longdouble one through numpy's
+    sequential loop, which subtracts the rounded products l_ik u_kj one at a
+    time in order of k (``tests/test_dense.py::TestMatmulPremise`` checks it
+    where longdouble is IEEE extended or quad precision).
     """
     a = np.asarray(a)
     a = np.ascontiguousarray(a, dtype=np.longdouble if a.dtype == np.longdouble else float)
@@ -187,10 +185,7 @@ def lu_factor_stack(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise DimensionMismatch(f"stack must have shape (k, n, n), got {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError("stack has non-finite entries")
-    tol = PIVOT_TOL * frobenius_norms(a)
-    if a.dtype == np.longdouble and WIDE_LONGDOUBLE:
-        return _doolittle(a, tol)
-    return _right_looking(a, tol)
+    return _doolittle(a, PIVOT_TOL * frobenius_norms(a))
 
 
 def _gate(piv: np.ndarray, tol: np.ndarray, singular: np.ndarray, step: int):
@@ -206,36 +201,15 @@ def _gate(piv: np.ndarray, tol: np.ndarray, singular: np.ndarray, step: int):
     return small
 
 
-def _right_looking(a: np.ndarray, tol: np.ndarray):
-    """:func:`lu_factor_stack` by rank-1 updates of the trailing block."""
-    k, n, _ = a.shape
-    u = a.copy()
-    l = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
-    singular = np.zeros(k, dtype=int)
-    for c in range(n - 1):
-        piv = u[:, c, c]
-        small = _gate(piv, tol, singular, c)
-        if small is not None:
-            u[small] = 0.0
-        if singular.any():
-            # a stopped slice is all zeros; dividing it by one keeps it so
-            piv = np.where(singular > 0, 1.0, piv)
-        mults = u[:, c + 1 :, c] / piv[:, None]
-        l[:, c + 1 :, c] = mults
-        u[:, c + 1 :, c:] -= mults[:, :, None] * u[:, c, None, c:]
-        u[:, c + 1 :, c] = 0.0
-    return l, np.triu(u), singular
-
-
 def _doolittle(a: np.ndarray, tol: np.ndarray):
-    """:func:`lu_factor_stack` in Doolittle order, by stacked sequential matmuls.
+    """:func:`lu_factor_stack` in Doolittle order, one stacked matmul per row of U and column of L.
 
     Row 0 of ``ub`` and column 0 of ``nl`` are heads; rows 1.. of ``ub`` hold
     U and columns 1.. of ``nl`` hold -L. Row j of U is [1, -l_j0, ..,
-    -l_j,j-1] times [a_j; u_0; ..; u_j-1], and the sum from zero takes
-    a_j + (-l_j0 u_0) + .. in turn, which rounds as a_j - l_j0 u_0 - ..
-    does. Column j of L is likewise [a_ij, -l_i0, ..] times [1; u_0j; ..],
-    divided by the pivot. A gated slice has its L zeroed, and so are the
+    -l_j,j-1] times [a_j; u_0; ..; u_j-1]; numpy's longdouble loop sums it
+    from zero, a_j + (-l_j0 u_0) + .. in turn, which rounds as a_j - l_j0 u_0
+    - .. does. Column j of L is likewise [a_ij, -l_i0, ..] times [1; u_0j;
+    ..], divided by the pivot. A gated slice has its L zeroed, and so are the
     heads it reads from ``a`` for L later, so its L stays zero and its later
     rows of U are those of ``a``: meaningless, but finite.
     """
@@ -439,42 +413,63 @@ def qr_factor(a) -> QrFactors:
 
 
 def triangular_inverse(t, shape: str) -> np.ndarray:
-    """Invert a triangular matrix by substitution; result keeps the shape.
+    """Invert a triangular matrix by blocks; result keeps the shape.
 
-    ``shape`` is ``"lower"`` or ``"upper"``. Raises :class:`SingularDiagonal`
-    with the 1-based index of the first exactly-zero diagonal entry, or of the
-    first row in substitution order that overflows, as a subnormal pivot does.
+    ``shape`` is ``"lower"`` or ``"upper"``. An upper T = [T11 T12; 0 T22]
+    has the inverse [X11 -X11 (T12 X22); 0 X22], taken the same way down to
+    blocks of order at most ``TRIANGULAR_LEAF``, which ``np.linalg.inv``
+    inverts: getrf makes no row exchange on an upper triangle with a nonzero
+    diagonal, so that is a triangular solve (Higham, Accuracy and Stability
+    of Numerical Algorithms, 2nd ed., ch. 14). A lower T is inverted as
+    J (J T J)^-1 J, J the reversal, so that the rows of the upper J T J keep
+    T's substitution order. Raises :class:`SingularDiagonal` with the
+    1-based index of the first exactly-zero diagonal entry, or of the first
+    row in substitution order (from the last row of an upper T, the first of
+    a lower one) that is not finite, as where a subnormal pivot or the
+    growth overflows.
     """
     t = _as_square(t, "triangular matrix")
     if shape not in ("lower", "upper"):
         raise ValueError(f"shape must be 'lower' or 'upper', got {shape!r}")
-    n = t.shape[0]
     zero = np.flatnonzero(np.diag(t) == 0.0)
     if zero.size:
         raise SingularDiagonal(int(zero[0]) + 1)
     upper = shape == "upper"
-    x = np.eye(n)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i in range(n - 1, -1, -1) if upper else range(n):
-            done = slice(i + 1, None) if upper else slice(None, i)
-            x[i, :] = (x[i, :] - t[i, done] @ x[done, :]) / t[i, i]
-            if not np.isfinite(x[i]).all():
-                raise SingularDiagonal(i + 1)
-    return np.triu(x) if upper else np.tril(x)
+        x = _upper_inverse(t if upper else np.ascontiguousarray(t[::-1, ::-1]))
+    x = np.triu(x) if upper else np.tril(x[::-1, ::-1])
+    rows = np.flatnonzero(~np.isfinite(x).all(axis=1))
+    if rows.size:
+        raise SingularDiagonal(int(rows[-1] if upper else rows[0]) + 1)
+    return x
+
+
+def _upper_inverse(t: np.ndarray) -> np.ndarray:
+    """:func:`triangular_inverse` of an upper T by halves; the caller keeps its upper triangle."""
+    n = len(t)
+    if n <= TRIANGULAR_LEAF:
+        return np.linalg.inv(t)
+    p = n // 2
+    x = np.zeros_like(t)
+    x[:p, :p] = x11 = _upper_inverse(t[:p, :p])
+    x[p:, p:] = x22 = _upper_inverse(t[p:, p:])
+    x[:p, p:] = -(x11 @ (t[:p, p:] @ x22))
+    return x
 
 
 def euclidean_norm(x, axis=None):
     """2-norm of an array, or of each slice along ``axis``, also where squares over- or underflow.
 
     ``np.linalg.norm(x, axis=axis)`` is kept where it lies in (sqrt(tiny), inf);
-    any other is taken again from its slice, divided by its largest magnitude if
-    its plain norm is out of range too. Without ``axis``, the first try is the
-    square root of ``np.vdot`` of ``x.ravel(order="K")`` with itself: the
-    bits of the dot product that ``np.linalg.norm`` takes of a real array,
-    without its argument handling, and with no floating-point status check,
-    so a first try that overflows raises no warning. A non-finite entry
-    gives a non-finite norm. The result keeps the precision of ``x``, a
-    float for float64 without ``axis``.
+    any other is taken again from its slice, scaled by 2^-e, e the exponent
+    of its largest magnitude, if its plain norm is out of range too, so that
+    it scales with x by powers of two bit for bit. Without ``axis``, the
+    first try is the square root of ``np.vdot`` of ``x.ravel(order="K")``
+    with itself: the bits of the dot product that ``np.linalg.norm`` takes
+    of a real array, without its argument handling, and with no
+    floating-point status check, so a first try that overflows raises no
+    warning. A non-finite entry gives a non-finite norm. The result keeps
+    the precision of ``x``, a float for float64 without ``axis``.
     """
     x = np.asarray(x)
     if axis is not None and np.size(axis) < x.ndim:     # else all of x is one slice
@@ -489,8 +484,9 @@ def euclidean_norm(x, axis=None):
     norm = math.sqrt(square) if type(square) is np.float64 else np.sqrt(square)
     if not SQRT_TINY < norm < math.inf:
         scale = np.max(np.abs(x), initial=0.0)
+        e = np.frexp(scale)[1]
         with np.errstate(over="ignore"):        # a norm past the float range is inf
-            norm = scale * np.linalg.norm(x / scale) if 0.0 < scale < math.inf else scale
+            norm = np.ldexp(np.linalg.norm(np.ldexp(x, -e)), e) if 0.0 < scale < math.inf else scale
     return float(norm) if type(norm) is np.float64 else norm
 
 

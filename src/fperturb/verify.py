@@ -72,13 +72,14 @@ _QR_FAILURES = {dense.ZERO_COLUMN: "zero column during refactorization",
 def _lu_changes(base: tuple, da: np.ndarray) -> tuple:
     """(||dL||_F, ||dU||_F) of A + dA refactorized for each signed draw dA, and
     (slice, reason) of each that failed. ``base`` is A and its factors, both in
-    ``_MEASURE_DTYPE``."""
+    ``_MEASURE_DTYPE``; the changes are rounded to float64 to be normed by BLAS."""
     a_hp, factors = base
     l, u, singular = dense.lu_factor_stack(a_hp + da)
     l -= factors.l      # in place: the factors are not needed beyond their changes
     u -= factors.u
-    changes = np.stack([dense.frobenius_norms(l), dense.frobenius_norms(u)], axis=1)
-    return changes.astype(float), [
+    changes = np.stack([dense.frobenius_norms(l.astype(float)),
+                        dense.frobenius_norms(u.astype(float))], axis=1)
+    return changes, [
         (j, f"factorization failed: {SingularLeadingMinor(int(singular[j]))}")
         for j in np.flatnonzero(singular).tolist()]
 

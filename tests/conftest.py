@@ -7,6 +7,7 @@ import pytest
 
 from fperturb import dense, verify
 from fperturb.dense import QrFactors
+from fperturb.errors import SingularDiagonal
 from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
 from fperturb.matgen import graded_random, kahan, sample_perturbation
 from fperturb.qr_bounds import COMPARISON_GATE, SQRT6_PLUS_SQRT3, zeta
@@ -67,6 +68,58 @@ def comparison_cases():
     triangles stay ill-conditioned (kappa2 near 1e18 at n = 200)."""
     return {**acceptance_families(),
             **{f"kahan{n}": kahan(n, 1.2) for n in (10, 50, 100, 200)}}
+
+
+def right_looking_lu(a, tol):
+    """Pivot-free LU of every slice of a (k, n, n) stack by rank-1 updates of the trailing block.
+
+    The oracle of ``dense.lu_factor_stack``, which runs in Doolittle order.
+    Returns ``(l, u, singular)``: ``singular[j]`` is 0 when slice j
+    factorized, and otherwise the 1-based index of its first pivot at or
+    below ``tol[j]``; the factors of such a slice are meaningless. In
+    longdouble, each entry rounds as the Doolittle order's does, up to the
+    sign of an exact zero.
+    """
+    k, n, _ = a.shape
+    u = a.copy()
+    l = np.broadcast_to(np.eye(n, dtype=a.dtype), a.shape).copy()
+    singular = np.zeros(k, dtype=int)
+    for c in range(n - 1):
+        small = (np.abs(u[:, c, c]) <= tol) & (singular == 0)
+        singular[small] = c + 1
+        u[small] = 0.0
+        # a stopped slice is all zeros; dividing it by one keeps it so
+        piv = np.where(singular > 0, 1.0, u[:, c, c])
+        mults = u[:, c + 1 :, c] / piv[:, None]
+        l[:, c + 1 :, c] = mults
+        u[:, c + 1 :, c:] -= mults[:, :, None] * u[:, c, None, c:]
+        u[:, c + 1 :, c] = 0.0
+    return l, np.triu(u), singular
+
+
+def substitution_inverse(t, shape):
+    """Inverse of a triangular matrix by row substitution, one GEMV per row.
+
+    The oracle of ``dense.triangular_inverse``, which inverts by blocks.
+    Raises ``SingularDiagonal`` with the 1-based index of the first
+    exactly-zero diagonal entry, or of the first row in substitution order
+    (from the last row of an upper T, the first of a lower one) that is not
+    finite.
+    """
+    t = np.asarray(t, dtype=float)
+    n = t.shape[0]
+    zero = np.flatnonzero(np.diag(t) == 0.0)
+    if zero.size:
+        raise SingularDiagonal(int(zero[0]) + 1)
+    upper = shape == "upper"
+    x = np.eye(n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(n - 1, -1, -1) if upper else range(n):
+            done = slice(i + 1, None) if upper else slice(None, i)
+            x[i, :] = (x[i, :] - t[i, done] @ x[done, :]) / t[i, i]
+            if not np.isfinite(x[i]).all():
+                raise SingularDiagonal(i + 1)
+    return np.triu(x) if upper else np.tril(x)
 
 
 def measure_r(a):

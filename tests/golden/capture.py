@@ -12,9 +12,10 @@ of ``cases.json`` are rewritten; every other golden stays as it is.
 Before re-capturing, ``--drift`` runs the committed command lines of
 ``cases.json`` into a temporary directory and compares them with the
 committed goldens token by token: it prints, per file, the largest relative
-change of a numeric token, and it fails when any other token (a boolean,
-``n/a``, a column name) or the token count changed. It does not recompute
-the verify sizes, so it shows how far the outputs moved and nothing else.
+change of a numeric token, with its line and the name of its column, and it
+fails when any other token (a boolean, ``n/a``, a column name) or the token
+count of a line changed. It does not recompute the verify sizes, so it
+shows how far the outputs moved and nothing else.
 
 Every case is one ``fperturb`` command line, run with ``--no-timings`` so its
 output is byte-identical from run to run. The cases go to ``cases.json`` and
@@ -119,19 +120,44 @@ def _number(token: str) -> float | None:
 
 def token_drift(old: str, new: str) -> float | None:
     """Largest relative change of a numeric token; None when any other token differs."""
-    old_tokens, new_tokens = SEPARATORS.split(old), SEPARATORS.split(new)
-    if len(old_tokens) != len(new_tokens):
+    largest = largest_change(old, new)
+    return None if largest is None else largest[0]
+
+
+def largest_change(old: str, new: str) -> tuple[float, int, str] | None:
+    """``(drift, line, column)`` of the largest relative change of a numeric token,
+    ``line`` 1-based and ``column`` the name of its field; None when any other
+    token or the line count differs. A change of 0 is reported at line 0."""
+    old_lines, new_lines = old.splitlines(), new.splitlines()
+    if len(old_lines) != len(new_lines):
         return None
-    drift = 0.0
-    for a, b in zip(old_tokens, new_tokens):
-        if a == b:
-            continue
-        x, y = _number(a), _number(b)
-        if x is None or y is None:
+    largest = (0.0, 0, "")
+    for line, (a, b) in enumerate(zip(old_lines, new_lines), 1):
+        old_tokens, new_tokens = SEPARATORS.split(a), SEPARATORS.split(b)
+        if len(old_tokens) != len(new_tokens):
             return None
-        if x != y:
-            drift = max(drift, abs(x - y) / max(abs(x), abs(y)))
-    return drift
+        for i, (x, y) in enumerate(zip(old_tokens, new_tokens)):
+            if x == y:
+                continue
+            x, y = _number(x), _number(y)
+            if x is None or y is None:
+                return None
+            rel = abs(x - y) / max(abs(x), abs(y)) if x != y else 0.0
+            if rel > largest[0]:
+                largest = (rel, line, _field(old_lines[0], old_tokens, i))
+    return largest
+
+
+def _field(header: str, tokens: list[str], i: int) -> str:
+    """The name of the field of token ``i`` of a line: the key before it in JSON,
+    else the header cell above it, in CSV (cells between commas) or markdown
+    (cells between bars)."""
+    if header.startswith("{"):
+        return next(t for t in tokens if t and not SEPARATORS.fullmatch(t))
+    before = "".join(tokens[:i])
+    if header.startswith("|"):
+        return header.split("|")[before.count("|")].strip()
+    return header.split(",")[before.count(",")]
 
 
 def drift(all_cases: list[dict]) -> int:
@@ -142,10 +168,14 @@ def drift(all_cases: list[dict]) -> int:
         for case in all_cases:
             old = (HERE / case["file"]).read_text(encoding="utf-8")
             new = (Path(tmp) / case["file"]).read_text(encoding="utf-8")
-            rel = token_drift(old, new)
-            print(f"{case['file']}: " + ("non-numeric change" if rel is None else f"{rel:.1e}"))
-            if rel is None:
+            largest = largest_change(old, new)
+            if largest is None:
+                print(f"{case['file']}: non-numeric change")
                 changed.append(case["file"])
+            else:
+                rel, line, field = largest
+                where = f" at line {line}, column {field}" if rel else ""
+                print(f"{case['file']}: {rel:.1e}{where}")
     if changed:
         print(f"non-numeric changes in {len(changed)} files", file=sys.stderr)
         return 1

@@ -62,3 +62,28 @@ def lu_factor_maps(l, u) -> tuple[np.ndarray, np.ndarray]:
                                                        for k in range(i, n)))
                                      for i, j in upper]
     return m_l, m_u
+
+
+def _floats(m) -> np.ndarray:
+    """An mpmath matrix rounded to float64."""
+    return np.array([[float(m[i, j]) for j in range(m.cols)] for i in range(m.rows)])
+
+
+def lu_factors(a) -> tuple[np.ndarray, np.ndarray]:
+    """The pivot-free LU factors (L unit lower triangular) of ``a``, rounded to float64."""
+    n = len(a)
+    with mpmath.workdps(DPS):
+        u = mpmath.matrix(np.asarray(a, dtype=float).tolist())
+        l = mpmath.eye(n)
+        for k in range(n - 1):
+            for i in range(k + 1, n):
+                l[i, k] = u[i, k] / u[k, k]
+                for j in range(k, n):
+                    u[i, j] -= l[i, k] * u[k, j]
+        return _floats(l), np.triu(_floats(u))
+
+
+def triangular_inverse(t) -> np.ndarray:
+    """The inverse of a triangular matrix, rounded to float64."""
+    with mpmath.workdps(DPS):
+        return _floats(mpmath.inverse(mpmath.matrix(np.asarray(t, dtype=float).tolist())))

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fperturb import dense
@@ -18,7 +18,12 @@ from fperturb.errors import (
     SingularDiagonal,
     SingularLeadingMinor,
 )
-from fperturb.lu_bounds import lower_factor_operator, upper_factor_operator
+from fperturb.lu_bounds import (
+    gaussian_elimination_epsilon,
+    lower_factor_operator,
+    lu_componentwise_bounds,
+    upper_factor_operator,
+)
 from fperturb.matgen import graded_random, kahan
 from fperturb.qr_bounds import (
     componentwise_operator_norms,
@@ -30,13 +35,16 @@ from fperturb.structured import operator_materialize, operator_spectral_norm
 import oracle
 from conftest import (
     acceptance_families,
+    comparison_cases,
     count_calls,
     householder_r_stack,
     measure_r,
     random_square,
     random_unit_lower,
     random_upper,
+    right_looking_lu,
     seeded_rng,
+    substitution_inverse,
     svd_spectral_norm,
 )
 
@@ -292,9 +300,27 @@ class TestMatmulPremise:
 
 _SCALES = (1.0, 2.0**530, 2.0**-530, 1e160)
 #: Frobenius distance of r_change from the longdouble oracle in units of
-#: kappa_2(A) ||dA||_F, at ||dA|| = 2^-20 ||A||: the oracle's own error is of
-#: order u_ld 2^20 = 5.7e-14 of it (at most 5.1e-13 over 300 Gaussian cases)
+#: kappa_2(A) ||dA||_F, at ||dA|| = 2^-20 ||A||, beside the oracle's own error
+#: (at most 5.1e-13 over 300 Gaussian cases)
 _R_CHANGE_TOL = 1e-10
+#: unit roundoff of the oracle's refactorizations
+_U_ORACLE = np.finfo(np.longdouble).eps / 2
+
+
+def _r_oracle_error(a, da):
+    """A bound on the error of the oracle's change R(A + dA) - R(A), for each slice of ``da``.
+
+    Each of its two refactorizations is exactly the R of a matrix within
+    (mn + 1) u ||A + dA||_F of A + dA (or of A): the rounding of the sum,
+    and the backward error of Householder QR (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., Thm 19.4, with its
+    constant taken as 1). To first order, R moves by at most
+    sqrt(2) kappa_2(A) times that.
+    """
+    m, n = a.shape
+    wide = np.asarray(a, dtype=np.longdouble) + da
+    size = np.maximum(dense.frobenius_norms(wide).astype(float), np.linalg.norm(a))
+    return 2.0 * math.sqrt(2.0) * np.linalg.cond(a) * (m * n + 1) * float(_U_ORACLE) * size
 
 
 class TestKernelsAgainstOracles:
@@ -305,8 +331,8 @@ class TestKernelsAgainstOracles:
     @given(k=st.integers(1, 64), n=st.integers(1, 45), seed=st.integers(0, 2**32 - 1),
            scale=st.sampled_from(_SCALES), broken=st.integers(0, 3))
     def test_lu_stack(self, k, n, seed, scale, broken):
-        # the Doolittle order against the right-looking one, which float64
-        # stacks run and the other stack tests cover
+        # the Doolittle order against the right-looking oracle, which rounds
+        # alike in longdouble
         rng = seeded_rng(12, seed)
         a = scale * rng.standard_normal((k, n, n))
         if n > 1:       # slices whose leading minor of order p is singular
@@ -315,7 +341,7 @@ class TestKernelsAgainstOracles:
                 a[s, p - 1, :p] = 2.0 * a[s, 0, :p] if p > 1 else 0.0
         a = a.astype(np.longdouble)
         l, u, singular = dense.lu_factor_stack(a)
-        ref_l, ref_u, ref_singular = dense._right_looking(
+        ref_l, ref_u, ref_singular = right_looking_lu(
             a, dense.PIVOT_TOL * dense.frobenius_norms(a))
         assert l.dtype == u.dtype == np.longdouble
         assert u.flags.c_contiguous
@@ -328,11 +354,14 @@ class TestKernelsAgainstOracles:
     @given(k=st.integers(1, 64), n=st.integers(1, 45), extra=st.integers(0, 6),
            seed=st.integers(0, 2**32 - 1), scale=st.sampled_from(_SCALES[:3]),
            broken=st.integers(0, 3))
+    # a 1-by-1 A whose draw is so small that the oracle's rounding of A + dA,
+    # u_ld |A|, is 7.9 times _R_CHANGE_TOL kappa_2(A) ||dA_j||_F
+    @example(k=53, n=1, extra=0, seed=11, scale=1.0, broken=0)
     def test_householder_stack(self, k, n, extra, seed, scale, broken):
         # the difference form against the longdouble refactorization oracle:
-        # the same failures, the same change within the oracle's own error,
-        # each slice bit for bit a stack of one, and bit for bit at every
-        # power-of-two scale
+        # the same failures, the same change within the kernel's tolerance
+        # beside the oracle's own error, each slice bit for bit a stack of
+        # one, and bit for bit at every power-of-two scale
         rng = seeded_rng(13, seed)
         a = rng.standard_normal((n + extra, n))
         da = 2.0**-20 * rng.standard_normal((k, n + extra, n))
@@ -346,7 +375,8 @@ class TestKernelsAgainstOracles:
         done = failed == 0
         if done.any():
             ref = (ref_r[done] - measure_r(wide)).astype(float)
-            bound = _R_CHANGE_TOL * np.linalg.cond(a) * dense.frobenius_norms(da[done])
+            bound = (_R_CHANGE_TOL * np.linalg.cond(a) * dense.frobenius_norms(da[done])
+                     + _r_oracle_error(a, da[done]))
             assert (dense.frobenius_norms(dr[done] - ref) <= bound).all()
         j = int(rng.integers(k))
         assert np.array_equal(dr[j], dense.r_change(dense.householder_base(a), da[j : j + 1])[0][0])
@@ -539,6 +569,17 @@ class TestNorms:
         assert dense.euclidean_norm(np.array([1.0, np.inf])) == np.inf
         assert np.isnan(dense.euclidean_norm(np.array([1.0, np.nan])))
 
+    def test_euclidean_norm_scales_bit_for_bit_across_the_squaring_range(self):
+        # the re-take runs on x 2^-e, e the exponent of its largest entry, which
+        # is exact, so a vector whose squares over- or underflow has the plain
+        # norm of its in-range image, scaled back
+        v = seeded_rng(16).standard_normal(7)
+        m = seeded_rng(17).standard_normal((5, 3))
+        for k in (-600, -520, 520, 600):
+            assert dense.euclidean_norm(np.ldexp(v, k)) == math.ldexp(dense.euclidean_norm(v), k)
+            assert np.array_equal(dense.euclidean_norm(np.ldexp(m, k), axis=0),
+                                  np.ldexp(dense.euclidean_norm(m, axis=0), k))
+
     @pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
     def test_euclidean_norm_owns_its_range(self, dtype):
         # no np.errstate here: a first try whose squares over- or underflow
@@ -566,8 +607,11 @@ class TestNorms:
             assert [float(x) for x in norms] == [
                 float(p) if dense.SQRT_TINY < p < np.inf else dense.euclidean_norm(s)
                 for p, s in zip(plain, slices)]
+        # a slice out of range is taken at the scale 2^-e of its largest entry
+        # f 2^e, so [x, x] has the norm sqrt(2 f^2) 2^e, which scales with x
+        # bit for bit
         assert list(dense.euclidean_norm(m, axis=0)) == [
-            5.0, 1e-300 * np.sqrt(2.0), 1e200 * np.sqrt(2.0), 0.0]
+            5.0, _scaled_pair_norm(1e-300), _scaled_pair_norm(1e200), 0.0]
         stack = np.stack([m, 1e-10 * m]).astype(np.longdouble)
         norms = dense.euclidean_norm(stack, axis=1)
         assert norms.dtype == np.longdouble and norms.shape == (2, 4)
@@ -583,6 +627,12 @@ class TestNorms:
         monkeypatch.setattr(dense, "KRYLOV_MAX_STEPS", 1)
         with pytest.raises(NoConvergence):
             dense.spectral_norm(a)
+
+
+def _scaled_pair_norm(x):
+    """||[x, x]||_2 taken at the scale of x's exponent e: sqrt(2 f^2) 2^e for x = f 2^e."""
+    f, e = math.frexp(x)
+    return math.ldexp(math.sqrt(2.0 * f * f), e)
 
 
 def _krylov(a):
@@ -774,3 +824,135 @@ class TestTriangularInverse:
         with pytest.raises(SingularDiagonal) as exc:
             triangular_inverse(t if shape == "upper" else t.T, shape)
         assert exc.value.k == (1 if shape == "upper" else 2)
+
+    @pytest.mark.parametrize("shape", ["lower", "upper"])
+    @pytest.mark.parametrize("i", [3, 33, 49, 50, 98])
+    def test_singular_row_in_either_half(self, shape, i):
+        # at n = 100, above TRIANGULAR_LEAF, each half is inverted on its own;
+        # the kernel names the row that the substitution oracle stops at, and
+        # lets no warning or LinAlgError escape
+        n = 100
+        zero, subnormal, growth = (random_upper(n, i) for _ in range(3))
+        zero[i, i] = 0.0
+        subnormal[i, i] = 1e-320
+        growth[i, i] = growth[i + 1, i + 1] = 1e-200     # x_i,i+1 = -1e400
+        growth[i, i + 1] = 1.0
+        expected = {"zero": i + 1, "subnormal": i + 1,
+                    "growth": i + 1 if shape == "upper" else i + 2}
+        for name, t in (("zero", zero), ("subnormal", subnormal), ("growth", growth)):
+            t = t if shape == "upper" else t.T
+            with pytest.raises(SingularDiagonal) as exc:
+                triangular_inverse(t, shape)
+            with pytest.raises(SingularDiagonal) as ref:
+                substitution_inverse(t, shape)
+            assert exc.value.k == ref.value.k == expected[name], name
+
+
+#: unit roundoff of float64
+_U = np.finfo(float).eps / 2
+
+
+def _triangles():
+    """(name, T, shape) of lower and upper triangles: L, U and R of the comparison
+    cases (the acceptance families and kahan(n, 1.2) up to n = 200), R^T, and
+    random ones of orders that split at and above ``TRIANGULAR_LEAF``."""
+    for name, a in comparison_cases().items():
+        f, r = lu_factor(a), qr_factor(a).r
+        yield from ((f"{name}-L", f.l, "lower"), (f"{name}-U", f.u, "upper"),
+                    (f"{name}-R", r, "upper"), (f"{name}-RT", r.T, "lower"))
+    for n in (dense.TRIANGULAR_LEAF + 1, 71, 150):
+        yield f"random{n}-U", random_upper(n, 0), "upper"
+        yield f"random{n}-L", random_unit_lower(n, 0), "lower"
+
+
+def _within_inverse_error(x, ref, t):
+    """|x - ref| <= n u |ref||T||ref| entrywise, the first-order error of a
+    stable triangular inverse (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 14) with its constant taken as 1."""
+    bound = len(t) * _U * (np.abs(ref) @ np.abs(t) @ np.abs(ref))
+    return bool((np.abs(x - ref) <= bound).all())
+
+
+class TestBlockTriangularInverse:
+    def test_matches_substitution_within_its_error(self):
+        # at most 0.11 of the bound was measured, on R of graded_1
+        for name, t, shape in _triangles():
+            x = triangular_inverse(t, shape)
+            assert _within_inverse_error(x, substitution_inverse(t, shape), t), name
+            assert np.array_equal(x, np.triu(x) if shape == "upper" else np.tril(x)), name
+            assert x.flags.c_contiguous, name
+
+    @pytest.mark.parametrize("k", [7, -7, 200, -200, 500, -500])
+    def test_scales_bit_for_bit(self, k):
+        for name, t, shape in _triangles():
+            assert np.array_equal(triangular_inverse(np.ldexp(t, k), shape),
+                                  np.ldexp(triangular_inverse(t, shape), -k)), name
+
+
+class TestDoolittleInFloat64:
+    @pytest.mark.parametrize("shape", [(655, 10, 10), (40, 40, 40), (9, 1, 1), (5, 70, 70)])
+    def test_slices_are_their_own_stacks_of_one(self, shape):
+        # each slice goes to BLAS alone, so it factorizes as it would alone;
+        # a stack of one is copied so that it sits at its own address
+        a = seeded_rng(19, *shape).standard_normal(shape) + shape[1] * np.eye(shape[1])
+        if shape[1] > 2:
+            a[1, 1, :2] = 2.0 * a[1, 0, :2]     # leading minor 2 is singular
+        l, u, singular = dense.lu_factor_stack(a)
+        assert l.dtype == u.dtype == np.float64
+        assert singular[1] == (2 if shape[1] > 2 else 0)
+        for j in range(len(a)):
+            lj, uj, sj = dense.lu_factor_stack(a[j : j + 1].copy())
+            assert sj[0] == singular[j]
+            if not sj[0]:
+                assert np.array_equal(l[j], lj[0]) and np.array_equal(u[j], uj[0])
+                f = lu_factor(a[j].copy())
+                assert np.array_equal(l[j], f.l) and np.array_equal(u[j], f.u)
+
+    def test_backward_stable_with_the_oracle_gates(self):
+        # BLAS sums in another order than the right-looking oracle, so the
+        # factors differ by rounding, which ill-conditioned slices amplify;
+        # both take the same pivot gates, and L U = A + dA with
+        # |dA| <= gamma_n |L||U| (Higham, Thm 9.3), doubled for the rounding
+        # of the residual where longdouble is no wider than float64
+        for n, stack in _longdouble_stacks():
+            a = stack.astype(float)
+            if n > 1:       # the leading minor of order n - 1 of slice 0 is singular
+                a[0, n - 2, : n - 1] = 2.0 * a[0, 0, : n - 1] if n > 2 else 0.0
+            l, u, singular = dense.lu_factor_stack(a)
+            ref_singular = right_looking_lu(a, dense.PIVOT_TOL * dense.frobenius_norms(a))[2]
+            assert np.array_equal(singular, ref_singular)
+            assert singular[0] == n - 1
+            done = singular == 0
+            wide = np.longdouble
+            residual = np.matmul(l[done].astype(wide), u[done].astype(wide)) - a[done]
+            bound = 2.0 * gaussian_elimination_epsilon(n) * np.matmul(np.abs(l[done]),
+                                                                       np.abs(u[done]))
+            assert (np.abs(residual) <= bound).all(), n
+
+    @pytest.mark.parametrize("k", [7, -7, 200, -200, 500, -500])
+    def test_scales_bit_for_bit(self, k):
+        cases = {**acceptance_families(), "random60": random_square(60, 4, shift=6.0)}
+        for name, a in cases.items():
+            f, scaled = lu_factor(a), lu_factor(np.ldexp(a, k))
+            assert np.array_equal(scaled.l, f.l), name
+            assert np.array_equal(scaled.u, np.ldexp(f.u, k)), name
+
+
+class TestAgainstFiftyDigits:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_lu_factors_and_inverses(self, n):
+        # the computed factors are the exact ones of A + dA with
+        # |dA| <= gamma_n |L~||U~| (Higham, Thm 9.3), so they lie within the
+        # first-order componentwise bounds at epsilon = gamma_n, up to
+        # second-order terms, for which the bound is doubled (at most 0.11 of
+        # it was measured, as for the right-looking elimination)
+        for name, a in acceptance_families(n).items():
+            f = lu_factor(a)
+            l, u = oracle.lu_factors(a)
+            report = lu_componentwise_bounds(f, gaussian_elimination_epsilon(n))
+            assert np.linalg.norm(f.l - l) <= 2.0 * report.first_order_dl_f, name
+            assert np.linalg.norm(f.u - u) <= 2.0 * report.first_order_du_f, name
+            for t, shape in ((f.l, "lower"), (f.u, "upper"), (f.u[:-1, :-1], "upper")):
+                if len(t):
+                    exact = oracle.triangular_inverse(t)
+                    assert _within_inverse_error(triangular_inverse(t, shape), exact, t), name

@@ -37,6 +37,16 @@ def test_drift_allows_only_numeric_changes():
     assert capture.token_drift("x\n1\n", "x\n1\n2\n") is None
 
 
+def test_drift_names_the_line_and_column_of_the_largest_change():
+    # the field is the CSV or markdown header cell above the token, or its JSON key
+    assert capture.largest_change("x,y\n1,2\n3,4\n", "x,y\n1,2.5\n3,4.1\n") == (0.2, 2, "y")
+    assert capture.largest_change('{\n "a": 1,\n "b": 2\n}', '{\n "a": 1,\n "b": 2.5\n}') == (
+        0.2, 3, "b")
+    md = "| n | g | h |\n|---|---|---|\n| 5 | 1.0e+00 | 2.0e+00 |\n"
+    assert capture.largest_change(md, md.replace("2.0e+00", "2.5e+00")) == (0.2, 3, "h")
+    assert capture.largest_change(md, md) == (0.0, 0, "")
+
+
 def test_capture_rewrites_only_the_named_cases(tmp_path, monkeypatch, capsys):
     committed = json.loads((GOLDEN / "cases.json").read_text(encoding="utf-8"))
     (tmp_path / "cases.json").write_text(json.dumps(committed, indent=1) + "\n", encoding="utf-8")
